@@ -1,13 +1,21 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Covers exactly the operations the dual-graph classifier needs: matrix
-products, elementwise arithmetic, ReLU/sigmoid/log/power, concatenation
-and row tiling (for pairwise edge features), reductions, and a
-numerically stable binary cross-entropy on a single logit.
+products, elementwise arithmetic, ReLU/sigmoid/log/power, concatenation,
+row slices and ordered pair sums (for factored pairwise edge features),
+reductions, and a numerically stable binary cross-entropy on a single
+logit.
 
 Gradients accumulate into ``Tensor.grad``; each ``backward()`` call adds
 one full pass worth of gradient, so calling it twice without zeroing
 doubles every gradient. No operation mutates its inputs.
+
+Backward does no work a gradient does not need. A product skips the side
+whose operand does not require grad. When a matmul's right operand is a
+leaf weight, its VJP returns the factors ``(a, g)`` of ``a.T @ g``
+instead of forming it; ``backward`` stacks every such contribution to
+the weight over the whole tape (a mini-batch of subjects, say) and forms
+the weight's gradient with one product.
 """
 
 from __future__ import annotations
@@ -17,6 +25,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 Vjp = Callable[[np.ndarray], tuple]
+
+
+class _Factors:
+    """A weight gradient ``a.T @ g`` left unformed as its two factors."""
+
+    __slots__ = ("a", "g")
+
+    def __init__(self, a: np.ndarray, g: np.ndarray):
+        self.a = a
+        self.g = g
 
 
 class Tensor:
@@ -60,8 +78,13 @@ class Tensor:
 
         order = _topo_order(self)
         flows = {id(self): np.ones((), dtype=np.float64)}
+        factors: dict = {}  # id(leaf) -> list of _Factors
         for node in reversed(order):
             flow = flows.pop(id(node), None)
+            pending = factors.pop(id(node), None)
+            if pending is not None:
+                product = _stacked_product(pending)
+                flow = product if flow is None else flow + product
             if flow is None:
                 continue
             node.grad = flow if node.grad is None else node.grad + flow
@@ -71,7 +94,9 @@ class Tensor:
                 if pgrad is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key in flows:
+                if isinstance(pgrad, _Factors):
+                    factors.setdefault(key, []).append(pgrad)
+                elif key in flows:
                     flows[key] = flows[key] + pgrad
                 else:
                     flows[key] = pgrad
@@ -119,6 +144,15 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
+def _stacked_product(parts: list) -> np.ndarray:
+    """Sum of ``a_i.T @ g_i`` as one product of the stacked factors."""
+    if len(parts) == 1:
+        return parts[0].a.T @ parts[0].g
+    a = np.concatenate([p.a for p in parts])
+    g = np.concatenate([p.g for p in parts])
+    return a.T @ g
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Vjp) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -146,7 +180,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
     ad, bd = a.data, b.data
-    return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (
+            g * bd if a.requires_grad else None,
+            g * ad if b.requires_grad else None,
+        )
+
+    return _make(ad * bd, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -159,7 +200,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
     ad, bd = a.data, b.data
-    return _make(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+    def vjp(g: np.ndarray) -> tuple:
+        ga = g @ bd.T if a.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif not b._parents:  # a leaf weight: backward forms it once per tape
+            gb = _Factors(ad, g)
+        else:
+            gb = ad.T @ g
+        return ga, gb
+
+    return _make(ad @ bd, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -232,44 +284,51 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _make(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
 
 
-def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    if a.data.ndim != b.data.ndim:
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Join along the first axis: (m, ...) and (k, ...) -> (m + k, ...)."""
+    if a.data.ndim == 0 or a.data.shape[1:] != b.data.shape[1:]:
         raise ValueError(
-            f"concat: rank mismatch between {a.data.shape} and {b.data.shape}"
+            f"concat: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-    other = 1 - axis
-    if a.data.ndim == 2 and a.data.shape[other] != b.data.shape[other]:
-        raise ValueError(
-            f"concat: incompatible shapes {a.data.shape} and {b.data.shape} "
-            f"along axis {axis}"
-        )
-    split = a.data.shape[axis]
+    split = a.data.shape[0]
+    return _make(
+        np.concatenate([a.data, b.data]),
+        (a, b),
+        lambda g: (g[:split], g[split:]),
+    )
+
+
+def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start`` to ``stop - 1`` of a matrix; zero gradient elsewhere."""
+    shape = a.data.shape
 
     def vjp(g: np.ndarray) -> tuple:
-        ga, gb = np.split(g, [split], axis=axis)
-        return ga, gb
+        full = np.zeros(shape, dtype=np.float64)
+        full[start:stop] = g
+        return (full,)
 
-    return _make(np.concatenate([a.data, b.data], axis=axis), (a, b), vjp)
-
-
-def repeat_rows(a: Tensor, k: int) -> Tensor:
-    """Repeat each row k times consecutively: (m, n) -> (m*k, n)."""
-    m, n = a.data.shape
-    return _make(
-        np.repeat(a.data, k, axis=0),
-        (a,),
-        lambda g: (g.reshape(m, k, n).sum(axis=1),),
-    )
+    return _make(a.data[start:stop].copy(), (a,), vjp)
 
 
-def tile_rows(a: Tensor, k: int) -> Tensor:
-    """Stack k full copies of the matrix: (m, n) -> (k*m, n)."""
-    m, n = a.data.shape
-    return _make(
-        np.tile(a.data, (k, 1)),
-        (a,),
-        lambda g: (g.reshape(k, m, n).sum(axis=0),),
-    )
+def pair_sum(left: Tensor, right: Tensor) -> Tensor:
+    """Every ordered row pair summed: (m, d), (k, d) -> (m*k, d).
+
+    Row ``i*k + j`` holds ``left[i] + right[j]``. With ``left = E @ W_top``
+    and ``right = E @ W_bottom`` this equals the pair features
+    ``concat(E[i], E[j]) @ W`` without forming the concatenated pairs.
+    """
+    if left.data.ndim != 2 or right.data.ndim != 2 or left.shape[1] != right.shape[1]:
+        raise ValueError(
+            f"pair_sum: incompatible shapes {left.data.shape} and {right.data.shape}"
+        )
+    (m, d), k = left.data.shape, right.data.shape[0]
+    out = (left.data[:, None, :] + right.data[None, :, :]).reshape(m * k, d)
+
+    def vjp(g: np.ndarray) -> tuple:
+        g3 = g.reshape(m, k, d)
+        return g3.sum(axis=1), g3.sum(axis=0)
+
+    return _make(out, (left, right), vjp)
 
 
 def bce_with_logits(logit: Tensor, label) -> Tensor:

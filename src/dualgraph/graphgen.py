@@ -38,7 +38,8 @@ class EdgeScorer:
     Each node's length-T signal maps to an embedding through one
     ReLU layer; ordered pair embeddings are concatenated and squashed
     to a probability by a two-layer MLP, so the resulting matrix is
-    generally asymmetric (directed edges).
+    generally asymmetric (directed edges). The first MLP layer is
+    computed in factored form, one half of ``pair_w1`` per endpoint.
     """
 
     extract_w: Tensor  # T x d
@@ -77,10 +78,13 @@ def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
         )
     signals = Tensor(series)
     embed = ad.relu(ad.add(ad.matmul(signals, scorer.extract_w), scorer.extract_b))
-    left = ad.repeat_rows(embed, n)  # row i*n + j holds node i
-    right = ad.tile_rows(embed, n)  # row i*n + j holds node j
-    pairs = ad.concat(left, right, axis=1)
-    hidden = ad.relu(ad.add(ad.matmul(pairs, scorer.pair_w1), scorer.pair_b1))
+    # concat(E[i], E[j]) @ W1 == E[i] @ W1[:d] + E[j] @ W1[d:], so the
+    # first pair layer is two n x d products joined by pair_sum.
+    d = embed.shape[1]
+    w1 = scorer.pair_w1
+    left = ad.add(ad.matmul(embed, ad.row_slice(w1, 0, d)), scorer.pair_b1)
+    right = ad.matmul(embed, ad.row_slice(w1, d, 2 * d))
+    hidden = ad.relu(ad.pair_sum(left, right))  # row i*n + j: pair (i, j)
     raw = ad.add(ad.matmul(hidden, scorer.pair_w2), scorer.pair_b2)
     return ad.reshape(ad.sigmoid(raw), (n, n))
 

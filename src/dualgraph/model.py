@@ -266,7 +266,7 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
             norm_o = normalize_adjacency(optimal)
             pooled.append(concat_pool(gcn_forward(corr, norm_o, state.optimal_gcn)))
 
-    vector = pooled[0] if len(pooled) == 1 else ad.concat(pooled[0], pooled[1], axis=0)
+    vector = pooled[0] if len(pooled) == 1 else ad.concat(pooled[0], pooled[1])
     row = ad.reshape(vector, (1, vector.size))
     head = state.classifier
     hidden = ad.relu(ad.add(ad.matmul(row, head.w1), head.b1))
@@ -312,7 +312,10 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
-    """Read a checkpoint, rejecting version or dimension mismatches."""
+    """Read a checkpoint, rejecting version or dimension mismatches.
+
+    Any malformed header or non-finite parameter value raises ValueError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != _MAGIC:
@@ -331,11 +334,11 @@ def load_checkpoint(path: str) -> ModelState:
         if header.get("format_version") != _FORMAT_VERSION:
             raise ValueError(f"{path}: header/container version mismatch")
         config = ModelConfig(**header["config"])
-    except (KeyError, TypeError, UnicodeDecodeError) as exc:
+        listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
+    except (AttributeError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
 
     expected = parameter_shapes(config)
-    listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
     if listed != expected:
         raise ValueError(f"{path}: parameter table does not match configuration")
 
@@ -346,9 +349,10 @@ def load_checkpoint(path: str) -> ModelState:
         end = offset + count * 8
         if end > len(raw):
             raise ValueError(f"{path}: truncated while reading {name}")
-        arrays.append(
-            np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        )
+        values = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name} has non-finite values")
+        arrays.append(values.reshape(shape))
         offset = end
     if offset != len(raw):
         raise ValueError(f"{path}: trailing bytes after parameters")

@@ -125,8 +125,18 @@ def _format_row(values: np.ndarray) -> str:
     return ",".join(format(v, ".17g") for v in values)
 
 
+def _check_subject_id(subject_id: str, where: str) -> None:
+    """Reject an id whose file would not sit beside labels.csv in the directory."""
+    if subject_id in ("", ".", "..") or "/" in subject_id or "\\" in subject_id:
+        raise ValueError(f"{where}: subject id {subject_id!r} is not a plain file name")
+    if subject_id == "labels":
+        raise ValueError(f"{where}: subject id 'labels' would clash with labels.csv")
+
+
 def save_dataset(dataset: Dataset, directory: str) -> None:
     """Write the labels.csv + per-subject CSV layout under ``directory``."""
+    for s in dataset.subjects:
+        _check_subject_id(s.subject_id, directory)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "labels.csv"), "w", newline="") as fh:
         fh.write("subject_id,label\n")
@@ -156,6 +166,7 @@ def load_dataset(directory: str) -> Dataset:
         if len(parts) != 2:
             raise ValueError(f"{labels_path}: row {lineno}: expected 2 fields")
         subject_id, label_text = parts
+        _check_subject_id(subject_id, f"{labels_path}: row {lineno}")
         if label_text not in ("0", "1"):
             raise ValueError(
                 f"{labels_path}: row {lineno}: label must be 0 or 1, "

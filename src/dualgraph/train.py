@@ -308,7 +308,7 @@ def _epoch_pass(
     order = [train_indices[i] for i in rng.permutation(len(train_indices))]
     n = dataset.n_rois
     total = 0.0
-    for start in range(0, len(order), config.batch_size):
+    for batch_number, start in enumerate(range(0, len(order), config.batch_size), 1):
         batch = order[start : start + config.batch_size]
         optimizer.zero_grad()
         batch_loss = None
@@ -320,9 +320,15 @@ def _epoch_pass(
             batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
         mean_loss = ad.scale(batch_loss, 1.0 / len(batch))
         value = float(mean_loss.data)
+        where = f"epoch {epoch}, batch {batch_number}"
         if not np.isfinite(value):
-            raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
+            raise TrainingDiverged(f"non-finite training loss at {where}")
         mean_loss.backward()
+        # A finite loss can still have NaN gradients (a saturated edge
+        # probability); stop before Adam writes them into the parameters.
+        for p in optimizer.params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise TrainingDiverged(f"non-finite gradient at {where}")
         optimizer.step()
         total += value * len(batch)
     return total / len(order)

@@ -88,6 +88,31 @@ def gumbel_elementwise_oracle(theta, tau, g1, g2):
     return out
 
 
+def edge_probabilities_double_loop(series, extract_w, extract_b, pair_w1, pair_b1, pair_w2, pair_b2):
+    """Edge scorer in scalar math: embed each node, then score each ordered pair.
+
+    Entry (i, j) runs the concatenated pair (node i's embedding first)
+    through the two-layer pair MLP one pair at a time.
+    """
+    n, t = series.shape
+    d = extract_w.shape[1]
+    embed = [
+        [max(0.0, sum(series[i, s] * extract_w[s, c] for s in range(t)) + extract_b[c]) for c in range(d)]
+        for i in range(n)
+    ]
+    theta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            pair = embed[i] + embed[j]
+            hidden = [
+                max(0.0, sum(pair[r] * pair_w1[r, c] for r in range(2 * d)) + pair_b1[c])
+                for c in range(d)
+            ]
+            raw = sum(hidden[c] * pair_w2[c, 0] for c in range(d)) + pair_b2[0]
+            theta[i, j] = _stable_logistic(raw)
+    return theta
+
+
 def harden_double_loop(soft):
     n, m = soft.shape
     out = np.zeros((n, m))

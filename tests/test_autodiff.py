@@ -12,6 +12,19 @@ from oracles import finite_difference_gradient, max_rel_error
 GRAD_TOL = 1e-6
 
 
+def _product_spy(array):
+    """View of ``array`` that records every matrix product it takes part in."""
+    products = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append([np.shape(x) for x in inputs])
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    return array.view(Spy), products
+
+
 def _check_gradients(build, arrays, tol=GRAD_TOL):
     """Compare engine gradients of scalar build(tensors) against FD."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -103,25 +116,55 @@ class TestConcat:
     def test_split_round_trip(self):
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
-        joined = ad.concat(Tensor(a), Tensor(b), axis=0).data
+        joined = ad.concat(Tensor(a), Tensor(b)).data
         np.testing.assert_array_equal(joined[:2], a)
         np.testing.assert_array_equal(joined[2:], b)
 
     def test_gradient_is_ones_on_both_inputs(self):
         a = Tensor(np.zeros((2, 2)), requires_grad=True)
         b = Tensor(np.zeros((3, 2)), requires_grad=True)
-        ad.sum_all(ad.concat(a, b, axis=0)).backward()
+        ad.sum_all(ad.concat(a, b)).backward()
         np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
         np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
 
-    def test_column_concat_gradient(self):
-        rng = np.random.default_rng(23)
-        a, b = rng.standard_normal((3, 2)), rng.standard_normal((3, 4))
-        _check_gradients(lambda ts: ad.sum_all(ad.concat(ts[0], ts[1], axis=1)), [a, b])
-
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError, match="concat"):
-            ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), axis=0)
+            ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+
+class TestPairSum:
+    def test_layout_matches_repeat_plus_tile(self):
+        rng = np.random.default_rng(17)
+        left, right = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        out = ad.pair_sum(Tensor(left), Tensor(right)).data
+        expected = np.repeat(left, 5, axis=0) + np.tile(right, (3, 1))
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out[1 * 5 + 2], left[1] + right[2])
+
+    def test_gradient(self):
+        rng = np.random.default_rng(19)
+        left, right = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+        _check_gradients(
+            lambda ts: ad.sum_all(ad.sigmoid(ad.pair_sum(ts[0], ts[1]))), [left, right]
+        )
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="pair_sum"):
+            ad.pair_sum(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+
+class TestRowSlice:
+    def test_values(self):
+        m = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(ad.row_slice(Tensor(m), 1, 3).data, m[1:3])
+
+    def test_gradient_is_zero_outside_the_slice(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((5, 2))
+        _check_gradients(lambda ts: ad.sum_all(ad.sigmoid(ad.row_slice(ts[0], 1, 3))), [x])
+        w = Tensor(x, requires_grad=True)
+        ad.sum_all(ad.row_slice(w, 1, 3)).backward()
+        np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [1, 1], [0, 0], [0, 0]])
 
 
 class TestBceWithLogits:
@@ -205,6 +248,76 @@ class TestBackwardContract:
         np.testing.assert_array_equal(mid.grad, [1.0, 1.0])
 
 
+def _shared_weight_loss(inputs, weight):
+    """sum_i sum(sigmoid(x_i @ w)) with one weight in every product."""
+    loss = None
+    for x in inputs:
+        term = ad.sum_all(ad.sigmoid(ad.matmul(x, weight)))
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
+
+
+class TestFactoredWeightGradients:
+    """A leaf weight's matmul gradients are stacked and formed in one product."""
+
+    def test_shared_weight_matches_per_product_sum(self):
+        rng = np.random.default_rng(53)
+        xs = [rng.standard_normal((k, 4)) for k in (1, 3, 2)]
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        _shared_weight_loss([Tensor(x) for x in xs], w).backward()
+        expected = np.zeros((4, 5))
+        for x in xs:
+            s = 1.0 / (1.0 + np.exp(-(x @ w.data)))
+            expected += x.T @ (s * (1.0 - s))
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-15)
+
+    def test_shared_weight_matches_finite_differences(self):
+        rng = np.random.default_rng(59)
+        arrays = [rng.standard_normal((k, 3)) for k in (2, 1, 4)] + [
+            rng.standard_normal((3, 2))
+        ]
+        _check_gradients(lambda ts: _shared_weight_loss(ts[:3], ts[3]), arrays)
+
+    def test_weight_in_matmul_and_elementwise_op(self):
+        rng = np.random.default_rng(61)
+        x, w = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
+
+        def build(ts):
+            through_product = ad.sum_all(ad.sigmoid(ad.matmul(ts[0], ts[1])))
+            return ad.add(through_product, ad.sum_all(ad.mul(ts[1], ts[1])))
+
+        _check_gradients(build, [x, w])
+
+    def test_two_calls_double_a_factored_gradient(self):
+        rng = np.random.default_rng(67)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        xs = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
+        loss = _shared_weight_loss(xs, w)
+        loss.backward()
+        first = w.grad.copy()
+        loss.backward()
+        np.testing.assert_allclose(w.grad, 2.0 * first, rtol=1e-15)
+
+    def test_constant_left_operand_product_never_formed(self):
+        rng = np.random.default_rng(71)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w.data, products = _product_spy(w.data)
+        ad.sum_all(ad.matmul(Tensor(rng.standard_normal((2, 4))), w)).backward()
+        # Only the forward product uses w; g @ w.T would be the constant's gradient.
+        assert products == [[(2, 4), (4, 3)]]
+        assert w.grad.shape == (4, 3)
+
+    def test_constant_right_operand_product_never_formed(self):
+        rng = np.random.default_rng(73)
+        hidden = ad.relu(Tensor(rng.standard_normal((2, 4)), requires_grad=True))
+        hidden.data, products = _product_spy(hidden.data)
+        constant = Tensor(rng.standard_normal((4, 3)))
+        ad.sum_all(ad.matmul(hidden, constant)).backward()
+        # hidden.T @ g would be the constant's gradient.
+        assert products == [[(2, 4), (4, 3)]]
+        assert constant.grad is None
+
+
 class TestRemainingOps:
     def test_bias_add_gradient_row_sums(self):
         rng = np.random.default_rng(31)
@@ -232,8 +345,6 @@ class TestRemainingOps:
             (lambda ts: ad.sum_all(ad.scale(ts[0], -2.5)), False),
             (lambda ts: ad.sum_all(ad.log(ts[0])), True),
             (lambda ts: ad.sum_all(ad.power(ts[0], -0.5)), True),
-            (lambda ts: ad.sum_all(ad.repeat_rows(ts[0], 3)), False),
-            (lambda ts: ad.sum_all(ad.tile_rows(ts[0], 3)), False),
         ],
     )
     def test_unary_op_gradients(self, build, positive):
@@ -242,17 +353,6 @@ class TestRemainingOps:
         if positive:
             x = np.abs(x) + 0.5
         _check_gradients(build, [x])
-
-    def test_repeat_and_tile_layout(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(
-            ad.repeat_rows(Tensor(m), 2).data,
-            [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]],
-        )
-        np.testing.assert_array_equal(
-            ad.tile_rows(Tensor(m), 2).data,
-            [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]],
-        )
 
     def test_row_sum_shape(self):
         out = ad.row_sum(Tensor(np.ones((3, 5))))
@@ -277,7 +377,9 @@ class TestEngineInvariants:
             ad.sigmoid(ta),
             ad.transpose(ta),
             ad.reshape(ta, (9,)),
-            ad.concat(ta, tb, axis=0),
+            ad.concat(ta, tb),
+            ad.pair_sum(ta, tb),
+            ad.row_slice(ta, 1, 3),
             ad.log(pos),
             ad.power(pos, -0.5),
         ]:

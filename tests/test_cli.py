@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from dualgraph import train as train_module
 from dualgraph.cli import main
-from dualgraph.model import load_checkpoint
+from dualgraph.model import init_model, load_checkpoint
+
+from test_model import rewrite_checkpoint_header
 
 CONFIG = {
     "learning_rate": 1e-2,
@@ -137,6 +140,22 @@ class TestTrainCommand:
         assert code == 3
         assert "epoch" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_saturated_edge_logits_exit_3_naming_the_batch(self, workspace, monkeypatch, capsys):
+        def saturated_init(config):
+            state = init_model(config)
+            state.scorer.pair_b2.data = np.array([40.0])
+            return state
+
+        monkeypatch.setattr(train_module, "init_model", saturated_init)
+        out = workspace["root"] / "saturated.ckpt"
+        code = main(
+            ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]), "--out", str(out)]
+        )
+        assert code == 3
+        assert "non-finite gradient at epoch 1, batch 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_override(self, workspace):
         out = workspace["root"] / "nc" / "model.ckpt"
         out.parent.mkdir()
@@ -195,6 +214,36 @@ class TestEvalCommand:
             ["eval", "--model", str(workspace["root"] / "nope.ckpt"), "--data", str(workspace["data"])]
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda h: {k: v for k, v in h.items() if k != "params"}, lambda h: dict(h, params=[0])],
+        ids=["no-params", "bad-params"],
+    )
+    def test_eval_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(workspace["ckpt"].read_bytes())
+        rewrite_checkpoint_header(bad, edit)
+        code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "malformed checkpoint header" in err and "Traceback" not in err
+
+    def test_eval_non_finite_parameter_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(workspace["ckpt"].read_bytes()[:-8] + np.float64("nan").tobytes())
+        code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_eval_subject_id_outside_the_directory_exits_2(self, tmp_path, capsys, workspace):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "labels.csv").write_text("subject_id,label\n../s0000,0\n")
+        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
+        assert code == 2
+        assert "not a plain file name" in capsys.readouterr().err
 
 
 class TestInspectCommand:

@@ -17,6 +17,7 @@ from dualgraph.model import ModelConfig, init_model
 from dualgraph.preprocess import generate_synthetic
 
 from oracles import (
+    edge_probabilities_double_loop,
     finite_difference_gradient,
     gumbel_elementwise_oracle,
     harden_double_loop,
@@ -138,6 +139,33 @@ class TestEdgeProbabilities:
 
         numeric = finite_difference_gradient(value, [w.data.copy()], 0)
         assert max_rel_error(w.grad, numeric) < 1e-5
+
+    def test_matches_pair_by_pair_oracle(self):
+        rng = np.random.default_rng(16)
+        for n, t_steps, dim in ((2, 10, 4), (5, 10, 4), (7, 6, 3)):
+            scorer = _toy_scorer(rng, t_steps=t_steps, dim=dim)
+            series = rng.standard_normal((n, t_steps))
+            theta = edge_probabilities(series, scorer).data
+            oracle = edge_probabilities_double_loop(
+                series, *[p.data for p in scorer.parameters()]
+            )
+            assert np.max(np.abs(theta - oracle)) <= 1e-12
+
+    def test_gradient_wrt_pair_mlp_matches_fd(self):
+        rng = np.random.default_rng(17)
+        scorer = _toy_scorer(rng)
+        series = rng.standard_normal((4, 10))
+        ad.sum_all(edge_probabilities(series, scorer)).backward()
+        params = scorer.parameters()
+        for index in (2, 3):  # pair_w1, pair_b1
+
+            def value(arrays):
+                trial = [Tensor(p.data) for p in params]
+                trial[index] = Tensor(arrays[0])
+                return float(ad.sum_all(edge_probabilities(series, EdgeScorer(*trial))).data)
+
+            numeric = finite_difference_gradient(value, [params[index].data.copy()], 0)
+            assert max_rel_error(params[index].grad, numeric) < 1e-5
 
     def test_wrong_series_length_rejected(self):
         rng = np.random.default_rng(14)

@@ -1,7 +1,9 @@
 """Graph convolution, pooling, composed forward, and checkpoint tests."""
 
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -319,6 +321,15 @@ class TestSubjectGraphs:
         np.testing.assert_array_equal(hard[off], (theta[off] >= 0.5).astype(float))
 
 
+def rewrite_checkpoint_header(path, edit):
+    """Rewrite a checkpoint's JSON header through ``edit(header) -> header``."""
+    raw = path.read_bytes()
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
+    header = edit(json.loads(raw[16 : 16 + header_len]))
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<IQ", version, len(blob)) + blob + raw[16 + header_len :])
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         state = init_model(_config(seed=33))
@@ -384,6 +395,33 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(payload)
         with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {k: v for k, v in h.items() if k != "params"},
+            lambda h: dict(h, params=[1, 2]),
+            lambda h: dict(h, params=[{"name": "scorer.extract_w"}]),
+            lambda h: dict(h, params=7),
+            lambda h: [h],
+        ],
+        ids=["no-params", "params-not-objects", "param-without-shape", "params-not-a-list", "header-not-an-object"],
+    )
+    def test_rejects_malformed_header(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(_config()), str(path))
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_parameters(self, tmp_path, bad):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(_config()), str(path))
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+        with pytest.raises(ValueError, match="classifier.b2 has non-finite"):
             load_checkpoint(str(path))
 
 

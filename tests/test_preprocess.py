@@ -157,6 +157,25 @@ class TestDatasetIO:
             load_dataset(str(d))
 
 
+    @pytest.mark.parametrize("subject_id", ["../outside", "sub/s1", "..", "", "labels", "a\\b"])
+    def test_subject_id_must_be_a_plain_file_name(self, tmp_path, subject_id):
+        d = tmp_path / "data"
+        d.mkdir()
+        (tmp_path / "outside.csv").write_text("1,2,3\n4,5,6\n")
+        (d / "labels.csv").write_text(f"subject_id,label\ns1,0\n{subject_id},1\n")
+        (d / "s1.csv").write_text("1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="row 3: subject id"):
+            load_dataset(str(d))
+
+    def test_save_refuses_ids_outside_the_directory(self, tmp_path):
+        series = np.arange(6.0).reshape(2, 3) ** 2
+        ds = Dataset("escape", [BoldMatrix("s1", series, 0), BoldMatrix("../outside", series, 1)])
+        with pytest.raises(ValueError, match="not a plain file name"):
+            save_dataset(ds, str(tmp_path / "data"))
+        assert not (tmp_path / "outside.csv").exists()
+        assert not (tmp_path / "data").exists()
+
+
 class TestBoldMatrixValidation:
     def test_rejects_tiny_shapes(self):
         with pytest.raises(ValueError, match="at least 2 ROIs"):

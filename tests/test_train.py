@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
 from dualgraph.model import init_model
 from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic
@@ -236,6 +237,26 @@ class TestTrainingLoop:
         config = _small_config(learning_rate=1e150, epochs=5)
         with pytest.raises(TrainingDiverged, match="epoch"):
             train_model(ds, config)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        # A scorer logit of 40 saturates sigmoid to exactly 1.0: the loss
+        # stays finite but log(1 - theta) makes every scorer gradient NaN.
+        created = []
+
+        def saturated_init(config):
+            state = init_model(config)
+            state.scorer.pair_b2.data = np.array([40.0])
+            created.append((state, [p.data.copy() for p in state.parameters()]))
+            return state
+
+        monkeypatch.setattr(train_module, "init_model", saturated_init)
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient at epoch 1, batch 1"):
+            fit(ds, list(range(8)), _small_config())
+        state, initial = created[0]
+        for param, before in zip(state.parameters(), initial):
+            np.testing.assert_array_equal(param.data, before)
 
     def test_log_structure_and_early_stop_bound(self):
         ds = generate_synthetic(12, 8, 32, seed=7)
