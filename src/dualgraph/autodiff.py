@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Covers exactly the operations the dual-graph classifier needs: matrix
-products, elementwise arithmetic, ReLU/sigmoid/log/power, concatenation,
-row slices and ordered pair sums (for factored pairwise edge features),
-reductions, and a numerically stable binary cross-entropy on a single
-logit.
+products, elementwise add/mul/scale, ReLU/sigmoid/power, transpose,
+reshape, concatenation, row slices and ordered pair sums (for factored
+pairwise edge features), sum reductions, and a numerically stable binary
+cross-entropy on a single logit.
 
 Gradients accumulate into ``Tensor.grad``; each ``backward()`` call adds
 one full pass worth of gradient, so calling it twice without zeroing
@@ -101,28 +101,6 @@ class Tensor:
                 else:
                     flows[key] = pgrad
 
-    # Operator sugar; elementwise ops require matching shapes except for
-    # the row-bias case handled in add().
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def _topo_order(root: Tensor) -> list:
     """Iterative DFS topological order of the requires_grad subgraph."""
@@ -168,12 +146,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
         return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
     raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,11 +210,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    return _make(np.log(ad), (a,), lambda g: (g / ad,))
-
-
 def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise power for strictly positive inputs (fractional exponents)."""
     ad = a.data
@@ -254,16 +221,6 @@ def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
     return _make(
         np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, g, dtype=np.float64),)
-    )
-
-
-def mean_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    n = a.data.size
-    return _make(
-        np.asarray(a.data.mean()),
-        (a,),
-        lambda g: (np.full(shape, g / n, dtype=np.float64),),
     )
 
 
@@ -331,23 +288,27 @@ def pair_sum(left: Tensor, right: Tensor) -> Tensor:
     return _make(out, (left, right), vjp)
 
 
-def bce_with_logits(logit: Tensor, label) -> Tensor:
+def bce_value(logit: float, label) -> float:
     """Binary cross-entropy -[y log s(z) + (1-y) log(1-s(z))], stable form.
 
     Computed as max(z, 0) - z*y + log1p(exp(-|z|)) so large-magnitude
     logits neither overflow nor lose the tiny-loss tail.
     """
+    return max(logit, 0.0) - logit * label + float(np.log1p(np.exp(-abs(logit))))
+
+
+def bce_with_logits(logit: Tensor, label) -> Tensor:
+    """``bce_value`` on a scalar logit tensor; the gradient is s(z) - y."""
     if logit.data.size != 1:
         raise ValueError(f"bce_with_logits expects a scalar logit, got {logit.shape}")
     y = float(label)
     if y not in (0.0, 1.0):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     z = float(logit.data.reshape(()))
-    loss = max(z, 0.0) - z * y + np.log1p(np.exp(-abs(z)))
     in_shape = logit.data.shape
     residual = logistic(np.asarray([z]))[0] - y
 
     def vjp(g: np.ndarray) -> tuple:
         return (np.full(in_shape, g * residual, dtype=np.float64),)
 
-    return _make(np.asarray(loss), (logit,), vjp)
+    return _make(np.asarray(bce_value(z, y)), (logit,), vjp)

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from dualgraph.model import load_checkpoint, save_checkpoint, subject_graphs
+from dualgraph.model import atomic_write, load_checkpoint, save_checkpoint, subject_graphs
 from dualgraph.preprocess import generate_synthetic, load_dataset, save_dataset, pearson_correlation
 from dualgraph.train import (
     TrainConfig,
@@ -33,6 +33,11 @@ def _metrics_json(metrics) -> str:
     return json.dumps({k: data[k] for k in _METRIC_KEYS}, indent=2) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _artifact_paths(checkpoint_path: str) -> tuple:
     base, _ = os.path.splitext(checkpoint_path)
     return base + ".log.csv", base + ".metrics.json"
@@ -49,19 +54,17 @@ def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     config = _apply_overrides(load_train_config(args.config), args)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     state, metrics, log = train_model(dataset, config)
 
     save_checkpoint(state, args.out)
     log_path, metrics_path = _artifact_paths(args.out)
-    with open(log_path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_f1,val_loss\n")
-        for row in log:
-            fh.write(
-                f"{row['epoch']},{row['train_loss']!r},"
-                f"{row['val_f1']!r},{row['val_loss']!r}\n"
-            )
-    with open(metrics_path, "w", newline="") as fh:
-        fh.write(_metrics_json(metrics))
+    rows = [
+        f"{row['epoch']},{row['train_loss']!r},{row['val_f1']!r},{row['val_loss']!r}\n"
+        for row in log
+    ]
+    _write_text(log_path, "epoch,train_loss,val_f1,val_loss\n" + "".join(rows))
+    _write_text(metrics_path, _metrics_json(metrics))
 
     print(f"trained {config.mode} model on {dataset.name}: test F1 {metrics.f1:.4f}")
     print(f"checkpoint: {args.out}")
@@ -76,8 +79,7 @@ def cmd_eval(args) -> int:
     metrics = evaluate(state, dataset, list(range(len(dataset))))
     text = _metrics_json(metrics)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"metrics: {args.out}")
     else:
         sys.stdout.write(text)
@@ -87,12 +89,13 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     dataset = load_dataset(args.data)
     config = _apply_overrides(load_train_config(args.config), args)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     table = run_ablation(dataset, config)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("mode," + ",".join(_METRIC_KEYS) + "\n")
-        for mode, metrics in table:
-            data = metrics.to_dict()
-            fh.write(mode + "," + ",".join(repr(data[k]) for k in _METRIC_KEYS) + "\n")
+    lines = ["mode," + ",".join(_METRIC_KEYS) + "\n"]
+    for mode, metrics in table:
+        data = metrics.to_dict()
+        lines.append(mode + "," + ",".join(repr(data[k]) for k in _METRIC_KEYS) + "\n")
+    _write_text(args.out, "".join(lines))
     for mode, metrics in table:
         print(f"{mode:<10s} F1 {metrics.f1:.4f}  AUC {metrics.auc:.4f}")
     print(f"ablation table: {args.out}")
@@ -107,10 +110,8 @@ def cmd_synth(args) -> int:
 
 
 def _write_edges(path: str, edges: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("source,target,weight\n")
-        for source, target, weight in edges:
-            fh.write(f"{source},{target},{weight!r}\n")
+    rows = [f"{source},{target},{weight!r}\n" for source, target, weight in edges]
+    _write_text(path, "source,target,weight\n" + "".join(rows))
 
 
 def _top_edges(edges: list, top_percent: float) -> list:
@@ -162,12 +163,9 @@ def cmd_inspect(args) -> int:
         degrees["filtered"][target] += 1
     for _, target, _ in optimal_top:
         degrees["optimal"][target] += 1
-    degrees_path = os.path.join(args.out, "degrees.csv")
-    with open(degrees_path, "w", newline="") as fh:
-        fh.write("graph,node_id,in_degree\n")
-        for graph in ("filtered", "optimal"):
-            for node in range(n):
-                fh.write(f"{graph},{node},{degrees[graph][node]}\n")
+    rows = [f"{g},{node},{degrees[g][node]}\n" for g in degrees for node in range(n)]
+    header = "graph,node_id,in_degree\n"
+    _write_text(os.path.join(args.out, "degrees.csv"), header + "".join(rows))
 
     print(
         f"subject {args.subject}: kept {len(filtered_top)}/{len(filtered_edges)} "

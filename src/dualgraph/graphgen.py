@@ -2,10 +2,12 @@
 
 The thresholded graph keeps correlation pairs above a cutoff and is a
 fixed, undirected input. The sampled graph is learned: a per-node signal
-embedding feeds a pair MLP producing edge probabilities, which a
-logistic-Gumbel relaxation turns into a differentiable soft adjacency
-during training and a thresholded 0/1 matrix at evaluation time.
-Both graphs keep a zero diagonal; self-loops are added once during
+embedding feeds a pair MLP producing one edge logit ``z`` per ordered
+pair (edge probability ``sigmoid(z)``). During training a logistic-Gumbel
+relaxation of those logits, ``sigmoid((z + g1 - g2) / tau)``, gives a
+differentiable soft adjacency; at evaluation time the graph is the
+noise-free limit of that relaxation, the 0/1 matrix ``z >= 0``. Both
+graphs keep a zero diagonal; self-loops are added once during
 normalization in the model.
 """
 
@@ -36,8 +38,8 @@ class EdgeScorer:
     """Learnable edge-probability head: signal embedding + pair MLP.
 
     Each node's length-T signal maps to an embedding through one
-    ReLU layer; ordered pair embeddings are concatenated and squashed
-    to a probability by a two-layer MLP, so the resulting matrix is
+    ReLU layer; ordered pair embeddings are concatenated and scored by
+    a two-layer MLP ending in one logit, so the resulting matrix is
     generally asymmetric (directed edges). The first MLP layer is
     computed in factored form, one half of ``pair_w1`` per endpoint.
     """
@@ -65,10 +67,13 @@ class EdgeScorer:
 
 
 def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
-    """Matrix of edge probabilities in (0, 1) for every ordered ROI pair.
+    """Matrix of edge logits for every ordered ROI pair.
 
-    Entry (i, j) scores the directed pair (node i's embedding first),
-    differentiable with respect to all scorer parameters.
+    Entry (i, j) is the logit of the directed pair (node i's embedding
+    first); ``sigmoid`` of it is the edge probability. Differentiable
+    with respect to all scorer parameters. The function returns logits
+    in spite of its name, which the benchmark's per-layer timing span
+    ``graphgen.edge_probabilities`` fixes.
     """
     series = np.asarray(series, dtype=np.float64)
     n, t = series.shape
@@ -85,8 +90,8 @@ def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
     left = ad.add(ad.matmul(embed, ad.row_slice(w1, 0, d)), scorer.pair_b1)
     right = ad.matmul(embed, ad.row_slice(w1, d, 2 * d))
     hidden = ad.relu(ad.pair_sum(left, right))  # row i*n + j: pair (i, j)
-    raw = ad.add(ad.matmul(hidden, scorer.pair_w2), scorer.pair_b2)
-    return ad.reshape(ad.sigmoid(raw), (n, n))
+    logits = ad.add(ad.matmul(hidden, scorer.pair_w2), scorer.pair_b2)
+    return ad.reshape(logits, (n, n))
 
 
 def sample_gumbel_noise(rng: np.random.Generator, n: int) -> tuple:
@@ -94,32 +99,36 @@ def sample_gumbel_noise(rng: np.random.Generator, n: int) -> tuple:
     return rng.gumbel(size=(n, n)), rng.gumbel(size=(n, n))
 
 
-def gumbel_sample(theta: Tensor, tau: float, noise: tuple) -> Tensor:
-    """Relaxed edge sample: sigmoid((log-odds(theta) + g1 - g2) / tau).
+def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
+    """Relaxed edge sample: sigmoid((logits + g1 - g2) / tau).
 
     The noise pair is injected explicitly so training can resample per
-    pass while tests freeze it; zero noise at tau=1 reproduces theta up
-    to float rounding. The diagonal is forced to zero. Gradients flow
-    to theta only; the noise enters as a constant.
+    pass while tests freeze it; zero noise at tau=1 gives sigmoid(logits)
+    exactly. The diagonal is forced to zero. Gradients flow to the
+    logits only; the noise enters as a constant.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     g1, g2 = noise
-    n = theta.shape[0]
-    if theta.shape != (n, n) or np.shape(g1) != (n, n) or np.shape(g2) != (n, n):
+    n = logits.shape[0]
+    if logits.shape != (n, n) or np.shape(g1) != (n, n) or np.shape(g2) != (n, n):
         raise ValueError(
-            f"theta and noise must all be ({n}, {n}); got {theta.shape}, "
+            f"logits and noise must all be ({n}, {n}); got {logits.shape}, "
             f"{np.shape(g1)}, {np.shape(g2)}"
         )
-    ones = Tensor(np.ones((n, n)))
     delta = Tensor(np.asarray(g1, dtype=np.float64) - np.asarray(g2, dtype=np.float64))
-    log_odds = ad.sub(ad.log(theta), ad.log(ad.sub(ones, theta)))
-    relaxed = ad.sigmoid(ad.scale(ad.add(log_odds, delta), 1.0 / tau))
+    relaxed = ad.sigmoid(ad.scale(ad.add(logits, delta), 1.0 / tau))
     off_diagonal = Tensor(1.0 - np.eye(n))
     return ad.mul(relaxed, off_diagonal)
 
 
-def harden(soft: np.ndarray) -> np.ndarray:
-    """0/1 adjacency: entries at or above one half become edges. Idempotent."""
-    soft = np.asarray(soft, dtype=np.float64)
-    return (soft >= 0.5).astype(np.float64)
+def harden(logits: np.ndarray) -> np.ndarray:
+    """0/1 adjacency of the edges with logit >= 0, zero diagonal.
+
+    This is the zero-noise relaxation thresholded at one half, at any
+    temperature, since sigmoid(z / tau) >= 1/2 exactly when z >= 0 in
+    exact arithmetic.
+    """
+    hard = (np.asarray(logits, dtype=np.float64) >= 0.0).astype(np.float64)
+    np.fill_diagonal(hard, 0.0)
+    return hard

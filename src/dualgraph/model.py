@@ -15,14 +15,17 @@ through both branch slots. The classifier input width follows the mode.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import numbers
+import os
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from dualgraph import autodiff as ad
-from dualgraph.autodiff import Tensor
+from dualgraph.autodiff import Tensor, logistic
 from dualgraph.graphgen import (
     EdgeScorer,
     build_filtered,
@@ -35,6 +38,36 @@ MODES = ("full", "no_corr", "no_optim", "no_gconv")
 
 _MAGIC = b"DGBC"
 _FORMAT_VERSION = 1
+
+
+_WIDTHS = ("extractor_dim", "gcn_hidden_dim", "gcn_out_dim", "classifier_hidden_dim")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_config(config, counts: tuple = ()) -> None:
+    """Reject bad values in the fields ModelConfig and TrainConfig share.
+
+    Those are the mode, a corr_threshold in (0, 1), a finite positive
+    temperature, a non-negative integer seed and the four layer widths,
+    which like every field named in ``counts`` must be positive
+    integers. Raises ValueError naming the first bad field.
+    """
+    if config.mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {config.mode!r}")
+    threshold, tau = config.corr_threshold, config.temperature
+    if not (_is_number(threshold) and 0.0 < threshold < 1.0):
+        raise ValueError(f"corr_threshold must be in (0, 1), got {threshold!r}")
+    if not (_is_number(tau) and 0.0 < tau < np.inf):
+        raise ValueError(f"temperature must be positive and finite, got {tau!r}")
+    for name in _WIDTHS + counts:
+        value = getattr(config, name)
+        if not (_is_number(value, numbers.Integral) and value > 0):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if not (_is_number(config.seed, numbers.Integral) and config.seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -53,22 +86,7 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.corr_threshold < 1.0:
-            raise ValueError(f"corr_threshold must be in (0, 1), got {self.corr_threshold}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        for name in (
-            "n_rois",
-            "t_steps",
-            "extractor_dim",
-            "gcn_hidden_dim",
-            "gcn_out_dim",
-            "classifier_hidden_dim",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_config(self, counts=("n_rois", "t_steps"))
 
 
 @dataclass
@@ -232,7 +250,7 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
 
     ``noise`` is a pair of standard-Gumbel matrices for the training
     path; ``None`` selects the deterministic evaluation path, where the
-    sampled graph is the noise-free relaxation thresholded at one half.
+    sampled graph holds the edges with a non-negative scorer logit.
     """
     config = state.config
     series = np.asarray(series, dtype=np.float64)
@@ -256,13 +274,11 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
             norm_f = normalize_adjacency(Tensor(filtered))
             pooled.append(concat_pool(gcn_forward(corr, norm_f, state.filtered_gcn)))
         if config.mode in ("full", "no_corr"):
-            theta = edge_probabilities(series, state.scorer)
+            logits = edge_probabilities(series, state.scorer)
             if noise is None:
-                zero = (np.zeros((n, n)), np.zeros((n, n)))
-                soft = gumbel_sample(Tensor(theta.data), config.temperature, zero)
-                optimal = Tensor(harden(soft.data))
+                optimal = Tensor(harden(logits.data))
             else:
-                optimal = gumbel_sample(theta, config.temperature, noise)
+                optimal = gumbel_sample(logits, config.temperature, noise)
             norm_o = normalize_adjacency(optimal)
             pooled.append(concat_pool(gcn_forward(corr, norm_o, state.optimal_gcn)))
 
@@ -278,15 +294,30 @@ def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> t
     """Deterministic graphs for one subject, as used at evaluation time.
 
     Returns (filtered 0/1 adjacency, edge-probability matrix, hardened
-    0/1 adjacency of the noise-free sampled graph).
+    0/1 adjacency of the sampled graph).
     """
-    config = state.config
-    filtered = build_filtered(corr, config.corr_threshold)
-    theta = edge_probabilities(series, state.scorer)
-    n = config.n_rois
-    zero = (np.zeros((n, n)), np.zeros((n, n)))
-    soft = gumbel_sample(Tensor(theta.data), config.temperature, zero)
-    return filtered, theta.data.copy(), harden(soft.data)
+    filtered = build_filtered(corr, state.config.corr_threshold)
+    logits = edge_probabilities(series, state.scorer).data
+    return filtered, logistic(logits), harden(logits)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Binary file handle whose contents replace ``path`` only on success.
+
+    Writes go to a temp file beside ``path`` that ``os.replace`` moves
+    into place when the block exits cleanly. On any error the temp file
+    is removed and an earlier file at ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(state: ModelState, path: str) -> None:
@@ -301,13 +332,14 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    for tensor, (name, shape) in zip(state.parameters(), parameter_shapes(config)):
+        if tensor.data.shape != shape:
+            raise ValueError(f"parameter {name} has drifted to {tensor.data.shape}")
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for tensor, (name, shape) in zip(state.parameters(), parameter_shapes(config)):
-            if tensor.data.shape != shape:
-                raise ValueError(f"parameter {name} has drifted to {tensor.data.shape}")
+        for tensor in state.parameters():
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 

@@ -12,15 +12,23 @@ run is a pure function of the dataset and configuration.
 from __future__ import annotations
 
 import json
+import numbers
 import typing
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from dualgraph import autodiff as ad
-from dualgraph.autodiff import logistic
+from dualgraph.autodiff import bce_value, logistic
 from dualgraph.graphgen import sample_gumbel_noise
-from dualgraph.model import MODES, ModelConfig, ModelState, forward, init_model
+from dualgraph.model import (
+    MODES,
+    ModelConfig,
+    ModelState,
+    check_config,
+    forward,
+    init_model,
+)
 from dualgraph.preprocess import Dataset, pearson_correlation
 
 
@@ -44,25 +52,11 @@ class TrainConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        for name in (
-            "extractor_dim",
-            "gcn_hidden_dim",
-            "gcn_out_dim",
-            "classifier_hidden_dim",
-            "epochs",
-            "patience",
-            "batch_size",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.corr_threshold < 1.0:
-            raise ValueError("corr_threshold must be in (0, 1)")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_config(self, counts=("epochs", "patience", "batch_size"))
+        rate = self.learning_rate
+        valid = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+        if not (valid and 0.0 <= rate < np.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {rate!r}")
 
 
 _CONFIG_FIELDS = typing.get_type_hints(TrainConfig)
@@ -78,21 +72,16 @@ def load_train_config(path: str) -> TrainConfig:
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     kwargs = {}
-    for key, value in data.items():
-        kind = _CONFIG_FIELDS[key]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{path}: {key} must be a number")
-            kwargs[key] = float(value)
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{path}: {key} must be an integer")
+    try:
+        for key, value in data.items():
+            if isinstance(value, str):
+                value = value.replace("-", "_")
+            elif _CONFIG_FIELDS[key] is float and type(value) is int:
+                value = float(value)  # JSON 1 and 1.0 give the same config
             kwargs[key] = value
-        else:
-            if not isinstance(value, str):
-                raise ValueError(f"{path}: {key} must be a string")
-            kwargs[key] = value.replace("-", "_")
-    return TrainConfig(**kwargs)
+        return TrainConfig(**kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -248,10 +237,6 @@ def binary_metrics(probs: np.ndarray, labels: np.ndarray) -> Metrics:
     )
 
 
-def _bce_value(logit: float, label: int) -> float:
-    return max(logit, 0.0) - logit * label + float(np.log1p(np.exp(-abs(logit))))
-
-
 def _predict_logits(
     state: ModelState, dataset: Dataset, indices: list, corrs: list = None
 ) -> np.ndarray:
@@ -280,18 +265,10 @@ def evaluate(state: ModelState, dataset: Dataset, indices: list) -> Metrics:
 
 
 def _model_config(dataset: Dataset, config: TrainConfig) -> ModelConfig:
-    return ModelConfig(
-        n_rois=dataset.n_rois,
-        t_steps=dataset.t_steps,
-        extractor_dim=config.extractor_dim,
-        gcn_hidden_dim=config.gcn_hidden_dim,
-        gcn_out_dim=config.gcn_out_dim,
-        classifier_hidden_dim=config.classifier_hidden_dim,
-        corr_threshold=config.corr_threshold,
-        temperature=config.temperature,
-        mode=config.mode,
-        seed=config.seed,
-    )
+    """The dataset's geometry plus every ModelConfig field TrainConfig shares."""
+    geometry = {"n_rois": dataset.n_rois, "t_steps": dataset.t_steps}
+    names = [f.name for f in fields(ModelConfig) if f.name not in geometry]
+    return ModelConfig(**geometry, **{name: getattr(config, name) for name in names})
 
 
 def _epoch_pass(
@@ -324,14 +301,27 @@ def _epoch_pass(
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite training loss at {where}")
         mean_loss.backward()
-        # A finite loss can still have NaN gradients (a saturated edge
-        # probability); stop before Adam writes them into the parameters.
+        # A finite loss can still have non-finite gradients; stop before
+        # Adam writes them into the parameters.
         for p in optimizer.params:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise TrainingDiverged(f"non-finite gradient at {where}")
         optimizer.step()
         total += value * len(batch)
     return total / len(order)
+
+
+def _setup(dataset: Dataset, config: TrainConfig) -> tuple:
+    """Fresh model, every subject's correlations, Adam and the noise stream.
+
+    The Gumbel noise comes from a child of the config seed, so it never
+    shares draws with the split or the parameter init.
+    """
+    state = init_model(_model_config(dataset, config))
+    corrs = [pearson_correlation(s.series) for s in dataset.subjects]
+    optimizer = Adam(state.parameters(), config.learning_rate)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    return state, corrs, optimizer, rng
 
 
 def fit(dataset: Dataset, indices: list, config: TrainConfig) -> tuple:
@@ -342,10 +332,7 @@ def fit(dataset: Dataset, indices: list, config: TrainConfig) -> tuple:
     """
     if not indices:
         raise ValueError("cannot train on an empty index list")
-    state = init_model(_model_config(dataset, config))
-    corrs = [pearson_correlation(s.series) for s in dataset.subjects]
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    optimizer = Adam(state.parameters(), config.learning_rate)
+    state, corrs, optimizer, rng = _setup(dataset, config)
     losses = []
     for epoch in range(1, config.epochs + 1):
         losses.append(
@@ -362,10 +349,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
     parameters are those of the best validation epoch, not the last.
     """
     indices = split(dataset, config.seed)
-    state = init_model(_model_config(dataset, config))
-    corrs = [pearson_correlation(s.series) for s in dataset.subjects]
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    optimizer = Adam(state.parameters(), config.learning_rate)
+    state, corrs, optimizer, rng = _setup(dataset, config)
     val_labels = dataset.labels[np.asarray(indices.val, dtype=np.int64)]
 
     log = []
@@ -381,7 +365,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
         tp, fp, tn, fn = _confusion(logistic(val_logits), val_labels)
         val_f1 = _safe_ratio(2.0 * tp, 2.0 * tp + fp + fn)
         val_loss = float(
-            np.mean([_bce_value(z, y) for z, y in zip(val_logits, val_labels)])
+            np.mean([bce_value(z, y) for z, y in zip(val_logits, val_labels)])
         )
         log.append(
             {

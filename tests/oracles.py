@@ -75,16 +75,15 @@ def _stable_logistic(z):
     return e / (1.0 + e)
 
 
-def gumbel_elementwise_oracle(theta, tau, g1, g2):
+def gumbel_elementwise_oracle(logits, tau, g1, g2):
     """Scalar-math evaluation of the relaxed sample, zero diagonal."""
-    n = theta.shape[0]
+    n = logits.shape[0]
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            z = (math.log(theta[i, j] / (1.0 - theta[i, j])) + (g1[i, j] - g2[i, j])) / tau
-            out[i, j] = _stable_logistic(z)
+            out[i, j] = _stable_logistic((logits[i, j] + (g1[i, j] - g2[i, j])) / tau)
     return out
 
 
@@ -92,7 +91,7 @@ def edge_probabilities_double_loop(series, extract_w, extract_b, pair_w1, pair_b
     """Edge scorer in scalar math: embed each node, then score each ordered pair.
 
     Entry (i, j) runs the concatenated pair (node i's embedding first)
-    through the two-layer pair MLP one pair at a time.
+    through the two-layer pair MLP one pair at a time; it is the logit.
     """
     n, t = series.shape
     d = extract_w.shape[1]
@@ -100,7 +99,7 @@ def edge_probabilities_double_loop(series, extract_w, extract_b, pair_w1, pair_b
         [max(0.0, sum(series[i, s] * extract_w[s, c] for s in range(t)) + extract_b[c]) for c in range(d)]
         for i in range(n)
     ]
-    theta = np.zeros((n, n))
+    logits = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             pair = embed[i] + embed[j]
@@ -108,17 +107,16 @@ def edge_probabilities_double_loop(series, extract_w, extract_b, pair_w1, pair_b
                 max(0.0, sum(pair[r] * pair_w1[r, c] for r in range(2 * d)) + pair_b1[c])
                 for c in range(d)
             ]
-            raw = sum(hidden[c] * pair_w2[c, 0] for c in range(d)) + pair_b2[0]
-            theta[i, j] = _stable_logistic(raw)
-    return theta
+            logits[i, j] = sum(hidden[c] * pair_w2[c, 0] for c in range(d)) + pair_b2[0]
+    return logits
 
 
-def harden_double_loop(soft):
-    n, m = soft.shape
+def harden_double_loop(logits):
+    n, m = logits.shape
     out = np.zeros((n, m))
     for i in range(n):
         for j in range(m):
-            if soft[i, j] >= 0.5:
+            if i != j and logits[i, j] >= 0.0:
                 out[i, j] = 1.0
     return out
 

@@ -8,13 +8,14 @@ ones a user would get.
 """
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
 from dualgraph import autodiff as ad
-from dualgraph.autodiff import Tensor
+from dualgraph.autodiff import Tensor, logistic
 from dualgraph.cli import main
 from dualgraph.graphgen import build_filtered, gumbel_sample, sample_gumbel_noise
 from dualgraph.model import ModelConfig, forward, init_model, normalize_adjacency
@@ -31,6 +32,9 @@ from oracles import (
     stump_best_accuracy,
     threshold_double_loop,
 )
+
+LOGIT_05 = math.log(0.05 / 0.95)  # logit of an edge probability of 0.05
+LOGIT_01 = math.log(0.01 / 0.99)
 
 ACCEPTANCE_TRAIN_CONFIG = {
     "learning_rate": 1e-3,
@@ -218,11 +222,11 @@ def test_criterion_2_equation_oracles():
             got = normalize_adjacency(adj).data
             assert np.max(np.abs(got - normalize_dense_oracle(adj))) < 1e-12
 
-            theta = rng.uniform(0.05, 0.95, size=(n, n))
+            logits = rng.uniform(LOGIT_05, -LOGIT_05, size=(n, n))  # probabilities 0.05-0.95
             tau = float(rng.uniform(0.5, 2.0))
             g1, g2 = sample_gumbel_noise(rng, n)
-            soft = gumbel_sample(Tensor(theta), tau, (g1, g2)).data
-            assert np.max(np.abs(soft - gumbel_elementwise_oracle(theta, tau, g1, g2))) < 1e-12
+            soft = gumbel_sample(Tensor(logits), tau, (g1, g2)).data
+            assert np.max(np.abs(soft - gumbel_elementwise_oracle(logits, tau, g1, g2))) < 1e-12
 
             m = int(rng.integers(4, 16))
             probs = rng.choice([0.1, 0.25, 0.5, 0.75, 0.9], size=m)
@@ -237,18 +241,18 @@ def test_criterion_2_equation_oracles():
 
 
 def test_criterion_3_gumbel_consistency():
-    """Zero noise at unit temperature returns theta; Monte Carlo mean at 0.5."""
+    """Zero noise at unit temperature returns theta = sigmoid(logits); Monte Carlo mean at 0.5."""
 
     def check():
         rng = np.random.default_rng(21)
-        theta = rng.uniform(0.01, 0.99, size=(8, 8))
+        logits = rng.uniform(LOGIT_01, -LOGIT_01, size=(8, 8))  # probabilities 0.01-0.99
         zero = np.zeros((8, 8))
-        soft = gumbel_sample(Tensor(theta), 1.0, (zero, zero)).data
+        soft = gumbel_sample(Tensor(logits), 1.0, (zero, zero)).data
         off = ~np.eye(8, dtype=bool)
-        # exact up to float64 rounding of the logit/sigmoid round trip
-        assert np.max(np.abs(soft[off] - theta[off])) <= 1e-15
+        # exact: the relaxation applies sigmoid to the logits themselves
+        assert np.array_equal(soft[off], logistic(logits)[off])
 
-        half = Tensor(np.full((2, 2), 0.5))
+        half = Tensor(np.zeros((2, 2)))  # logit 0: edge probability one half
         total, draws = 0.0, 10_000
         for _ in range(draws):
             g1, g2 = sample_gumbel_noise(rng, 2)

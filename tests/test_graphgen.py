@@ -1,9 +1,12 @@
 """Thresholded graph, edge scorer, and Gumbel relaxation tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dualgraph.autodiff import Tensor
+from dualgraph.autodiff import Tensor, logistic
 from dualgraph import autodiff as ad
 from dualgraph.graphgen import (
     EdgeScorer,
@@ -107,11 +110,12 @@ class TestEdgeProbabilities:
             pair_w2=zeros((dim, 1)),
             pair_b2=zeros((1,)),
         )
-        theta = edge_probabilities(np.random.default_rng(0).standard_normal((5, 10)), scorer)
-        np.testing.assert_array_equal(theta.data, np.full((5, 5), 0.5))
+        logits = edge_probabilities(np.random.default_rng(0).standard_normal((5, 10)), scorer)
+        np.testing.assert_array_equal(logits.data, np.zeros((5, 5)))
+        np.testing.assert_array_equal(logistic(logits.data), np.full((5, 5), 0.5))
 
     def test_pair_ordering_is_directed(self):
-        # theta[i, j] pairs node i's embedding first, so theta is asymmetric
+        # logit (i, j) pairs node i's embedding first, so the matrix is asymmetric
         rng = np.random.default_rng(12)
         scorer = _toy_scorer(rng)
         theta = edge_probabilities(rng.standard_normal((4, 10)), scorer).data
@@ -121,7 +125,7 @@ class TestEdgeProbabilities:
         rng = np.random.default_rng(13)
         scorer = _toy_scorer(rng)
         series = rng.standard_normal((4, 10))
-        out = ad.sum_all(edge_probabilities(series, scorer))
+        out = ad.sum_all(ad.sigmoid(edge_probabilities(series, scorer)))
         out.backward()
 
         w = scorer.extract_w
@@ -135,7 +139,7 @@ class TestEdgeProbabilities:
                 pair_w2=scorer.pair_w2,
                 pair_b2=scorer.pair_b2,
             )
-            return float(ad.sum_all(edge_probabilities(series, trial)).data)
+            return float(ad.sum_all(ad.sigmoid(edge_probabilities(series, trial))).data)
 
         numeric = finite_difference_gradient(value, [w.data.copy()], 0)
         assert max_rel_error(w.grad, numeric) < 1e-5
@@ -145,24 +149,25 @@ class TestEdgeProbabilities:
         for n, t_steps, dim in ((2, 10, 4), (5, 10, 4), (7, 6, 3)):
             scorer = _toy_scorer(rng, t_steps=t_steps, dim=dim)
             series = rng.standard_normal((n, t_steps))
-            theta = edge_probabilities(series, scorer).data
+            logits = edge_probabilities(series, scorer).data
             oracle = edge_probabilities_double_loop(
                 series, *[p.data for p in scorer.parameters()]
             )
-            assert np.max(np.abs(theta - oracle)) <= 1e-12
+            assert np.max(np.abs(logits - oracle)) <= 1e-12
 
     def test_gradient_wrt_pair_mlp_matches_fd(self):
         rng = np.random.default_rng(17)
         scorer = _toy_scorer(rng)
         series = rng.standard_normal((4, 10))
-        ad.sum_all(edge_probabilities(series, scorer)).backward()
+        ad.sum_all(ad.sigmoid(edge_probabilities(series, scorer))).backward()
         params = scorer.parameters()
         for index in (2, 3):  # pair_w1, pair_b1
 
             def value(arrays):
                 trial = [Tensor(p.data) for p in params]
                 trial[index] = Tensor(arrays[0])
-                return float(ad.sum_all(edge_probabilities(series, EdgeScorer(*trial))).data)
+                probs = ad.sigmoid(edge_probabilities(series, EdgeScorer(*trial)))
+                return float(ad.sum_all(probs).data)
 
             numeric = finite_difference_gradient(value, [params[index].data.copy()], 0)
             assert max_rel_error(params[index].grad, numeric) < 1e-5
@@ -174,31 +179,34 @@ class TestEdgeProbabilities:
             edge_probabilities(rng.standard_normal((4, 11)), scorer)
 
 
+LOGIT_05 = math.log(0.05 / 0.95)  # the logit of an edge probability of 0.05
+
+
 class TestGumbelSample:
     def test_zero_noise_unit_temperature_returns_theta(self):
         rng = np.random.default_rng(15)
-        theta_values = rng.uniform(0.01, 0.99, size=(6, 6))
+        logits = rng.uniform(-4.5, 4.5, size=(6, 6))
         zero = np.zeros((6, 6))
-        soft = gumbel_sample(Tensor(theta_values), 1.0, (zero, zero)).data
+        soft = gumbel_sample(Tensor(logits), 1.0, (zero, zero)).data
         off = ~np.eye(6, dtype=bool)
-        # logit/sigmoid round trip is exact up to float64 rounding (~1e-16)
-        assert np.max(np.abs(soft[off] - theta_values[off])) <= 1e-15
+        # sigmoid of the logits themselves, with no round trip to round
+        np.testing.assert_array_equal(soft[off], logistic(logits)[off])
         assert np.all(np.diag(soft) == 0.0)
 
     def test_monte_carlo_mean_at_half(self):
         rng = np.random.default_rng(16)
-        theta = Tensor(np.full((2, 2), 0.5))
+        logits = Tensor(np.zeros((2, 2)))
         total, draws = 0.0, 10_000
         for _ in range(draws):
             g1, g2 = sample_gumbel_noise(rng, 2)
-            total += float(gumbel_sample(theta, 1.0, (g1, g2)).data[0, 1])
+            total += float(gumbel_sample(logits, 1.0, (g1, g2)).data[0, 1])
         assert abs(total / draws - 0.5) <= 0.02
 
     def test_small_temperature_saturates(self):
         rng = np.random.default_rng(17)
-        theta = Tensor(np.full((5, 5), 0.9))
+        logits = Tensor(np.full((5, 5), math.log(9.0)))  # probability 0.9
         g1, g2 = sample_gumbel_noise(rng, 5)
-        soft = gumbel_sample(theta, 0.01, (g1, g2)).data
+        soft = gumbel_sample(logits, 0.01, (g1, g2)).data
         off = ~np.eye(5, dtype=bool)
         distance = np.minimum(np.abs(soft[off]), np.abs(soft[off] - 1.0))
         assert np.all(distance <= 1e-3)
@@ -207,67 +215,102 @@ class TestGumbelSample:
         rng = np.random.default_rng(18)
         for _ in range(25):
             n = int(rng.integers(2, 9))
-            theta_values = rng.uniform(0.05, 0.95, size=(n, n))
+            logits = rng.uniform(LOGIT_05, -LOGIT_05, size=(n, n))
             tau = float(rng.uniform(0.5, 2.0))
             g1, g2 = sample_gumbel_noise(rng, n)
-            soft = gumbel_sample(Tensor(theta_values), tau, (g1, g2)).data
-            oracle = gumbel_elementwise_oracle(theta_values, tau, g1, g2)
+            soft = gumbel_sample(Tensor(logits), tau, (g1, g2)).data
+            oracle = gumbel_elementwise_oracle(logits, tau, g1, g2)
             np.testing.assert_allclose(soft, oracle, atol=1e-12)
 
     def test_monotone_in_theta_with_frozen_noise(self):
         rng = np.random.default_rng(19)
         g1, g2 = sample_gumbel_noise(rng, 4)
-        theta_lo = np.full((4, 4), 0.3)
-        theta_hi = theta_lo + 0.2
-        lo = gumbel_sample(Tensor(theta_lo), 1.0, (g1, g2)).data
-        hi = gumbel_sample(Tensor(theta_hi), 1.0, (g1, g2)).data
+        logits_lo = np.full((4, 4), -0.85)
+        logits_hi = logits_lo + 0.8
+        lo = gumbel_sample(Tensor(logits_lo), 1.0, (g1, g2)).data
+        hi = gumbel_sample(Tensor(logits_hi), 1.0, (g1, g2)).data
         off = ~np.eye(4, dtype=bool)
         assert np.all(hi[off] > lo[off])
 
     def test_gradient_wrt_theta_matches_fd(self):
         rng = np.random.default_rng(20)
-        theta_values = rng.uniform(0.2, 0.8, size=(4, 4))
+        logit_values = rng.uniform(-1.4, 1.4, size=(4, 4))
         g1, g2 = sample_gumbel_noise(rng, 4)
-        theta = Tensor(theta_values, requires_grad=True)
-        ad.sum_all(gumbel_sample(theta, 0.7, (g1, g2))).backward()
+        logits = Tensor(logit_values, requires_grad=True)
+        ad.sum_all(gumbel_sample(logits, 0.7, (g1, g2))).backward()
 
         def value(arrays):
             return float(ad.sum_all(gumbel_sample(Tensor(arrays[0]), 0.7, (g1, g2))).data)
 
-        numeric = finite_difference_gradient(value, [theta_values.copy()], 0)
-        assert max_rel_error(theta.grad, numeric) < 1e-6
+        numeric = finite_difference_gradient(value, [logit_values.copy()], 0)
+        assert max_rel_error(logits.grad, numeric) < 1e-6
+
+    def test_saturated_logits_have_finite_gradients(self):
+        # sigmoid(40) is exactly 1.0, where a log-odds round trip gives -inf
+        rng = np.random.default_rng(23)
+        values = np.array([[0.0, 40.0, -40.0], [800.0, 0.0, -800.0], [37.0, 1e300, 0.0]])
+        logits = Tensor(values, requires_grad=True)
+        g1, g2 = sample_gumbel_noise(rng, 3)
+        soft = gumbel_sample(logits, 0.5, (g1, g2))
+        ad.sum_all(soft).backward()
+        assert np.isfinite(soft.data).all() and np.isfinite(logits.grad).all()
+        assert np.all(np.diag(logits.grad) == 0.0)
 
     def test_rejects_bad_temperature(self):
-        theta = Tensor(np.full((2, 2), 0.5))
+        logits = Tensor(np.zeros((2, 2)))
         zero = np.zeros((2, 2))
         for tau in (0.0, -1.0):
             with pytest.raises(ValueError, match="temperature"):
-                gumbel_sample(theta, tau, (zero, zero))
+                gumbel_sample(logits, tau, (zero, zero))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="noise"):
-            gumbel_sample(Tensor(np.full((3, 3), 0.5)), 1.0, (np.zeros((3, 3)), np.zeros((2, 2))))
+            gumbel_sample(Tensor(np.zeros((3, 3))), 1.0, (np.zeros((3, 3)), np.zeros((2, 2))))
+
+
+def _parent_hardening_rule(z: float, tau: float) -> float:
+    """The earlier evaluation graph: zero-noise relaxation of sigmoid(z), >= 1/2."""
+    theta = logistic(np.array([z]))
+    with np.errstate(divide="ignore"):
+        log_odds = np.log(theta) - np.log(1.0 - theta)
+    return float(logistic(log_odds / tau)[0] >= 0.5)
 
 
 class TestHarden:
     def test_threshold_cases(self):
-        soft = np.array([[0.0, 0.49], [0.51, 0.0]])
-        np.testing.assert_array_equal(harden(soft), [[0.0, 0.0], [1.0, 0.0]])
+        logits = np.array([[0.0, -0.1], [0.1, 0.0]])
+        np.testing.assert_array_equal(harden(logits), [[0.0, 0.0], [1.0, 0.0]])
 
     def test_half_is_an_edge(self):
-        assert harden(np.array([[0.5]]))[0, 0] == 1.0
+        # a zero logit is an edge probability of exactly one half
+        np.testing.assert_array_equal(harden(np.zeros((2, 2))), [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_idempotent(self):
+    def test_positive_scaling_changes_nothing(self):
+        # no temperature reaches the hardened graph
         rng = np.random.default_rng(21)
-        soft = rng.uniform(0.0, 1.0, size=(6, 6))
-        once = harden(soft)
-        np.testing.assert_array_equal(harden(once), once)
+        logits = rng.standard_normal((6, 6))
+        for scale in (0.01, 0.5, 3.0, 1e6):
+            np.testing.assert_array_equal(harden(scale * logits), harden(logits))
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            soft = rng.uniform(0.0, 1.0, size=(5, 5))
-            np.testing.assert_array_equal(harden(soft), harden_double_loop(soft))
+            logits = rng.standard_normal((5, 5))
+            np.testing.assert_array_equal(harden(logits), harden_double_loop(logits))
+
+    @given(
+        z=st.floats(-1e300, 1e300).filter(lambda z: abs(z) >= 1e-15),
+        tau=st.floats(0.1, 2.0),
+    )
+    @example(z=40.0, tau=1.0)
+    @example(z=-800.0, tau=0.1)
+    @example(z=1e-15, tau=2.0)
+    @example(z=-1e-15, tau=2.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_zero_noise_relaxation_of_the_probability(self, z, tau):
+        logits = np.array([[0.0, z], [-z, 0.0]])
+        expected = [[0.0, _parent_hardening_rule(z, tau)], [_parent_hardening_rule(-z, tau), 0.0]]
+        np.testing.assert_array_equal(harden(logits), expected)
 
 
 class TestScorerFromModel:
@@ -286,5 +329,7 @@ class TestScorerFromModel:
         )
         state = init_model(config)
         subject = generate_synthetic(4, 8, 32, seed=2).subjects[0]
-        theta = edge_probabilities(subject.series, state.scorer).data
+        logits = edge_probabilities(subject.series, state.scorer).data
+        theta = logistic(logits)
+        assert np.all(np.isfinite(logits))
         assert np.all(theta > 0.0) and np.all(theta < 1.0)

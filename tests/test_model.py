@@ -10,7 +10,7 @@ import pytest
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
-from dualgraph.graphgen import sample_gumbel_noise
+from dualgraph.graphgen import edge_probabilities, sample_gumbel_noise
 from dualgraph.model import (
     GcnStack,
     ModelConfig,
@@ -169,7 +169,11 @@ class TestConcatPool:
 
 
 def _forward_oracle(series, corr, state, noise):
-    """Straight-line numpy re-implementation of the full-mode composition."""
+    """Straight-line numpy re-implementation of the full-mode composition.
+
+    ``noise=None`` builds the evaluation graph: the edges whose scorer
+    logit is at least zero.
+    """
     p = {name: t.data for (name, _), t in zip(parameter_shapes(state.config), state.parameters())}
     cfg = state.config
     n = cfg.n_rois
@@ -194,21 +198,22 @@ def _forward_oracle(series, corr, state, noise):
                 a_filt[i, j] = 1.0
 
     emb = np.maximum(series @ p["scorer.extract_w"] + p["scorer.extract_b"], 0.0)
-    theta = np.zeros((n, n))
+    logits = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             pair = np.concatenate([emb[i], emb[j]])
             hid = np.maximum(pair @ p["scorer.pair_w1"] + p["scorer.pair_b1"], 0.0)
-            raw = float((hid @ p["scorer.pair_w2"])[0] + p["scorer.pair_b2"][0])
-            theta[i, j] = 1.0 / (1.0 + math.exp(-raw))
+            logits[i, j] = float((hid @ p["scorer.pair_w2"])[0] + p["scorer.pair_b2"][0])
 
-    g1, g2 = noise
     soft = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            z = (math.log(theta[i, j] / (1.0 - theta[i, j])) + g1[i, j] - g2[i, j]) / cfg.temperature
+            if noise is None:
+                soft[i, j] = 1.0 if logits[i, j] >= 0.0 else 0.0
+                continue
+            z = (logits[i, j] + noise[0][i, j] - noise[1][i, j]) / cfg.temperature
             soft[i, j] = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
 
     z_f = gcn(norm(a_filt), p["filtered_gcn.w0"], p["filtered_gcn.w1"]).reshape(-1)
@@ -241,6 +246,17 @@ class TestForward:
         ours = float(forward(series, corr, state, noise=noise).data)
         oracle = _forward_oracle(series, corr, state, noise)
         assert abs(ours - oracle) < 1e-10
+
+    def test_eval_path_matches_straight_line_oracle(self):
+        series, corr = _toy_subject(seed=8)
+        state = init_model(_config(seed=21))
+        # shift the scorer so the hardened graph has both edges and gaps
+        logits = edge_probabilities(series, state.scorer).data
+        state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
+        hard = subject_graphs(series, corr, state)[2]
+        assert 0 < hard.sum() < 6 * 5
+        ours = float(forward(series, corr, state).data)
+        assert abs(ours - _forward_oracle(series, corr, state, None)) < 1e-10
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
@@ -424,6 +440,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="classifier.b2 has non-finite"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "field,value", [("n_rois", 6.0), ("temperature", float("nan")), ("seed", "0")]
+    )
+    def test_rejects_bad_config_values(self, tmp_path, field, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(_config()), str(path))
+        rewrite_checkpoint_header(path, lambda h: dict(h, config=dict(h["config"], **{field: value})))
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(_config(seed=1)), str(path))
+        earlier = path.read_bytes()
+        drifted = init_model(_config(seed=2))
+        drifted.classifier.b2.data = np.zeros(2)
+        with pytest.raises(ValueError, match="classifier.b2 has drifted"):
+            save_checkpoint(drifted, str(path))
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
 
 class TestModelConfigValidation:
     def test_rejects_unknown_mode(self):
@@ -437,3 +474,25 @@ class TestModelConfigValidation:
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError, match="temperature"):
             _config(temperature=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("temperature", float("nan")),
+            ("temperature", float("inf")),
+            ("corr_threshold", float("nan")),
+            ("corr_threshold", "0.5"),
+            ("n_rois", 6.0),
+            ("gcn_hidden_dim", True),
+            ("extractor_dim", 0),
+            ("seed", -1),
+            ("seed", 1.0),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integer_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _config(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        config = _config(n_rois=np.int64(6), temperature=np.float64(0.5))
+        assert init_model(config).parameter_count() == parameter_count(config)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualgraph import autodiff as ad
 from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
 from dualgraph.model import init_model
@@ -27,6 +28,18 @@ from dualgraph.train import (
 )
 
 from oracles import auc_pair_counting
+
+
+def poison_sigmoid_vjp(monkeypatch):
+    """Make every sigmoid's VJP return NaN while its forward stays exact."""
+    sigmoid = ad.sigmoid
+
+    def poisoned(a):
+        out = sigmoid(a)
+        out._vjp = lambda g: (np.full(a.shape, np.nan),)
+        return out
+
+    monkeypatch.setattr(ad, "sigmoid", poisoned)
 
 
 def _small_config(**overrides):
@@ -210,6 +223,33 @@ class TestTrainConfigFile:
         with pytest.raises(ValueError, match="integer"):
             load_train_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"learning_rate": NaN}', "learning_rate"),
+            ('{"learning_rate": true}', "learning_rate"),
+            ('{"temperature": Infinity}', "temperature"),
+            ('{"temperature": NaN}', "temperature"),
+            ('{"temperature": "1"}', "temperature"),
+            ('{"batch_size": true}', "batch_size"),
+            ('{"mode": 3}', "mode"),
+            ('{"seed": 1.0}', "seed"),
+            ('{"corr_threshold": 1' + "0" * 400 + "}", "int too large"),
+        ],
+    )
+    def test_bad_values_name_the_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field) as exc:
+            load_train_config(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_integer_floats_load_as_floats(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"temperature": 2, "learning_rate": 0}))
+        config = load_train_config(str(path))
+        assert type(config.temperature) is float and type(config.learning_rate) is float
+
 
 class TestTrainingLoop:
     def test_zero_learning_rate_changes_nothing(self):
@@ -238,25 +278,44 @@ class TestTrainingLoop:
         with pytest.raises(TrainingDiverged, match="epoch"):
             train_model(ds, config)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
-        # A scorer logit of 40 saturates sigmoid to exactly 1.0: the loss
-        # stays finite but log(1 - theta) makes every scorer gradient NaN.
+        # The forward pass and the loss stay finite; only the VJP is poisoned.
+        poison_sigmoid_vjp(monkeypatch)
         created = []
 
-        def saturated_init(config):
+        def recording_init(config):
             state = init_model(config)
-            state.scorer.pair_b2.data = np.array([40.0])
             created.append((state, [p.data.copy() for p in state.parameters()]))
             return state
 
-        monkeypatch.setattr(train_module, "init_model", saturated_init)
+        monkeypatch.setattr(train_module, "init_model", recording_init)
         ds = generate_synthetic(8, 8, 32, seed=6)
         with pytest.raises(TrainingDiverged, match="non-finite gradient at epoch 1, batch 1"):
             fit(ds, list(range(8)), _small_config())
         state, initial = created[0]
         for param, before in zip(state.parameters(), initial):
             np.testing.assert_array_equal(param.data, before)
+
+    def test_saturated_edge_logit_trains_with_finite_gradients(self, monkeypatch):
+        # A scorer logit of 40 saturates sigmoid to exactly 1.0; relaxing
+        # the logit itself keeps every gradient finite.
+        created = []
+
+        def saturated_init(config):
+            state = init_model(config)
+            state.scorer.pair_b2.data = np.array([40.0])
+            created.append([p.data.copy() for p in state.parameters()])
+            return state
+
+        monkeypatch.setattr(train_module, "init_model", saturated_init)
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        # GCN output width 8: at width 4 this init leaves the sampled
+        # branch's output ReLU dead, and no gradient reaches the scorer.
+        state, losses = fit(ds, list(range(8)), _small_config(epochs=2, gcn_out_dim=8))
+        assert np.all(np.isfinite(losses))
+        for param, before in zip(state.parameters(), created[0]):
+            assert np.isfinite(param.data).all()
+            assert not np.array_equal(param.data, before)  # every parameter trained
 
     def test_log_structure_and_early_stop_bound(self):
         ds = generate_synthetic(12, 8, 32, seed=7)
