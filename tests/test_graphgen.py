@@ -268,8 +268,12 @@ class TestGumbelSample:
             gumbel_sample(Tensor(np.zeros((3, 3))), 1.0, (np.zeros((3, 3)), np.zeros((2, 2))))
 
 
-def _parent_hardening_rule(z: float, tau: float) -> float:
-    """The earlier evaluation graph: zero-noise relaxation of sigmoid(z), >= 1/2."""
+def _relaxed_probability_rule(z: float, tau: float) -> float:
+    """Edge iff the zero-noise relaxation of theta = sigmoid(z) is >= 1/2.
+
+    Evaluated in float64 through the log-odds of theta, which is -inf or
+    +inf once theta rounds to 0 or 1.
+    """
     theta = logistic(np.array([z]))
     with np.errstate(divide="ignore"):
         log_odds = np.log(theta) - np.log(1.0 - theta)
@@ -309,7 +313,7 @@ class TestHarden:
     @settings(max_examples=300, deadline=None)
     def test_matches_zero_noise_relaxation_of_the_probability(self, z, tau):
         logits = np.array([[0.0, z], [-z, 0.0]])
-        expected = [[0.0, _parent_hardening_rule(z, tau)], [_parent_hardening_rule(-z, tau), 0.0]]
+        expected = [[0.0, _relaxed_probability_rule(z, tau)], [_relaxed_probability_rule(-z, tau), 0.0]]
         np.testing.assert_array_equal(harden(logits), expected)
 
 
