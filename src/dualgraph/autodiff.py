@@ -191,8 +191,15 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    """``where(x > 0, x, 0)`` bit for bit, without a data-dependent branch.
+
+    ``fmax`` maps NaN to 0 as the comparison does but may return -0.0,
+    which adding +0.0 turns into +0.0 and leaves every other value as is.
+    """
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    mask = a.data > 0 if a.requires_grad else None
+    return _make(out, (a,), lambda g: (g * mask,))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:

@@ -136,7 +136,16 @@ def split(dataset: Dataset, seed: int) -> SplitIndices:
 
 
 class Adam:
-    """Adaptive-moment optimizer, bias-corrected, epsilon outside the root."""
+    """Adaptive-moment optimizer, bias-corrected, epsilon outside the root.
+
+    A step updates the moments and every parameter's array in place, a
+    fixed-size chunk at a time through two scratch buffers, so its memory
+    traffic does not grow with temporaries. The arithmetic is the
+    out-of-place textbook form operation for operation, so the results
+    are the same bits.
+    """
+
+    CHUNK = 16384
 
     def __init__(
         self,
@@ -152,18 +161,41 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self._scratch = np.empty((2, self.CHUNK))
 
     def step(self) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            data = p.data
+            g = p.grad if p.grad is not None else np.zeros(data.shape)
+            if g.shape != data.shape:
+                raise ValueError(f"gradient shape {g.shape} != parameter {data.shape}")
+            flat_p = data.reshape(-1)  # a copy when data is not C-contiguous
+            flat_g, flat_m, flat_v = g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for start in range(0, flat_p.size, self.CHUNK):
+                span = slice(start, start + self.CHUNK)
+                gc, mc, vc = flat_g[span], flat_m[span], flat_v[span]
+                a, b = self._scratch[:, : gc.size]
+                np.multiply(gc, 1.0 - b1, out=a)
+                mc *= b1
+                mc += a  # m = b1 * m + (1 - b1) * g
+                np.multiply(gc, 1.0 - b2, out=a)
+                a *= gc
+                vc *= b2
+                vc += a  # v = b2 * v + (1 - b2) * g * g
+                np.divide(mc, c1, out=a)
+                a *= lr
+                np.divide(vc, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                flat_p[span] -= a  # p = p - lr * m_hat / (sqrt(v_hat) + eps)
+            if not data.flags.c_contiguous:
+                data[...] = flat_p.reshape(data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -242,6 +274,7 @@ def _predict_logits(
 ) -> np.ndarray:
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
+    state = state.detached()  # one tape-free view for every subject
     logits = []
     for idx in indices:
         subject = dataset.subjects[idx]

@@ -148,3 +148,23 @@ def stump_best_accuracy(features, labels):
             preds = above if positive_above else ~above
             best = max(best, float(np.mean(preds == (labels == 1))))
     return best
+
+
+def adam_out_of_place(params, grads_by_step, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam, every step building new arrays; returns the final values.
+
+    ``grads_by_step[t][i]`` is parameter i's gradient at step t + 1, or
+    None for no gradient (treated as zeros).
+    """
+    params = [np.array(p, dtype=np.float64) for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_by_step, start=1):
+        for i, g in enumerate(grads):
+            g = np.zeros_like(params[i]) if g is None else g
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1**t)
+            v_hat = v[i] / (1.0 - beta2**t)
+            params[i] = params[i] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return params

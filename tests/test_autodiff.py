@@ -25,6 +25,21 @@ def _product_spy(array):
     return array.view(Spy), products
 
 
+_SPECIAL_FLOATS = [
+    np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.0
+]
+
+
+def _assert_relu_is_where(x):
+    """ReLU forward equals ``where(x > 0, x, 0)`` in every bit, signed zeros included."""
+    with np.errstate(invalid="ignore"):
+        expected = np.where(x > 0, x, 0.0)
+    for requires_grad in (False, True):
+        out = ad.relu(Tensor(x, requires_grad=requires_grad)).data
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
 def _check_gradients(build, arrays, tol=GRAD_TOL):
     """Compare engine gradients of scalar build(tensors) against FD."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -84,6 +99,29 @@ class TestRelu:
         x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
         ad.sum_all(ad.relu(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)), max_size=70
+        ),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_forward_is_the_where_formula_bit_for_bit(self, values, step, as_column):
+        base = np.array(values, dtype=np.float64)
+        x = base[::step]
+        if as_column:  # a transposed, non-contiguous 2-D view
+            x = np.stack([x, x[::-1]]).T
+        _assert_relu_is_where(x)
+
+    def test_every_length_to_70_with_special_values(self):
+        rng = np.random.default_rng(19)
+        for n in range(71):
+            x = rng.standard_normal(2 * n) * 10.0 ** rng.integers(-320, 300, 2 * n)
+            x[: 2 * n : 3] = np.resize(_SPECIAL_FLOATS, len(x[: 2 * n : 3]))
+            _assert_relu_is_where(x[:n])
+            _assert_relu_is_where(x[::2])
 
 
 class TestSigmoid:

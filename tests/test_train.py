@@ -27,7 +27,7 @@ from dualgraph.train import (
     train_model,
 )
 
-from oracles import auc_pair_counting
+from oracles import adam_out_of_place, auc_pair_counting
 
 
 def poison_sigmoid_vjp(monkeypatch):
@@ -148,6 +148,39 @@ class TestAdam:
         opt = Adam([p], learning_rate=0.1)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+    def test_in_place_steps_match_the_out_of_place_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        big = rng.standard_normal(2 * Adam.CHUNK + 123)  # spans three chunks
+        base = rng.standard_normal((6, 10))
+        view = base[1:5, ::3].T  # non-contiguous, transposed
+        scalar = np.array(0.7)
+        unused = rng.standard_normal((3, 2))  # never gets a gradient
+        start = [a.copy() for a in (big, view, scalar, unused)]
+        params = [Tensor(a, requires_grad=True) for a in (big, view, scalar, unused)]
+        opt = Adam(params, learning_rate=0.01)
+        grads_by_step = []
+        for _ in range(4):
+            grads = [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-8, 3) for a in start]
+            grads[1] = grads[1].T.copy().T  # an F-ordered gradient
+            grads[3] = None
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            grads_by_step.append(grads)
+        expected = adam_out_of_place(start, grads_by_step, learning_rate=0.01)
+        for p, want in zip(params, expected):
+            assert p.data.tobytes() == want.tobytes()
+        # The updates land in the caller's arrays, the view's base included.
+        assert params[0].data is big and params[1].data is view
+        assert base[1:5, ::3].T.tobytes() == expected[1].tobytes()
+
+    def test_gradient_of_the_wrong_shape_is_rejected(self):
+        p = Tensor(np.zeros((2, 3)), requires_grad=True)
+        opt = Adam([p], learning_rate=0.1)
+        p.grad = np.ones((3, 2))
+        with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+            opt.step()
 
 
 class TestMetrics:
