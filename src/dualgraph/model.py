@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import os
 import struct
@@ -183,7 +184,7 @@ def parameter_shapes(config: ModelConfig) -> list:
 
 def parameter_count(config: ModelConfig) -> int:
     """Closed-form parameter total for the configuration."""
-    return sum(int(np.prod(shape)) for _, shape in parameter_shapes(config))
+    return sum(math.prod(shape) for _, shape in parameter_shapes(config))
 
 
 def _assemble(config: ModelConfig, arrays: list, requires_grad: bool = True) -> ModelState:
@@ -381,7 +382,7 @@ def load_checkpoint(path: str) -> ModelState:
             raise ValueError(f"{path}: header/container version mismatch")
         config = ModelConfig(**header["config"])
         listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
-    except (AttributeError, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (AttributeError, KeyError, TypeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
 
     expected = parameter_shapes(config)
@@ -391,7 +392,7 @@ def load_checkpoint(path: str) -> ModelState:
     offset += header_len
     arrays = []
     for name, shape in expected:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         end = offset + count * 8
         if end > len(raw):
             raise ValueError(f"{path}: truncated while reading {name}")

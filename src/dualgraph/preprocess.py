@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dualgraph.model import atomic_write
+
 # Unit-variance one-factor construction: signal = 0.8 * block factor
 # + 0.6 * idiosyncratic noise (0.6 = sqrt(1 - 0.8^2)), giving a true
 # within-block correlation of 0.64 against ~0 across blocks.
@@ -134,18 +136,22 @@ def _check_subject_id(subject_id: str, where: str) -> None:
 
 
 def save_dataset(dataset: Dataset, directory: str) -> None:
-    """Write the labels.csv + per-subject CSV layout under ``directory``."""
+    """Write the labels.csv + per-subject CSV layout under ``directory``.
+
+    Each file replaces any earlier one whole, so a failed save leaves no
+    half-written file.
+    """
     for s in dataset.subjects:
         _check_subject_id(s.subject_id, directory)
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "labels.csv"), "w", newline="") as fh:
-        fh.write("subject_id,label\n")
+    with atomic_write(os.path.join(directory, "labels.csv")) as fh:
+        fh.write(b"subject_id,label\n")
         for s in dataset.subjects:
-            fh.write(f"{s.subject_id},{s.label}\n")
+            fh.write(f"{s.subject_id},{s.label}\n".encode("utf-8"))
     for s in dataset.subjects:
-        with open(os.path.join(directory, f"{s.subject_id}.csv"), "w", newline="") as fh:
+        with atomic_write(os.path.join(directory, f"{s.subject_id}.csv")) as fh:
             for row in s.series:
-                fh.write(_format_row(row) + "\n")
+                fh.write((_format_row(row) + "\n").encode("ascii"))
 
 
 def load_dataset(directory: str) -> Dataset:

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualgraph import train as train_module
 from dualgraph.cli import main
 from dualgraph.model import init_model, load_checkpoint
 
-from test_model import rewrite_checkpoint_header
+from test_model import checkpoint_with_header, checkpoint_bytes, rewrite_checkpoint_header
+from test_preprocess import CSV_BYTES
 from test_train import poison_sigmoid_vjp
 
 CONFIG = {
@@ -284,6 +286,42 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
         assert code == 2
         assert "not a plain file name" in capsys.readouterr().err
+
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_eval_on_any_checkpoint_bytes_exits_0_or_2(self, workspace, data, capsys):
+        raw = data.draw(checkpoint_bytes(workspace["ckpt"].read_bytes()))
+        path = workspace["root"] / "fuzz.ckpt"
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(str(path))
+            expected = 0
+        except ValueError:
+            expected = 2
+        code = main(["eval", "--model", str(path), "--data", str(workspace["data"])])
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err
+
+    @given(target=st.sampled_from(["labels.csv", "s0001.csv"]), content=CSV_BYTES)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_eval_on_any_dataset_file_bytes_exits_2(self, workspace, target, content, capsys):
+        data = workspace["root"] / "fuzz-data"
+        data.mkdir(exist_ok=True)
+        for name in ("labels.csv", "s0001.csv"):
+            (data / name).write_bytes((workspace["data"] / name).read_bytes())
+        (data / target).write_bytes(content)
+        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
+        assert code == 2  # a loadable dataset still lacks the other subjects' files
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_eval_on_a_deeply_nested_header_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(checkpoint_with_header(b"[" * 100_000))
+        code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "malformed checkpoint header" in err and "Traceback" not in err
 
 
 class TestInspectCommand:

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
@@ -362,6 +363,59 @@ def rewrite_checkpoint_header(path, edit):
     path.write_bytes(raw[:4] + struct.pack("<IQ", version, len(blob)) + blob + raw[16 + header_len :])
 
 
+def checkpoint_with_header(blob: bytes) -> bytes:
+    return b"DGBC" + struct.pack("<IQ", 1, len(blob)) + blob
+
+
+def _valid_checkpoint_bytes(directory) -> bytes:
+    path = directory / "valid.ckpt"
+    if not path.exists():
+        save_checkpoint(init_model(_config(n_rois=3, t_steps=4, gcn_hidden_dim=2)), str(path))
+    return path.read_bytes()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def checkpoint_bytes(valid: bytes):
+    """Byte strings from noise to near-valid checkpoints.
+
+    Random bytes; the right magic and version before random bytes; a
+    random JSON header; a valid header with one config field or the
+    parameter table replaced by a random JSON value; and a valid file
+    with a stretch of bytes overwritten or cut off.
+    """
+    header_len = struct.unpack_from("<IQ", valid, 4)[1]
+    header = json.loads(valid[16 : 16 + header_len])
+    payload = valid[16 + header_len :]
+
+    def with_header(h):
+        return checkpoint_with_header(json.dumps(h).encode()) + payload
+
+    def overwrite(args):
+        start, junk, cut = args
+        start = min(start, len(valid))
+        damaged = valid[:start] + junk + valid[start + len(junk) :]
+        return damaged[: len(damaged) - cut]
+
+    return st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda b: b"DGBC\x01\x00\x00\x00" + b),
+        _JSON.map(lambda h: checkpoint_with_header(json.dumps(h).encode())),
+        st.tuples(st.sampled_from(sorted(header["config"])), _JSON).map(
+            lambda kv: with_header(dict(header, config=dict(header["config"], **{kv[0]: kv[1]})))
+        ),
+        _JSON.map(lambda table: with_header(dict(header, params=table))),
+        st.tuples(st.integers(0, len(valid)), st.binary(min_size=1, max_size=8), st.integers(0, 9)).map(
+            overwrite
+        ),
+    )
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         state = init_model(_config(seed=33))
@@ -465,6 +519,40 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, lambda h: dict(h, config=dict(h["config"], **{field: value})))
         with pytest.raises(ValueError, match=field):
             load_checkpoint(str(path))
+
+    def test_huge_dimension_is_a_truncation_naming_the_file(self, tmp_path):
+        # 2**62 * 4 wraps to 0 in int64, which once read zero bytes and
+        # failed in numpy's reshape without naming the file.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(_config(gcn_hidden_dim=4)), str(path))
+
+        def enlarge(header):
+            config = dict(header["config"], n_rois=2**62)
+            shapes = parameter_shapes(ModelConfig(**config))
+            params = [{"name": name, "shape": list(shape)} for name, shape in shapes]
+            return dict(header, config=config, params=params)
+
+        rewrite_checkpoint_header(path, enlarge)
+        with pytest.raises(ValueError, match=r"model\.ckpt: truncated while reading filtered_gcn\.w0"):
+            load_checkpoint(str(path))
+        assert parameter_count(_config(n_rois=2**62, gcn_hidden_dim=4)) > 2**64
+
+    def test_deeply_nested_header_is_malformed(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(checkpoint_with_header(b"[" * 100_000))
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            load_checkpoint(str(path))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_load_or_raise_value_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(data.draw(checkpoint_bytes(_valid_checkpoint_bytes(tmp_path))))
+        try:
+            state = load_checkpoint(str(path))
+        except ValueError:
+            return
+        assert all(np.isfinite(p.data).all() for p in state.parameters())
 
     def test_failed_save_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dualgraph import preprocess as preprocess_module
 from dualgraph.preprocess import (
     BoldMatrix,
     Dataset,
@@ -167,6 +168,26 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="row 3: subject id"):
             load_dataset(str(d))
 
+    def test_failed_save_leaves_every_earlier_file_whole(self, tmp_path, monkeypatch):
+        d = tmp_path / "data"
+        save_dataset(generate_synthetic(4, 8, 32, seed=1), str(d))
+        earlier = {f.name: f.read_bytes() for f in d.iterdir()}
+        rows = []
+
+        def failing_format(values):
+            rows.append(values)
+            if len(rows) == 8 + 3:  # midway through the second subject
+                raise OSError("disk full")
+            return original(values)
+
+        original = preprocess_module._format_row
+        monkeypatch.setattr(preprocess_module, "_format_row", failing_format)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(generate_synthetic(4, 8, 32, seed=2), str(d))
+        assert {f.name for f in d.iterdir()} == set(earlier)  # no temp files
+        assert (d / "s0001.csv").read_bytes() == earlier["s0001.csv"]
+        assert (d / "s0000.csv").read_bytes() != earlier["s0000.csv"]
+
     def test_save_refuses_ids_outside_the_directory(self, tmp_path):
         series = np.arange(6.0).reshape(2, 3) ** 2
         ds = Dataset("escape", [BoldMatrix("s1", series, 0), BoldMatrix("../outside", series, 1)])
@@ -174,6 +195,37 @@ class TestDatasetIO:
             save_dataset(ds, str(tmp_path / "data"))
         assert not (tmp_path / "outside.csv").exists()
         assert not (tmp_path / "data").exists()
+
+
+CSV_TOKENS = [
+    b"0", b"1", b"-2.5", b"1e999", b"nan", b"inf", b"1_0", b",", b",,", b"\n", b"\r\n", b"\r",
+    b" ", b"\x00", b"\xff", b"\xc3\xa9", b"s1", b"s2", b"../s1", b"labels", b"subject_id,label",
+]
+CSV_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from(CSV_TOKENS), max_size=30).map(b"".join),
+    st.lists(st.sampled_from(CSV_TOKENS), max_size=30).map(
+        lambda parts: b"subject_id,label\n" + b"".join(parts)
+    ),
+)
+
+
+class TestLoaderFuzz:
+    @given(target=st.sampled_from(["labels.csv", "s1.csv"]), content=CSV_BYTES)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_load_or_raise_value_error(self, tmp_path, target, content):
+        """Whatever one file holds, load_dataset raises ValueError or loads."""
+        d = tmp_path / "fuzz"
+        d.mkdir(exist_ok=True)
+        (d / "labels.csv").write_bytes(b"subject_id,label\ns1,0\ns2,1\n")
+        (d / "s1.csv").write_bytes(b"1,2,3\n4,5,6\n")
+        (d / "s2.csv").write_bytes(b"7,8,9\n1,0,2\n")
+        (d / target).write_bytes(content)
+        try:
+            dataset = load_dataset(str(d))
+        except ValueError:
+            return
+        assert all(np.isfinite(s.series).all() for s in dataset.subjects)
 
 
 class TestBoldMatrixValidation:
