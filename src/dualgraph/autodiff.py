@@ -12,10 +12,19 @@ doubles every gradient. No operation mutates its inputs.
 
 Backward does no work a gradient does not need. A product skips the side
 whose operand does not require grad. When a matmul's right operand is a
-leaf weight, its VJP returns the factors ``(a, g)`` of ``a.T @ g``
-instead of forming it; ``backward`` stacks every such contribution to
-the weight over the whole tape (a mini-batch of subjects, say) and forms
-the weight's gradient with one product.
+leaf weight and the factors ``(a, g)`` of its gradient ``a.T @ g`` are
+smaller than the gradient, ``rows * (in + out) < in * out``, the VJP
+returns the factors; ``backward`` stacks every such contribution to the
+weight over the whole tape (a mini-batch of subjects, say) and forms
+the gradient with one product. That serves a wide weight fed one row
+at a time, like the classifier head's first layer. A narrow weight fed
+many rows, like the edge scorer's output layer, gets ``a.T @ g`` per
+use instead, since stacking its factors would copy far more than the
+gradient holds.
+
+ReLU is ``fmax(x, 0) + 0.0``, equal to ``where(x > 0, x, 0)`` in every
+bit but free of data-dependent branches. Tensors that do not require
+grad build no tape, which is how evaluation runs (``ModelState.detached``).
 """
 
 from __future__ import annotations
@@ -172,12 +181,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
     ad, bd = a.data, b.data
+    (rows, k), n = ad.shape, bd.shape[1]
+    # A leaf weight's gradient is left as factors for backward to stack
+    # only when the factors are smaller than the gradient they form.
+    defer = not b._parents and rows * (k + n) < k * n
 
     def vjp(g: np.ndarray) -> tuple:
         ga = g @ bd.T if a.requires_grad else None
         if not b.requires_grad:
             gb = None
-        elif not b._parents:  # a leaf weight: backward forms it once per tape
+        elif defer:
             gb = _Factors(ad, g)
         else:
             gb = ad.T @ g

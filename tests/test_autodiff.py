@@ -318,7 +318,8 @@ class TestFactoredWeightGradients:
 
     def test_weight_in_matmul_and_elementwise_op(self):
         rng = np.random.default_rng(61)
-        x, w = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
+        # one row: factors of 1 * (3 + 3) values beat a 3 x 3 gradient
+        x, w = rng.standard_normal((1, 3)), rng.standard_normal((3, 3))
 
         def build(ts):
             through_product = ad.sum_all(ad.sigmoid(ad.matmul(ts[0], ts[1])))
@@ -328,8 +329,8 @@ class TestFactoredWeightGradients:
 
     def test_two_calls_double_a_factored_gradient(self):
         rng = np.random.default_rng(67)
-        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        xs = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        xs = [Tensor(rng.standard_normal((1, 4))) for _ in range(3)]
         loss = _shared_weight_loss(xs, w)
         loss.backward()
         first = w.grad.copy()

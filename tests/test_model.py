@@ -336,6 +336,69 @@ class TestForward:
         assert init_model(config).parameter_count() == 409 + 192 + 529
 
 
+def _spy_on_outputs(monkeypatch, names):
+    """Record the products and concatenations that outputs of ``ad.<name>`` enter.
+
+    Each output's array becomes an ``np.ndarray`` subclass view; a
+    concatenation of such views is one too, so the product formed from
+    it is recorded as well.
+    """
+    events = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                events.append(("matmul", [np.shape(x) for x in inputs]))
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func is not np.concatenate:
+                return super().__array_function__(func, types, args, kwargs)
+            events.append(("concatenate", [np.shape(x) for x in args[0]]))
+            return np.concatenate([np.asarray(x) for x in args[0]], **kwargs).view(Spy)
+
+    def spied(op):
+        def wrapped(*args, **kwargs):
+            out = op(*args, **kwargs)
+            out.data = out.data.view(Spy)
+            return out
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(ad, name, spied(getattr(ad, name)))
+    return events
+
+
+class TestWeightGradientStacking:
+    def test_only_the_wide_head_weight_is_stacked(self, monkeypatch):
+        n, d, f, hc, batch = 6, 4, 8, 4, 3
+        state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
+        # relu outputs include the scorer's pair activations, pair_w2's
+        # left operand; reshape outputs include the head's input row,
+        # classifier.w1's left operand.
+        events = _spy_on_outputs(monkeypatch, ["relu", "reshape"])
+        rng = np.random.default_rng(7)
+        loss = None
+        for seed in range(batch):
+            series, corr = _toy_subject(seed=seed)
+            logit = forward(series, corr, state, noise=sample_gumbel_noise(rng, n))
+            term = ad.bce_with_logits(logit, seed % 2)
+            loss = term if loss is None else ad.add(loss, term)
+        loss.backward()
+
+        width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
+        concats = [shapes for kind, shapes in events if kind == "concatenate"]
+        products = [shapes for kind, shapes in events if kind == "matmul"]
+        assert not any((n * n, d) in shapes for shapes in concats)
+        assert products.count([(d, n * n), (n * n, 1)]) == batch  # pair_w2, per use
+        assert concats.count([(1, width)] * batch) == 1
+        assert products.count([(width, batch), (batch, hc)]) == 1  # classifier.w1
+        assert products.count([(width, 1), (1, hc)]) == 0
+        assert state.scorer.pair_w2.grad.shape == (d, 1)
+        assert state.classifier.w1.grad.shape == (width, hc)
+
+
 class TestSubjectGraphs:
     def test_shapes_and_ranges(self):
         series, corr = _toy_subject(seed=6)
