@@ -316,32 +316,48 @@ def _epoch_pass(
 ) -> float:
     """One shuffled pass of mini-batch updates; returns mean train loss."""
     order = [train_indices[i] for i in rng.permutation(len(train_indices))]
-    n = dataset.n_rois
     total = 0.0
     for batch_number, start in enumerate(range(0, len(order), config.batch_size), 1):
         batch = order[start : start + config.batch_size]
-        optimizer.zero_grad()
-        batch_loss = None
-        for idx in batch:
-            subject = dataset.subjects[idx]
-            noise = sample_gumbel_noise(rng, n)
-            logit = forward(subject.series, corrs[idx], state, noise=noise)
-            loss = ad.bce_with_logits(logit, subject.label)
-            batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
-        mean_loss = ad.scale(batch_loss, 1.0 / len(batch))
-        value = float(mean_loss.data)
         where = f"epoch {epoch}, batch {batch_number}"
-        if not np.isfinite(value):
-            raise TrainingDiverged(f"non-finite training loss at {where}")
-        mean_loss.backward()
-        # A finite loss can still have non-finite gradients; stop before
-        # Adam writes them into the parameters.
-        for p in optimizer.params:
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise TrainingDiverged(f"non-finite gradient at {where}")
-        optimizer.step()
-        total += value * len(batch)
+        total += _batch_update(state, dataset, corrs, batch, optimizer, rng, where) * len(batch)
     return total / len(order)
+
+
+def _batch_update(
+    state: ModelState,
+    dataset: Dataset,
+    corrs: list,
+    batch: list,
+    optimizer: Adam,
+    rng: np.random.Generator,
+    where: str,
+) -> float:
+    """One Adam update on the batch's mean loss; returns that loss.
+
+    The batch's tape is freed when this returns, before the next batch
+    builds its own, so one tape at a time is alive.
+    """
+    optimizer.zero_grad()
+    batch_loss = None
+    for idx in batch:
+        subject = dataset.subjects[idx]
+        noise = sample_gumbel_noise(rng, dataset.n_rois)
+        logit = forward(subject.series, corrs[idx], state, noise=noise)
+        loss = ad.bce_with_logits(logit, subject.label)
+        batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
+    mean_loss = ad.scale(batch_loss, 1.0 / len(batch))
+    value = float(mean_loss.data)
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite training loss at {where}")
+    mean_loss.backward()
+    # A finite loss can still have non-finite gradients; stop before
+    # Adam writes them into the parameters.
+    for p in optimizer.params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingDiverged(f"non-finite gradient at {where}")
+    optimizer.step()
+    return value
 
 
 def _setup(dataset: Dataset, config: TrainConfig) -> tuple:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -303,6 +304,27 @@ class TestTrainingLoop:
         config = _small_config(learning_rate=1e-3, epochs=50, batch_size=4)
         _, losses = fit(ds, list(range(4)), config)
         assert losses[49] < losses[0]
+
+    def test_each_batch_tape_is_freed_before_the_next_batch(self, monkeypatch):
+        ds = generate_synthetic(8, 8, 32, seed=5)
+        batches = []  # per batch, weak references to its subjects' logit arrays
+        zero_grad, real_forward = Adam.zero_grad, train_module.forward
+
+        def counting_zero_grad(optimizer):
+            batches.append([])
+            return zero_grad(optimizer)
+
+        def recording_forward(*args, **kwargs):
+            for earlier in batches[:-1]:
+                assert all(ref() is None for ref in earlier)
+            out = real_forward(*args, **kwargs)
+            batches[-1].append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(Adam, "zero_grad", counting_zero_grad)
+        monkeypatch.setattr(train_module, "forward", recording_forward)
+        fit(ds, list(range(8)), _small_config(epochs=2, batch_size=3, gcn_out_dim=8))
+        assert [len(b) for b in batches] == [3, 3, 2] * 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
