@@ -584,8 +584,8 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_huge_dimension_is_a_truncation_naming_the_file(self, tmp_path):
-        # 2**62 * 4 wraps to 0 in int64, which once read zero bytes and
-        # failed in numpy's reshape without naming the file.
+        # 2**62 * 4 is 0 in int64 arithmetic; the size must be exact so
+        # the loader reports a truncation naming the file.
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(_config(gcn_hidden_dim=4)), str(path))
 
