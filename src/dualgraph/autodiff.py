@@ -23,8 +23,7 @@ use instead, since stacking its factors would copy far more than the
 gradient holds.
 
 ReLU is ``fmax(x, 0) + 0.0``, equal to ``where(x > 0, x, 0)`` in every
-bit but free of data-dependent branches. Tensors that do not require
-grad build no tape, which is how evaluation runs (``ModelState.detached``).
+bit but free of data-dependent branches.
 """
 
 from __future__ import annotations

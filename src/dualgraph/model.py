@@ -135,17 +135,6 @@ class ModelState:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def detached(self) -> "ModelState":
-        """The same parameters as tensors that build no backward tape.
-
-        The tensors share this state's arrays, so the view sees in-place
-        updates. A state that is already such a view is returned as is.
-        """
-        params = self.parameters()
-        if not any(p.requires_grad for p in params):
-            return self
-        return _assemble(self.config, [p.data for p in params], requires_grad=False)
-
 
 def classifier_input_dim(config: ModelConfig) -> int:
     n, f = config.n_rois, config.gcn_out_dim
@@ -187,8 +176,8 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape in parameter_shapes(config))
 
 
-def _assemble(config: ModelConfig, arrays: list, requires_grad: bool = True) -> ModelState:
-    params = [Tensor(a, requires_grad=requires_grad) for a in arrays]
+def _assemble(config: ModelConfig, arrays: list) -> ModelState:
+    params = [Tensor(a, requires_grad=True) for a in arrays]
     return ModelState(
         config=config,
         scorer=EdgeScorer(*params[0:6]),
@@ -262,11 +251,8 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
 
     ``noise`` is a pair of standard-Gumbel matrices for the training
     path; ``None`` selects the deterministic evaluation path, where the
-    sampled graph holds the edges with a non-negative scorer logit and
-    no backward tape is built.
+    sampled graph holds the edges with a non-negative scorer logit.
     """
-    if noise is None:
-        state = state.detached()
     config = state.config
     series = np.asarray(series, dtype=np.float64)
     corr = np.asarray(corr, dtype=np.float64)
@@ -312,7 +298,7 @@ def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> t
     0/1 adjacency of the sampled graph).
     """
     filtered = build_filtered(corr, state.config.corr_threshold)
-    logits = edge_probabilities(series, state.detached().scorer).data
+    logits = edge_probabilities(series, state.scorer).data
     return filtered, logistic(logits), harden(logits)
 
 

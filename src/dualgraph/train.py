@@ -274,7 +274,6 @@ def _predict_logits(
 ) -> np.ndarray:
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
-    state = state.detached()  # one tape-free view for every subject
     logits = []
     for idx in indices:
         subject = dataset.subjects[idx]

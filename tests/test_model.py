@@ -13,10 +13,8 @@ from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
 from dualgraph.graphgen import edge_probabilities, sample_gumbel_noise
 from dualgraph.model import (
-    MODES,
     GcnStack,
     ModelConfig,
-    ModelState,
     classifier_input_dim,
     concat_pool,
     forward,
@@ -260,20 +258,6 @@ class TestForward:
         assert 0 < hard.sum() < 6 * 5
         ours = float(forward(series, corr, state).data)
         assert abs(ours - _forward_oracle(series, corr, state, None)) < 1e-10
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_eval_path_builds_no_tape_and_matches_the_taped_path(self, mode, monkeypatch):
-        series, corr = _toy_subject(seed=8)
-        state = init_model(_config(gcn_out_dim=8, mode=mode, seed=21))
-        untaped = forward(series, corr, state)
-        assert not untaped.requires_grad
-        assert untaped._vjp is None and untaped._parents == ()
-        with monkeypatch.context() as patch:  # evaluate on the live parameters
-            patch.setattr(ModelState, "detached", lambda self: self)
-            taped = forward(series, corr, state)
-        assert taped.requires_grad and taped._vjp is not None
-        assert untaped.data.tobytes() == taped.data.tobytes()
-        assert all(p.requires_grad and p.grad is None for p in state.parameters())
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
