@@ -10,12 +10,11 @@ save/load round trip is bitwise exact.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from dualgraph.model import atomic_write
 
 # Unit-variance one-factor construction: signal = 0.8 * block factor
 # + 0.6 * idiosyncratic noise (0.6 = sqrt(1 - 0.8^2)), giving a true
@@ -138,20 +137,32 @@ def _check_subject_id(subject_id: str, where: str) -> None:
 def save_dataset(dataset: Dataset, directory: str) -> None:
     """Write the labels.csv + per-subject CSV layout under ``directory``.
 
-    Each file replaces any earlier one whole, so a failed save leaves no
-    half-written file.
+    Every file is first written to a temp file beside it; only once all
+    are written are they moved into place, labels.csv last. A save that
+    fails while writing leaves an earlier dataset there as it was.
     """
     for s in dataset.subjects:
         _check_subject_id(s.subject_id, directory)
     os.makedirs(directory, exist_ok=True)
-    with atomic_write(os.path.join(directory, "labels.csv")) as fh:
-        fh.write(b"subject_id,label\n")
-        for s in dataset.subjects:
-            fh.write(f"{s.subject_id},{s.label}\n".encode("utf-8"))
-    for s in dataset.subjects:
-        with atomic_write(os.path.join(directory, f"{s.subject_id}.csv")) as fh:
-            for row in s.series:
-                fh.write((_format_row(row) + "\n").encode("ascii"))
+    files = [(f"{s.subject_id}.csv", (_format_row(row) for row in s.series))
+             for s in dataset.subjects]
+    labels = [f"{s.subject_id},{s.label}" for s in dataset.subjects]
+    files.append(("labels.csv", ["subject_id,label"] + labels))
+    staged = []
+    try:
+        for name, lines in files:
+            path = os.path.join(directory, name)
+            staged.append((f"{path}.{os.getpid()}.tmp", path))
+            with open(staged[-1][0], "w", newline="") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 def load_dataset(directory: str) -> Dataset:

@@ -168,7 +168,7 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="row 3: subject id"):
             load_dataset(str(d))
 
-    def test_failed_save_leaves_every_earlier_file_whole(self, tmp_path, monkeypatch):
+    def test_failed_save_leaves_the_earlier_dataset_as_it_was(self, tmp_path, monkeypatch):
         d = tmp_path / "data"
         save_dataset(generate_synthetic(4, 8, 32, seed=1), str(d))
         earlier = {f.name: f.read_bytes() for f in d.iterdir()}
@@ -184,9 +184,11 @@ class TestDatasetIO:
         monkeypatch.setattr(preprocess_module, "_format_row", failing_format)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(generate_synthetic(4, 8, 32, seed=2), str(d))
-        assert {f.name for f in d.iterdir()} == set(earlier)  # no temp files
-        assert (d / "s0001.csv").read_bytes() == earlier["s0001.csv"]
-        assert (d / "s0000.csv").read_bytes() != earlier["s0000.csv"]
+        # Not one file of the new dataset replaced its earlier one, and no
+        # temp file is left behind.
+        assert {f.name: f.read_bytes() for f in d.iterdir()} == earlier
+        save_dataset(generate_synthetic(4, 8, 32, seed=2), str(d))
+        assert {f.name: f.read_bytes() for f in d.iterdir()} != earlier
 
     def test_save_refuses_ids_outside_the_directory(self, tmp_path):
         series = np.arange(6.0).reshape(2, 3) ** 2
