@@ -23,7 +23,10 @@ use instead, since stacking its factors would copy far more than the
 gradient holds.
 
 ReLU is ``fmax(x, 0) + 0.0``, equal to ``where(x > 0, x, 0)`` in every
-bit but free of data-dependent branches.
+bit but free of data-dependent branches. The logistic is
+``where(x >= 0, 1/(1+e), e/(1+e))`` with ``e = exp(-|x|)``: neither
+branch overflows, any shape (0-d included) goes in as is, and the
+result matches the masked two-branch form in every bit, NaNs included.
 """
 
 from __future__ import annotations
@@ -67,9 +70,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Accumulate dself/dparam into ``grad`` for every reachable tensor.
@@ -215,17 +215,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1/(1+exp(-x)), stable for large |x|."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Elementwise 1/(1+exp(-x)), stable for large |x|, any shape."""
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|); minimum keeps a NaN's sign
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = logistic(np.atleast_1d(a.data)).reshape(a.data.shape)
+    s = logistic(a.data)
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -325,7 +321,7 @@ def bce_with_logits(logit: Tensor, label) -> Tensor:
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     z = float(logit.data.reshape(()))
     in_shape = logit.data.shape
-    residual = logistic(np.asarray([z]))[0] - y
+    residual = logistic(z) - y
 
     def vjp(g: np.ndarray) -> tuple:
         return (np.full(in_shape, g * residual, dtype=np.float64),)

@@ -12,11 +12,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 from dualgraph.model import atomic_write, load_checkpoint, save_checkpoint, subject_graphs
 from dualgraph.preprocess import generate_synthetic, load_dataset, save_dataset, pearson_correlation
 from dualgraph.train import (
+    Metrics,
     TrainConfig,
     TrainingDiverged,
     load_train_config,
@@ -25,22 +26,14 @@ from dualgraph.train import (
     evaluate,
 )
 
-_METRIC_KEYS = ("f1", "sensitivity", "specificity", "auc", "tp", "fp", "tn", "fn")
 
-
-def _metrics_json(metrics) -> str:
-    data = metrics.to_dict()
-    return json.dumps({k: data[k] for k in _METRIC_KEYS}, indent=2) + "\n"
+def _metrics_json(metrics: Metrics) -> str:
+    return json.dumps(asdict(metrics), indent=2) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
     with atomic_write(path) as fh:
         fh.write(text.encode("utf-8"))
-
-
-def _artifact_paths(checkpoint_path: str) -> tuple:
-    base, _ = os.path.splitext(checkpoint_path)
-    return base + ".log.csv", base + ".metrics.json"
 
 
 def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
@@ -58,7 +51,8 @@ def cmd_train(args) -> int:
     state, metrics, log = train_model(dataset, config)
 
     save_checkpoint(state, args.out)
-    log_path, metrics_path = _artifact_paths(args.out)
+    base = os.path.splitext(args.out)[0]
+    log_path, metrics_path = base + ".log.csv", base + ".metrics.json"
     rows = [
         f"{row['epoch']},{row['train_loss']!r},{row['val_f1']!r},{row['val_loss']!r}\n"
         for row in log
@@ -91,10 +85,9 @@ def cmd_ablate(args) -> int:
     config = _apply_overrides(load_train_config(args.config), args)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     table = run_ablation(dataset, config)
-    lines = ["mode," + ",".join(_METRIC_KEYS) + "\n"]
+    lines = ["mode," + ",".join(f.name for f in fields(Metrics)) + "\n"]
     for mode, metrics in table:
-        data = metrics.to_dict()
-        lines.append(mode + "," + ",".join(repr(data[k]) for k in _METRIC_KEYS) + "\n")
+        lines.append(mode + "," + ",".join(map(repr, astuple(metrics))) + "\n")
     _write_text(args.out, "".join(lines))
     for mode, metrics in table:
         print(f"{mode:<10s} F1 {metrics.f1:.4f}  AUC {metrics.auc:.4f}")

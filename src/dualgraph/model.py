@@ -3,9 +3,9 @@
 Each subject yields two graphs over the same correlation-row node
 features. Both run through their own two-layer graph convolution with
 symmetric degree normalization (self-loops added once here, which is
-why the adjacencies arrive with zero diagonals), node embeddings are
-flattened in node order, and the concatenated branch vectors feed a
-two-layer classifier ending in a single logit.
+why the adjacencies arrive with zero diagonals); the two branches' node
+embeddings are stacked and flattened in node order, and that vector
+feeds a two-layer classifier ending in a single logit.
 
 Ablation modes rewire the forward pass: ``no_corr`` keeps only the
 sampled-graph branch, ``no_optim`` only the thresholded branch, and
@@ -132,9 +132,6 @@ class ModelState:
             + self.classifier.parameters()
         )
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def classifier_input_dim(config: ModelConfig) -> int:
     n, f = config.n_rois, config.gcn_out_dim
@@ -240,20 +237,8 @@ def gcn_forward(features, norm_adjacency: Tensor, stack: GcnStack) -> Tensor:
     return ad.relu(ad.matmul(ad.matmul(norm_adjacency, hidden), stack.w1))
 
 
-def concat_pool(node_embeddings: Tensor) -> Tensor:
-    """Flatten node embeddings row-major (node 0 first) into one vector."""
-    n, f = node_embeddings.shape
-    return ad.reshape(node_embeddings, (n * f,))
-
-
-def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None) -> Tensor:
-    """Scalar logit for one subject.
-
-    ``noise`` is a pair of standard-Gumbel matrices for the training
-    path; ``None`` selects the deterministic evaluation path, where the
-    sampled graph holds the edges with a non-negative scorer logit.
-    """
-    config = state.config
+def _check_inputs(series, corr, config: ModelConfig) -> tuple:
+    """``series`` and ``corr`` as float64 arrays of the configured geometry."""
     series = np.asarray(series, dtype=np.float64)
     corr = np.asarray(corr, dtype=np.float64)
     n = config.n_rois
@@ -264,27 +249,35 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
         )
     if corr.shape != (n, n):
         raise ValueError(f"corr shape {corr.shape} does not match {n} ROIs")
+    return series, corr
 
-    pooled = []
-    if config.mode == "no_gconv":
-        flat = concat_pool(Tensor(corr))
-        pooled = [flat, flat]
-    else:
-        if config.mode in ("full", "no_optim"):
-            filtered = build_filtered(corr, config.corr_threshold)
-            norm_f = normalize_adjacency(Tensor(filtered))
-            pooled.append(concat_pool(gcn_forward(corr, norm_f, state.filtered_gcn)))
-        if config.mode in ("full", "no_corr"):
-            logits = edge_probabilities(series, state.scorer)
-            if noise is None:
-                optimal = Tensor(harden(logits.data))
-            else:
-                optimal = gumbel_sample(logits, config.temperature, noise)
-            norm_o = normalize_adjacency(optimal)
-            pooled.append(concat_pool(gcn_forward(corr, norm_o, state.optimal_gcn)))
 
-    vector = pooled[0] if len(pooled) == 1 else ad.concat(pooled[0], pooled[1])
-    row = ad.reshape(vector, (1, vector.size))
+def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None) -> Tensor:
+    """Scalar logit for one subject.
+
+    ``noise`` is a pair of standard-Gumbel matrices for the training
+    path; ``None`` selects the deterministic evaluation path, where the
+    sampled graph holds the edges with a non-negative scorer logit.
+    """
+    config = state.config
+    series, corr = _check_inputs(series, corr, config)
+
+    # Branch outputs (n x f, thresholded first) stack, then flatten row-major.
+    branches = [Tensor(corr)] * 2 if config.mode == "no_gconv" else []
+    if config.mode in ("full", "no_optim"):
+        filtered = build_filtered(corr, config.corr_threshold)
+        norm_f = normalize_adjacency(Tensor(filtered))
+        branches.append(gcn_forward(corr, norm_f, state.filtered_gcn))
+    if config.mode in ("full", "no_corr"):
+        logits = edge_probabilities(series, state.scorer)
+        if noise is None:
+            optimal = Tensor(harden(logits.data))
+        else:
+            optimal = gumbel_sample(logits, config.temperature, noise)
+        norm_o = normalize_adjacency(optimal)
+        branches.append(gcn_forward(corr, norm_o, state.optimal_gcn))
+    stacked = branches[0] if len(branches) == 1 else ad.concat(*branches)
+    row = ad.reshape(stacked, (1, stacked.size))
     head = state.classifier
     hidden = ad.relu(ad.add(ad.matmul(row, head.w1), head.b1))
     logit = ad.add(ad.matmul(hidden, head.w2), head.b2)
@@ -297,6 +290,7 @@ def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> t
     Returns (filtered 0/1 adjacency, edge-probability matrix, hardened
     0/1 adjacency of the sampled graph).
     """
+    series, corr = _check_inputs(series, corr, state.config)
     filtered = build_filtered(corr, state.config.corr_threshold)
     logits = edge_probabilities(series, state.scorer).data
     return filtered, logistic(logits), harden(logits)

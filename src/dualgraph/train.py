@@ -12,9 +12,8 @@ run is a pure function of the dataset and configuration.
 from __future__ import annotations
 
 import json
-import numbers
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from dualgraph.model import (
     MODES,
     ModelConfig,
     ModelState,
+    _is_number,
     check_config,
     forward,
     init_model,
@@ -54,8 +54,7 @@ class TrainConfig:
     def __post_init__(self):
         check_config(self, counts=("epochs", "patience", "batch_size"))
         rate = self.learning_rate
-        valid = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
-        if not (valid and 0.0 <= rate < np.inf):
+        if not (_is_number(rate) and 0.0 <= rate < np.inf):
             raise ValueError(f"learning_rate must be finite and >= 0, got {rate!r}")
 
 
@@ -65,7 +64,10 @@ _CONFIG_FIELDS = typing.get_type_hints(TrainConfig)
 def load_train_config(path: str) -> TrainConfig:
     """Read a flat JSON object mirroring TrainConfig; unknown keys rejected."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # malformed, or nested too deeply
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     unknown = sorted(set(data) - set(_CONFIG_FIELDS))
@@ -204,6 +206,8 @@ class Adam:
 
 @dataclass
 class Metrics:
+    """Test scores; the field order is the metrics JSON and ablation column order."""
+
     f1: float
     sensitivity: float
     specificity: float
@@ -212,9 +216,6 @@ class Metrics:
     fp: int
     tn: int
     fn: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _confusion(probs: np.ndarray, labels: np.ndarray) -> tuple:
@@ -239,16 +240,12 @@ def roc_auc(probs: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: both classes must be present")
-    order = np.argsort(probs, kind="mergesort")
-    ranks = np.empty(len(probs), dtype=np.float64)
-    i = 0
-    while i < len(probs):
-        j = i
-        while j + 1 < len(probs) and probs[order[j + 1]] == probs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # 1-based midrank
-        i = j + 1
-    rank_sum = float(ranks[labels == 1].sum())
+    # Each run of tied probabilities takes the mean of its 1-based ranks.
+    _, group, counts = np.unique(
+        probs, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = float(midranks[group][labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -68,6 +68,21 @@ def normalize_dense_oracle(adjacency):
     return inv_root @ with_loops @ inv_root
 
 
+def logistic_masked(x):
+    """The two-branch logistic: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere.
+
+    Boolean masks hand each branch only the inputs it cannot overflow on.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    pos = flat >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+    ex = np.exp(flat[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out.reshape(x.shape)
+
+
 def _stable_logistic(z):
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))

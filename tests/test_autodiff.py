@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
 
-from oracles import finite_difference_gradient, max_rel_error
+from oracles import finite_difference_gradient, logistic_masked, max_rel_error
 
 GRAD_TOL = 1e-6
 
@@ -124,7 +125,69 @@ class TestRelu:
             _assert_relu_is_where(x[::2])
 
 
+_LOGISTIC_SPECIALS = _SPECIAL_FLOATS + [
+    np.copysign(np.nan, -1.0), 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    36.0, -36.0, 709.0, -709.0, 745.0, -745.0, 1e-300, -1e-300,
+]
+
+# Identity, transposed, strided and reversed views of the generated array.
+_VIEWS = [
+    lambda x: x,
+    lambda x: x.T,
+    lambda x: np.atleast_1d(x)[::2],
+    lambda x: np.atleast_1d(x)[..., ::-1],
+    lambda x: np.stack([x, x]).T,
+]
+
+
+def _assert_same_bits(ours, expected):
+    ours, expected = np.asarray(ours), np.asarray(expected)
+    assert ours.shape == expected.shape
+    assert ours.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(ours).view(np.uint64),
+        np.ascontiguousarray(expected).view(np.uint64),
+    )
+
+
+class TestLogistic:
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, max_side=7),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(-1e308, 1e308),
+                st.sampled_from(_LOGISTIC_SPECIALS),
+            ),
+        ),
+        st.sampled_from(_VIEWS),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_masked_form_bit_for_bit(self, base, view):
+        x = view(base)
+        with np.errstate(invalid="ignore"):
+            _assert_same_bits(ad.logistic(x), logistic_masked(x))
+
+    def test_special_values_one_at_a_time_and_together(self):
+        values = np.array(_LOGISTIC_SPECIALS)
+        _assert_same_bits(ad.logistic(values), logistic_masked(values))
+        for v in values:
+            _assert_same_bits(ad.logistic(np.asarray(v)), logistic_masked(np.asarray(v)))
+
+
 class TestSigmoid:
+    def test_zero_dimensional_input(self):
+        for v in _LOGISTIC_SPECIALS:
+            if np.isnan(v):
+                continue
+            x = Tensor(np.asarray(v), requires_grad=True)
+            out = ad.sigmoid(x)
+            _assert_same_bits(out.data, logistic_masked(np.asarray(v)))
+            out.backward()
+            s = float(out.data)
+            assert x.grad.shape == () and float(x.grad) == s * (1.0 - s)
+
     def test_symmetry_point(self):
         assert ad.sigmoid(Tensor(np.array(0.0))).data == 0.5
 
@@ -236,6 +299,16 @@ class TestBceWithLogits:
         ad.bce_with_logits(z, 1).backward()
         expected = 1.0 / (1.0 + np.exp(-0.3)) - 1.0
         assert abs(float(z.grad) - expected) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_gradient_is_the_masked_logistic_minus_label(self, shape):
+        for z in (0.0, -0.0, 5e-324, -1e-300, 0.3, -36.0, 745.0, -1e308, 1e308):
+            for y in (0, 1):
+                logit = Tensor(np.full(shape, z), requires_grad=True)
+                ad.bce_with_logits(logit, y).backward()
+                assert logit.grad.shape == shape
+                expected = np.full(shape, logistic_masked(np.asarray(z)) - y)
+                _assert_same_bits(logit.grad, expected)
 
     def test_rejects_non_binary_label(self):
         with pytest.raises(ValueError, match="label"):

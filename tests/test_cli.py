@@ -124,6 +124,16 @@ class TestTrainCommand:
         assert "learning_rte" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_deeply_nested_config_exits_2_naming_the_file(self, workspace, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "out" / "x.ckpt"
+        code = main([command, "--data", str(workspace["data"]), "--config", str(deep), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(deep) in err and "recursion" in err and "Traceback" not in err
+
     def test_divergence_exits_3(self, workspace, capsys):
         bad = workspace["root"] / "diverge.json"
         config = dict(CONFIG)
@@ -457,6 +467,28 @@ class TestInspectCommand:
         )
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_mismatched_dataset_exits_2_naming_the_shapes(self, workspace, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(["synth", "--out", str(other), "--subjects", "4", "--rois", "10", "--steps", "32"]) == 0
+        out = tmp_path / "graphs"
+        code = main(
+            [
+                "inspect",
+                "--model",
+                str(workspace["ckpt"]),
+                "--data",
+                str(other),
+                "--subject",
+                "s0000",
+                "--out",
+                str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "(10, 32)" in err and "(8, 32)" in err
+        assert not out.exists()
 
     def test_bad_top_percent_exits_2(self, workspace):
         for pct in ("0", "101", "-5"):

@@ -1,4 +1,4 @@
-"""Graph convolution, pooling, composed forward, and checkpoint tests."""
+"""Graph convolution, composed forward in every mode, and checkpoint tests."""
 
 import dataclasses
 import json
@@ -13,10 +13,10 @@ from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
 from dualgraph.graphgen import edge_probabilities, sample_gumbel_noise
 from dualgraph.model import (
+    MODES,
     GcnStack,
     ModelConfig,
     classifier_input_dim,
-    concat_pool,
     forward,
     gcn_forward,
     init_model,
@@ -151,29 +151,14 @@ class TestGcnForward:
             gcn_forward(np.ones((4, 5)), Tensor(np.eye(4)), stack)
 
 
-class TestConcatPool:
-    def test_definition(self):
-        out = concat_pool(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])))
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0, 4.0])
-
-    def test_length_law(self):
-        rng = np.random.default_rng(16)
-        for n, f in [(2, 3), (5, 1), (4, 7)]:
-            out = concat_pool(Tensor(rng.standard_normal((n, f))))
-            assert out.shape == (n * f,)
-
-    def test_unflatten_round_trip(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((3, 5))
-        flat = concat_pool(Tensor(m)).data
-        np.testing.assert_array_equal(flat.reshape(3, 5), m)
-
-
 def _forward_oracle(series, corr, state, noise):
-    """Straight-line numpy re-implementation of the full-mode composition.
+    """Straight-line numpy re-implementation of the composition in every mode.
 
     ``noise=None`` builds the evaluation graph: the edges whose scorer
-    logit is at least zero.
+    logit is at least zero. Each branch's n x f embedding is flattened
+    on its own, node 0 first, and the vectors are joined thresholded
+    branch first; ``no_gconv`` puts the flattened correlations in both
+    slots.
     """
     p = {name: t.data for (name, _), t in zip(parameter_shapes(state.config), state.parameters())}
     cfg = state.config
@@ -217,9 +202,15 @@ def _forward_oracle(series, corr, state, noise):
             z = (logits[i, j] + noise[0][i, j] - noise[1][i, j]) / cfg.temperature
             soft[i, j] = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
 
-    z_f = gcn(norm(a_filt), p["filtered_gcn.w0"], p["filtered_gcn.w1"]).reshape(-1)
-    z_o = gcn(norm(soft), p["optimal_gcn.w0"], p["optimal_gcn.w1"]).reshape(-1)
-    vec = np.concatenate([z_f, z_o])
+    if cfg.mode == "no_gconv":
+        parts = [corr.reshape(-1), corr.reshape(-1)]
+    else:
+        parts = []
+        if cfg.mode in ("full", "no_optim"):
+            parts.append(gcn(norm(a_filt), p["filtered_gcn.w0"], p["filtered_gcn.w1"]).reshape(-1))
+        if cfg.mode in ("full", "no_corr"):
+            parts.append(gcn(norm(soft), p["optimal_gcn.w0"], p["optimal_gcn.w1"]).reshape(-1))
+    vec = np.concatenate(parts)
     hidden = np.maximum(vec @ p["classifier.w1"] + p["classifier.b1"], 0.0)
     return float((hidden @ p["classifier.w2"])[0] + p["classifier.b2"][0])
 
@@ -258,6 +249,17 @@ class TestForward:
         assert 0 < hard.sum() < 6 * 5
         ours = float(forward(series, corr, state).data)
         assert abs(ours - _forward_oracle(series, corr, state, None)) < 1e-10
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_matches_straight_line_oracle(self, mode, training):
+        series, corr = _toy_subject(seed=8)
+        state = init_model(_config(mode=mode, seed=21))
+        logits = edge_probabilities(series, state.scorer).data
+        state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
+        noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
+        ours = float(forward(series, corr, state, noise=noise).data)
+        assert abs(ours - _forward_oracle(series, corr, state, noise)) < 1e-10
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
@@ -317,7 +319,7 @@ class TestForward:
         # two GCN stacks: 2 * (8*8 + 8*4) = 192
         # classifier on 2*8*4 = 64 inputs: 64*8 + 8 + 8*1 + 1 = 529
         assert parameter_count(config) == 409 + 192 + 529
-        assert init_model(config).parameter_count() == 409 + 192 + 529
+        assert sum(p.size for p in init_model(config).parameters()) == 409 + 192 + 529
 
 
 def _spy_on_outputs(monkeypatch, names):
@@ -392,6 +394,15 @@ class TestSubjectGraphs:
         assert np.all((hard == 0) | (hard == 1))
         assert np.all((theta > 0) & (theta < 1))
         assert np.all(np.diag(filtered) == 0) and np.all(np.diag(hard) == 0)
+
+    def test_rejects_inputs_the_model_was_not_built_for(self):
+        series, corr = _toy_subject(seed=6, n=8)
+        state = init_model(_config(seed=2))  # 6 ROIs
+        with pytest.raises(ValueError, match=r"series shape \(8, 16\).*\(6, 16\)"):
+            subject_graphs(series, corr, state)
+        series, corr = _toy_subject(seed=6)
+        with pytest.raises(ValueError, match=r"corr shape \(5, 5\)"):
+            subject_graphs(series, corr[:5, :5], state)
 
     def test_hard_graph_is_theta_threshold_off_diagonal(self):
         series, corr = _toy_subject(seed=7)
@@ -646,4 +657,4 @@ class TestModelConfigValidation:
 
     def test_accepts_numpy_scalars(self):
         config = _config(n_rois=np.int64(6), temperature=np.float64(0.5))
-        assert init_model(config).parameter_count() == parameter_count(config)
+        assert sum(p.size for p in init_model(config).parameters()) == parameter_count(config)

@@ -224,7 +224,7 @@ class TestMetrics:
 
     def test_metrics_dict_key_order(self):
         m = Metrics(1.0, 1.0, 1.0, 1.0, 1, 0, 1, 0)
-        assert list(m.to_dict()) == [
+        assert list(dataclasses.asdict(m)) == [
             "f1",
             "sensitivity",
             "specificity",
