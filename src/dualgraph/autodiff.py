@@ -2,9 +2,10 @@
 
 Covers exactly the operations the dual-graph classifier needs: matrix
 products, elementwise add/mul/scale, ReLU/sigmoid/power, transpose,
-reshape, concatenation, row slices and ordered pair sums (for factored
-pairwise edge features), sum reductions, and a numerically stable binary
-cross-entropy on a single logit.
+reshape, concatenation, sum reductions, a numerically stable binary
+cross-entropy on a single logit, and the edge scorer's pair MLP as one
+op, ``pair_logits``, which keeps only its inputs on the tape and
+recomputes its (n*n, h) hidden layer in backward.
 
 Gradients accumulate into ``Tensor.grad``; each ``backward()`` call adds
 one full pass worth of gradient, so calling it twice without zeroing
@@ -17,16 +18,16 @@ smaller than the gradient, ``rows * (in + out) < in * out``, the VJP
 returns the factors; ``backward`` stacks every such contribution to the
 weight over the whole tape (a mini-batch of subjects, say) and forms
 the gradient with one product. That serves a wide weight fed one row
-at a time, like the classifier head's first layer. A narrow weight fed
-many rows, like the edge scorer's output layer, gets ``a.T @ g`` per
-use instead, since stacking its factors would copy far more than the
-gradient holds.
+at a time, like the classifier head's first layer. Any other weight,
+like a GCN's first layer, gets ``a.T @ g`` per use instead, since
+stacking its factors would copy more than the gradient holds.
 
 ReLU is ``fmax(x, 0) + 0.0``, equal to ``where(x > 0, x, 0)`` in every
 bit but free of data-dependent branches. The logistic is
-``where(x >= 0, 1/(1+e), e/(1+e))`` with ``e = exp(-|x|)``: neither
-branch overflows, any shape (0-d included) goes in as is, and the
-result matches the masked two-branch form in every bit, NaNs included.
+``where(x >= 0, 1/(1+e), e/(1+e))`` with ``e = exp(min(x, -x))``, not
+``exp(-|x|)``, since ``-|NaN|`` flips a NaN's sign: neither branch
+overflows, any shape (0-d included) goes in as is, and the result
+matches the masked two-branch form in every bit, NaNs included.
 """
 
 from __future__ import annotations
@@ -270,37 +271,43 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start`` to ``stop - 1`` of a matrix; zero gradient elsewhere."""
-    shape = a.data.shape
+def pair_logits(embed: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Pair MLP logits for every ordered row pair of ``embed``: (n, d) -> (n, n).
 
-    def vjp(g: np.ndarray) -> tuple:
-        full = np.zeros(shape, dtype=np.float64)
-        full[start:stop] = g
-        return (full,)
-
-    return _make(a.data[start:stop].copy(), (a,), vjp)
-
-
-def pair_sum(left: Tensor, right: Tensor) -> Tensor:
-    """Every ordered row pair summed: (m, d), (k, d) -> (m*k, d).
-
-    Row ``i*k + j`` holds ``left[i] + right[j]``. With ``left = E @ W_top``
-    and ``right = E @ W_bottom`` this equals the pair features
-    ``concat(E[i], E[j]) @ W`` without forming the concatenated pairs.
+    Entry (i, j) is ``relu(concat(E[i], E[j]) @ w1 + b1) @ w2 + b2``, the
+    first layer factored as ``E[i] @ w1[:d] + b1 + E[j] @ w1[d:]``. Only
+    the inputs go on the tape; the VJP recomputes the (n*n, h) hidden
+    layer from the live parameter arrays, which is sound because the
+    optimizer steps only after ``backward`` returns (``matmul``'s VJP
+    relies on that too).
     """
-    if left.data.ndim != 2 or right.data.ndim != 2 or left.shape[1] != right.shape[1]:
-        raise ValueError(
-            f"pair_sum: incompatible shapes {left.data.shape} and {right.data.shape}"
-        )
-    (m, d), k = left.data.shape, right.data.shape[0]
-    out = (left.data[:, None, :] + right.data[None, :, :]).reshape(m * k, d)
+    ed, w1d, b1d, w2d, b2d = embed.data, w1.data, b1.data, w2.data, b2.data
+    shapes, h = [x.shape for x in (ed, w1d, b1d, w2d, b2d)], b1d.size
+    if ed.ndim != 2 or shapes[1:] != [(2 * shapes[0][1], h), (h,), (h, 1), (1,)]:
+        raise ValueError(f"pair_logits: incompatible shapes {shapes}")
+    n, d = ed.shape
+
+    def pre_activation() -> np.ndarray:  # row i*n + j: pair (i, j)
+        left, right = ed @ w1d[:d] + b1d, ed @ w1d[d:]
+        return (left[:, None] + right[None]).reshape(n * n, h)
+
+    def relu_in_place(x: np.ndarray) -> np.ndarray:  # ``relu``'s bits
+        return np.add(np.fmax(x, 0.0, out=x), 0.0, out=x)
 
     def vjp(g: np.ndarray) -> tuple:
-        g3 = g.reshape(m, k, d)
-        return g3.sum(axis=1), g3.sum(axis=0)
+        g, pre = g.reshape(n * n, 1), pre_activation()
+        mask = pre > 0
+        gw2 = relu_in_place(pre).T @ g
+        g_pre = g @ w2d.T
+        g_pre *= mask
+        g3 = g_pre.reshape(n, n, h)
+        g_left, g_right = g3.sum(axis=1), g3.sum(axis=0)
+        ge = g_left @ w1d[:d].T + g_right @ w1d[d:].T
+        gw1 = np.concatenate((ed.T @ g_left, ed.T @ g_right))
+        return ge, gw1, g_left.sum(axis=0), gw2, g.sum(axis=0)
 
-    return _make(out, (left, right), vjp)
+    out = (relu_in_place(pre_activation()) @ w2d + b2d).reshape(n, n)
+    return _make(out, (embed, w1, b1, w2, b2), vjp)
 
 
 def bce_value(logit: float, label) -> float:

@@ -40,8 +40,7 @@ class EdgeScorer:
     Each node's length-T signal maps to an embedding through one
     ReLU layer; ordered pair embeddings are concatenated and scored by
     a two-layer MLP ending in one logit, so the resulting matrix is
-    generally asymmetric (directed edges). The first MLP layer is
-    computed in factored form, one half of ``pair_w1`` per endpoint.
+    generally asymmetric (directed edges).
     """
 
     extract_w: Tensor  # T x d
@@ -83,15 +82,8 @@ def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
         )
     signals = Tensor(series)
     embed = ad.relu(ad.add(ad.matmul(signals, scorer.extract_w), scorer.extract_b))
-    # concat(E[i], E[j]) @ W1 == E[i] @ W1[:d] + E[j] @ W1[d:], so the
-    # first pair layer is two n x d products joined by pair_sum.
-    d = embed.shape[1]
-    w1 = scorer.pair_w1
-    left = ad.add(ad.matmul(embed, ad.row_slice(w1, 0, d)), scorer.pair_b1)
-    right = ad.matmul(embed, ad.row_slice(w1, d, 2 * d))
-    hidden = ad.relu(ad.pair_sum(left, right))  # row i*n + j: pair (i, j)
-    logits = ad.add(ad.matmul(hidden, scorer.pair_w2), scorer.pair_b2)
-    return ad.reshape(logits, (n, n))
+    w1, b1, w2, b2 = scorer.pair_w1, scorer.pair_b1, scorer.pair_w2, scorer.pair_b2
+    return ad.pair_logits(embed, w1, b1, w2, b2)
 
 
 def sample_gumbel_noise(rng: np.random.Generator, n: int) -> tuple:

@@ -126,6 +126,41 @@ def edge_probabilities_double_loop(series, extract_w, extract_b, pair_w1, pair_b
     return logits
 
 
+def pair_logits_unfused(embed, w1, b1, w2, b2, g):
+    """The edge scorer's pair MLP as separate numpy steps, forward and backward.
+
+    The steps and their arithmetic are those of the composite the fused
+    ``pair_logits`` op replaced: two products with copied halves of
+    ``w1``, every ordered pair's sum of rows, ReLU, the output product and
+    its bias, then the reverse of each. ``pair_w1``'s gradient is the sum
+    of two zero-padded halves. Returns the (n, n) logits and the
+    gradients of ``sum(g * logits)`` with respect to the five inputs.
+    """
+    n, d = embed.shape
+    top, bottom = w1[:d].copy(), w1[d:].copy()
+    left = embed @ top + b1
+    right = embed @ bottom
+    pre = np.repeat(left, n, axis=0) + np.tile(right, (n, 1))  # row i*n + j
+    hidden = np.where(pre > 0, pre, 0.0)
+    logits = (hidden @ w2 + b2).reshape(n, n)
+
+    g_out = g.reshape(n * n, 1)
+    g_pre = (g_out @ w2.T) * (pre > 0)
+    g3 = g_pre.reshape(n, n, -1)
+    g_left, g_right = g3.sum(axis=1), g3.sum(axis=0)
+    w1_top, w1_bottom = np.zeros_like(w1), np.zeros_like(w1)
+    w1_top[:d] = embed.T @ g_left
+    w1_bottom[d:] = embed.T @ g_right
+    grads = [
+        g_left @ top.T + g_right @ bottom.T,
+        w1_top + w1_bottom,
+        g_left.sum(axis=0),
+        hidden.T @ g_out,
+        g_out.sum(axis=0),
+    ]
+    return logits, grads
+
+
 def harden_double_loop(logits):
     n, m = logits.shape
     out = np.zeros((n, m))

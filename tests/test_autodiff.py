@@ -1,5 +1,7 @@
 """Unit and gradient checks for the reverse-mode engine."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,12 @@ from hypothesis.extra import numpy as hnp
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
 
-from oracles import finite_difference_gradient, logistic_masked, max_rel_error
+from oracles import (
+    finite_difference_gradient,
+    logistic_masked,
+    max_rel_error,
+    pair_logits_unfused,
+)
 
 GRAD_TOL = 1e-6
 
@@ -233,39 +240,56 @@ class TestConcat:
             ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
-class TestPairSum:
-    def test_layout_matches_repeat_plus_tile(self):
-        rng = np.random.default_rng(17)
-        left, right = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
-        out = ad.pair_sum(Tensor(left), Tensor(right)).data
-        expected = np.repeat(left, 5, axis=0) + np.tile(right, (3, 1))
-        np.testing.assert_array_equal(out, expected)
-        np.testing.assert_array_equal(out[1 * 5 + 2], left[1] + right[2])
+def _pair_mlp(rng, n, d, h, b1_shift=0.0):
+    """Random (embed, w1, b1, w2, b2); embed is a ReLU output, zeros included."""
+    embed = np.maximum(rng.standard_normal((n, d)), 0.0)
+    w1 = rng.standard_normal((2 * d, h)) * 0.5
+    b1 = rng.standard_normal(h) * 0.5 + b1_shift
+    return [embed, w1, b1, rng.standard_normal((h, 1)), rng.standard_normal(1)]
 
-    def test_gradient(self):
+
+class TestPairLogits:
+    @pytest.mark.parametrize(
+        "n,d,h,b1_shift",
+        [(1, 3, 3, 0.0), (2, 2, 5, 0.0), (6, 4, 4, 0.0), (7, 3, 6, 0.0), (5, 4, 4, -100.0)],
+    )
+    def test_equals_the_unfused_composite_exactly(self, n, d, h, b1_shift):
+        rng = np.random.default_rng(17 + n)
+        arrays = _pair_mlp(rng, n, d, h, b1_shift)
+        g = rng.standard_normal((n, n))
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = ad.pair_logits(*tensors)
+        ad.sum_all(ad.mul(out, Tensor(g))).backward()
+        logits, grads = pair_logits_unfused(*arrays, g)
+        np.testing.assert_array_equal(out.data, logits)
+        for t, expected in zip(tensors, grads):
+            assert t.grad.shape == t.data.shape
+            np.testing.assert_array_equal(t.grad, expected)
+        if b1_shift < 0:  # every hidden unit dead: only pair_b2 learns
+            np.testing.assert_array_equal(out.data, np.full((n, n), arrays[4][0]))
+            for t in tensors[:4]:
+                assert not t.grad.any()
+            np.testing.assert_array_equal(tensors[4].grad, [g.sum()])
+
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
-        left, right = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
-        _check_gradients(
-            lambda ts: ad.sum_all(ad.sigmoid(ad.pair_sum(ts[0], ts[1]))), [left, right]
-        )
+        arrays = _pair_mlp(rng, 4, 3, 5)
+        arrays[0] = rng.standard_normal((4, 3))  # no ReLU zeros: every entry moves
+        _check_gradients(lambda ts: ad.sum_all(ad.sigmoid(ad.pair_logits(*ts))), arrays)
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="pair_sum"):
-            ad.pair_sum(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
-
-
-class TestRowSlice:
-    def test_values(self):
-        m = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(ad.row_slice(Tensor(m), 1, 3).data, m[1:3])
-
-    def test_gradient_is_zero_outside_the_slice(self):
-        rng = np.random.default_rng(23)
-        x = rng.standard_normal((5, 2))
-        _check_gradients(lambda ts: ad.sum_all(ad.sigmoid(ad.row_slice(ts[0], 1, 3))), [x])
-        w = Tensor(x, requires_grad=True)
-        ad.sum_all(ad.row_slice(w, 1, 3)).backward()
-        np.testing.assert_array_equal(w.grad, [[0, 0], [1, 1], [1, 1], [0, 0], [0, 0]])
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(3,), (2, 2), (2,), (2, 1), (1,)],
+            [(3, 2), (3, 2), (2,), (2, 1), (1,)],
+            [(3, 1), (2, 2), (3,), (2, 1), (1,)],
+            [(3, 1), (2, 2), (2,), (2, 2), (1,)],
+            [(3, 1), (2, 2), (2,), (2, 1), (2,)],
+        ],
+    )
+    def test_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(ValueError, match="pair_logits"):
+            ad.pair_logits(*[Tensor(np.zeros(s)) for s in shapes])
 
 
 class TestBceWithLogits:
@@ -480,6 +504,8 @@ class TestEngineInvariants:
         ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
         pos = Tensor(np.abs(a.copy()) + 1.0, requires_grad=True)
         pos_backup = pos.data.copy()
+        mlp = [Tensor(x, requires_grad=True) for x in _pair_mlp(rng, 3, 3, 3)[1:]]
+        mlp_backup = [t.data.copy() for t in mlp]
         for out in [
             ad.add(ta, tb),
             ad.mul(ta, tb),
@@ -489,14 +515,32 @@ class TestEngineInvariants:
             ad.transpose(ta),
             ad.reshape(ta, (9,)),
             ad.concat(ta, tb),
-            ad.pair_sum(ta, tb),
-            ad.row_slice(ta, 1, 3),
+            ad.pair_logits(ta, *mlp),
             ad.power(pos, -0.5),
         ]:
             out.data[...] = -999.0  # mutating outputs must not leak into inputs
+        ad.sum_all(ad.pair_logits(ta, *mlp)).backward()  # its VJP works in place
         np.testing.assert_array_equal(ta.data, a)
         np.testing.assert_array_equal(tb.data, b)
         np.testing.assert_array_equal(pos.data, pos_backup)
+        for t, backup in zip(mlp, mlp_backup):
+            np.testing.assert_array_equal(t.data, backup)
+
+    def test_tensor_returning_functions_are_exactly_the_ops(self):
+        # The benchmark's tracer counts, times and tags as an op every
+        # public function of the module annotated to return a Tensor.
+        ops = {
+            name
+            for name, fn in vars(ad).items()
+            if inspect.isfunction(fn)
+            and not name.startswith("_")
+            and fn.__module__ == ad.__name__
+            and inspect.signature(fn).return_annotation in ("Tensor", Tensor)
+        }
+        assert ops == {
+            "add", "mul", "scale", "matmul", "transpose", "relu", "sigmoid", "power",
+            "sum_all", "row_sum", "reshape", "concat", "pair_logits", "bce_with_logits",
+        }
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(47)

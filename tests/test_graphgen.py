@@ -161,7 +161,7 @@ class TestEdgeProbabilities:
         series = rng.standard_normal((4, 10))
         ad.sum_all(ad.sigmoid(edge_probabilities(series, scorer))).backward()
         params = scorer.parameters()
-        for index in (2, 3):  # pair_w1, pair_b1
+        for index in (2, 3, 4, 5):  # pair_w1, pair_b1, pair_w2, pair_b2
 
             def value(arrays):
                 trial = [Tensor(p.data) for p in params]

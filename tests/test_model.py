@@ -322,12 +322,14 @@ class TestForward:
         assert sum(p.size for p in init_model(config).parameters()) == 409 + 192 + 529
 
 
-def _spy_on_outputs(monkeypatch, names):
+def _spy_on_outputs(monkeypatch, names, gradients_of=()):
     """Record the products and concatenations that outputs of ``ad.<name>`` enter.
 
     Each output's array becomes an ``np.ndarray`` subclass view; a
     concatenation of such views is one too, so the product formed from
-    it is recorded as well.
+    it is recorded as well. For the ops in ``gradients_of``, the gradient
+    each output's VJP receives is such a view, so the products that VJP
+    forms from it are recorded too.
     """
     events = []
 
@@ -343,16 +345,19 @@ def _spy_on_outputs(monkeypatch, names):
             events.append(("concatenate", [np.shape(x) for x in args[0]]))
             return np.concatenate([np.asarray(x) for x in args[0]], **kwargs).view(Spy)
 
-    def spied(op):
+    def spied(op, spy_gradient):
         def wrapped(*args, **kwargs):
             out = op(*args, **kwargs)
             out.data = out.data.view(Spy)
+            vjp = out._vjp
+            if spy_gradient and vjp is not None:
+                out._vjp = lambda g: vjp(g.view(Spy))
             return out
 
         return wrapped
 
     for name in names:
-        monkeypatch.setattr(ad, name, spied(getattr(ad, name)))
+        monkeypatch.setattr(ad, name, spied(getattr(ad, name), name in gradients_of))
     return events
 
 
@@ -360,10 +365,12 @@ class TestWeightGradientStacking:
     def test_only_the_wide_head_weight_is_stacked(self, monkeypatch):
         n, d, f, hc, batch = 6, 4, 8, 4, 3
         state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
-        # relu outputs include the scorer's pair activations, pair_w2's
-        # left operand; reshape outputs include the head's input row,
-        # classifier.w1's left operand.
-        events = _spy_on_outputs(monkeypatch, ["relu", "reshape"])
+        # The gradient pair_logits' VJP receives is pair_w2's right factor;
+        # reshape outputs include the head's input row, classifier.w1's
+        # left operand.
+        events = _spy_on_outputs(
+            monkeypatch, ["pair_logits", "reshape"], gradients_of=["pair_logits"]
+        )
         rng = np.random.default_rng(7)
         loss = None
         for seed in range(batch):
@@ -376,13 +383,43 @@ class TestWeightGradientStacking:
         width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
         concats = [shapes for kind, shapes in events if kind == "concatenate"]
         products = [shapes for kind, shapes in events if kind == "matmul"]
-        assert not any((n * n, d) in shapes for shapes in concats)
+        assert not any(shape[0] == n * n for shapes in concats for shape in shapes)
         assert products.count([(d, n * n), (n * n, 1)]) == batch  # pair_w2, per use
         assert concats.count([(1, width)] * batch) == 1
         assert products.count([(width, batch), (batch, hc)]) == 1  # classifier.w1
         assert products.count([(width, 1), (1, hc)]) == 0
         assert state.scorer.pair_w2.grad.shape == (d, 1)
         assert state.classifier.w1.grad.shape == (width, hc)
+
+
+def _reachable(root):
+    """Every tensor the backward pass from ``root`` can reach, ``root`` included."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
+
+
+class TestTapeMemory:
+    def test_a_training_subject_keeps_no_pair_sized_activation(self):
+        n, d = 12, 8
+        config = _config(n_rois=n, extractor_dim=d, gcn_hidden_dim=8, gcn_out_dim=8)
+        state = init_model(config)
+        series, corr = _toy_subject(seed=3, n=n)
+        noise = sample_gumbel_noise(np.random.default_rng(0), n)
+        loss = ad.bce_with_logits(forward(series, corr, state, noise=noise), 1)
+        kept = []  # each tensor's data and the arrays its VJP captured
+        for node in _reachable(loss):
+            cells = node._vjp.__closure__ if node._vjp is not None else None
+            kept += [node.data] + [c.cell_contents for c in cells or ()]
+        sizes = [x.size for x in kept if isinstance(x, np.ndarray)]
+        assert n * n in sizes  # the tape does reach the (n, n) edge logits
+        assert n * n * d not in sizes
+        scorer = _reachable(edge_probabilities(series, state.scorer))
+        assert sum(node._vjp is not None for node in scorer) <= 5
 
 
 class TestSubjectGraphs:

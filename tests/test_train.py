@@ -372,6 +372,18 @@ class TestTrainingLoop:
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
 
+    def test_one_update_reaches_every_sampled_branch_weight(self):
+        # At GCN output width 8 the sampled branch is alive at init, so
+        # the fused pair MLP's VJP must hand every scorer parameter, and
+        # the optimal GCN behind it both weights, a non-zero gradient.
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, corrs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        train_module._batch_update(state, ds, corrs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        params = state.scorer.parameters() + state.optimal_gcn.parameters()
+        names = ["extract_w", "extract_b", "pair_w1", "pair_b1", "pair_w2", "pair_b2", "w0", "w1"]
+        for name, param in zip(names, params):
+            assert param.grad is not None and np.any(param.grad != 0), name
+
     def test_log_structure_and_early_stop_bound(self):
         ds = generate_synthetic(12, 8, 32, seed=7)
         config = _small_config(epochs=4)
