@@ -108,10 +108,8 @@ def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
             f"logits and noise must all be ({n}, {n}); got {logits.shape}, "
             f"{np.shape(g1)}, {np.shape(g2)}"
         )
-    delta = Tensor(np.asarray(g1, dtype=np.float64) - np.asarray(g2, dtype=np.float64))
-    relaxed = ad.sigmoid(ad.scale(ad.add(logits, delta), 1.0 / tau))
-    off_diagonal = Tensor(1.0 - np.eye(n))
-    return ad.mul(relaxed, off_diagonal)
+    delta = np.asarray(g1, dtype=np.float64) - np.asarray(g2, dtype=np.float64)
+    return ad.gumbel_relax(logits, delta, tau)
 
 
 def harden(logits: np.ndarray) -> np.ndarray:

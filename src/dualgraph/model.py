@@ -208,15 +208,9 @@ def normalize_adjacency(adjacency) -> Tensor:
     """
     if not isinstance(adjacency, Tensor):
         adjacency = Tensor(np.asarray(adjacency, dtype=np.float64))
-    n = adjacency.shape[0]
-    if adjacency.shape != (n, n):
-        raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-    if np.any(adjacency.data < 0):
+    if (adjacency.data < 0).any():
         raise ValueError("adjacency entries must be non-negative")
-    with_loops = ad.add(adjacency, Tensor(np.eye(n)))
-    inv_sqrt_deg = ad.power(ad.row_sum(with_loops), -0.5)  # (n, 1)
-    scaling = ad.matmul(inv_sqrt_deg, ad.transpose(inv_sqrt_deg))
-    return ad.mul(with_loops, scaling)
+    return ad.adjacency_norm(adjacency)
 
 
 def gcn_forward(features, norm_adjacency: Tensor, stack: GcnStack) -> Tensor:
@@ -233,8 +227,8 @@ def gcn_forward(features, norm_adjacency: Tensor, stack: GcnStack) -> Tensor:
             f"features width {features.shape[1]} does not match weight "
             f"input {stack.w0.shape[0]}"
         )
-    hidden = ad.relu(ad.matmul(ad.matmul(norm_adjacency, features), stack.w0))
-    return ad.relu(ad.matmul(ad.matmul(norm_adjacency, hidden), stack.w1))
+    hidden = ad.graph_conv(norm_adjacency, features, stack.w0)
+    return ad.graph_conv(norm_adjacency, hidden, stack.w1)
 
 
 def _check_inputs(series, corr, config: ModelConfig) -> tuple:
@@ -277,11 +271,8 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
         norm_o = normalize_adjacency(optimal)
         branches.append(gcn_forward(corr, norm_o, state.optimal_gcn))
     stacked = branches[0] if len(branches) == 1 else ad.concat(*branches)
-    row = ad.reshape(stacked, (1, stacked.size))
     head = state.classifier
-    hidden = ad.relu(ad.add(ad.matmul(row, head.w1), head.b1))
-    logit = ad.add(ad.matmul(hidden, head.w2), head.b2)
-    return ad.reshape(logit, ())
+    return ad.classifier_head(stacked, head.w1, head.b1, head.w2, head.b2)
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

@@ -206,7 +206,7 @@ def load_dataset(directory: str) -> Dataset:
                 if not line:
                     continue
                 try:
-                    row = [float(v) for v in line.split(",")]
+                    row = np.array(line.split(","), dtype=np.float64)
                 except ValueError as exc:
                     raise ValueError(f"{path}: row {lineno}: {exc}") from None
                 if rows and len(row) != len(rows[0]):

@@ -3,12 +3,17 @@
 Everything here is deliberately dumb: explicit loops, textbook
 formulas, and scalar math. None of it touches the autodiff engine or
 the library's own vectorized paths, so agreement is evidence rather
-than tautology.
+than tautology. The one exception is the composite layer references at
+the end, which chain the engine's primitive ops on purpose: they are the
+op-by-op forms that the fused layer ops must match bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from dualgraph import autodiff as ad
+from dualgraph.autodiff import Tensor
 
 
 def finite_difference_gradient(f, arrays, index, eps=1e-5):
@@ -218,3 +223,41 @@ def adam_out_of_place(params, grads_by_step, learning_rate, beta1=0.9, beta2=0.9
             v_hat = v[i] / (1.0 - beta2**t)
             params[i] = params[i] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+def adjacency_norm_composite(adjacency):
+    """``ad.adjacency_norm`` as primitive ops: add I, row sums, power, outer product."""
+    n = adjacency.shape[0]
+    with_loops = ad.add(adjacency, Tensor(np.eye(n)))
+    inv_sqrt_deg = ad.power(ad.row_sum(with_loops), -0.5)  # (n, 1)
+    scaling = ad.matmul(inv_sqrt_deg, ad.transpose(inv_sqrt_deg))
+    return ad.mul(with_loops, scaling)
+
+
+def graph_conv_composite(adjacency, features, weight):
+    """``ad.graph_conv`` as primitive ops: two products, then ReLU."""
+    return ad.relu(ad.matmul(ad.matmul(adjacency, features), weight))
+
+
+def gumbel_relax_composite(logits, delta, tau):
+    """``ad.gumbel_relax`` as primitive ops: add, scale, sigmoid, off-diagonal mask."""
+    relaxed = ad.sigmoid(ad.scale(ad.add(logits, Tensor(delta)), 1.0 / tau))
+    return ad.mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
+
+
+def classifier_head_composite(x, w1, b1, w2, b2):
+    """``ad.classifier_head`` as primitive ops: copy out the rows, affine, ReLU, affine."""
+    d = w1.shape[0]
+    axes = next(k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d)
+    rows = ad.reshape(x, (x.size // d, d))
+    hidden = ad.relu(ad.add(ad.matmul(rows, w1), b1))
+    logit = ad.add(ad.matmul(hidden, w2), b2)
+    return ad.reshape(logit, x.shape[:-axes])
+
+
+LAYER_OP_COMPOSITES = {
+    "adjacency_norm": adjacency_norm_composite,
+    "graph_conv": graph_conv_composite,
+    "gumbel_relax": gumbel_relax_composite,
+    "classifier_head": classifier_head_composite,
+}

@@ -11,6 +11,7 @@ from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
 
 from oracles import (
+    LAYER_OP_COMPOSITES,
     finite_difference_gradient,
     logistic_masked,
     max_rel_error,
@@ -292,6 +293,173 @@ class TestPairLogits:
             ad.pair_logits(*[Tensor(np.zeros(s)) for s in shapes])
 
 
+def _layer_loss(out, weights):
+    """``sum(weights * out)``: every output entry gets its own upstream gradient."""
+    return ad.sum_all(ad.mul(out, Tensor(weights)))
+
+
+def _layer_run(op, arrays, grad_flags, extra, weights):
+    """Output and input gradients of ``_layer_loss(op(*tensors, *extra))``."""
+    tensors = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, grad_flags)]
+    out = op(*tensors, *extra)
+    if out.requires_grad:
+        _layer_loss(out, weights).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0):
+    """The fused op equals its primitive-op composite in every output and gradient bit."""
+    weights = np.random.default_rng(seed).standard_normal(
+        _layer_run(getattr(ad, name), arrays, [False] * len(arrays), extra, None)[0].shape
+    )
+    out, grads = _layer_run(getattr(ad, name), arrays, grad_flags, extra, weights)
+    ref_out, ref_grads = _layer_run(LAYER_OP_COMPOSITES[name], arrays, grad_flags, extra, weights)
+    assert out.shape == ref_out.shape
+    np.testing.assert_array_equal(out, ref_out)
+    for i, (grad, ref, wanted) in enumerate(zip(grads, ref_grads, grad_flags)):
+        if not wanted:
+            assert grad is None and ref is None, i
+            continue
+        assert grad.shape == arrays[i].shape and np.any(grad != 0), i
+        np.testing.assert_array_equal(grad, ref, err_msg=f"input {i}")
+
+
+_FLAGS_3 = [tuple(bool(i >> k & 1) for k in range(3)) for i in range(8)]
+
+
+def _adjacency(rng, n, soft=False):
+    adj = rng.uniform(0.1, 0.9, (n, n)) if soft else (rng.uniform(size=(n, n)) < 0.4) * 1.0
+    np.fill_diagonal(adj, 0.0)
+    return adj
+
+
+def _head_arrays(rng, x_shape, d, h=5):
+    # a negative shift leaves some hidden units dead and some alive
+    return [
+        rng.standard_normal(x_shape),
+        rng.standard_normal((d, h)) * 0.5,
+        rng.standard_normal(h) * 0.5 - 0.2,
+        rng.standard_normal((h, 1)),
+        rng.standard_normal(1),
+    ]
+
+
+class TestLayerOps:
+    """Each fused layer op against its primitive-op composite and finite differences."""
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_adjacency_norm_equals_the_composite(self, n, soft, requires_grad):
+        adj = _adjacency(np.random.default_rng(n), n, soft)
+        _assert_layer_matches_composite("adjacency_norm", [adj], [requires_grad])
+
+    @pytest.mark.parametrize("flags", _FLAGS_3)
+    @pytest.mark.parametrize("n,k,m", [(4, 4, 3), (2, 6, 6), (5, 3, 7)])
+    def test_graph_conv_equals_the_composite(self, n, k, m, flags):
+        # (2, 6, 6): 2 * (6 + 6) < 6 * 6, so the weight's gradient is left as factors.
+        rng = np.random.default_rng(n * k * m)
+        norm = ad.adjacency_norm(Tensor(_adjacency(rng, n))).data
+        arrays = [norm, rng.standard_normal((n, k)), rng.standard_normal((k, m))]
+        _assert_layer_matches_composite("graph_conv", arrays, flags, seed=n)
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    def test_gumbel_relax_equals_the_composite(self, tau, requires_grad):
+        rng = np.random.default_rng(int(tau * 10))
+        logits = rng.standard_normal((5, 5)) * 3.0
+        delta = rng.gumbel(size=(5, 5)) - rng.gumbel(size=(5, 5))
+        _assert_layer_matches_composite("gumbel_relax", [logits], [requires_grad], (delta, tau))
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("x_shape", [(6, 3), (1, 18), (4, 18), (2, 6, 3)])
+    def test_classifier_head_equals_the_composite(self, x_shape, x_grad):
+        arrays = _head_arrays(np.random.default_rng(len(x_shape) + x_shape[0]), x_shape, 18)
+        _assert_layer_matches_composite("classifier_head", arrays, [x_grad] + [True] * 4)
+
+    @pytest.mark.parametrize(
+        "x_shape,out_shape", [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,))]
+    )
+    def test_classifier_head_gives_one_logit_per_row(self, x_shape, out_shape):
+        rng = np.random.default_rng(3)
+        x, w1, b1, w2, b2 = _head_arrays(rng, x_shape, 18)
+        out = ad.classifier_head(*[Tensor(a) for a in (x, w1, b1, w2, b2)]).data
+        rows = x.reshape(-1, 18)
+        expected = np.maximum(rows @ w1 + b1, 0.0) @ w2 + b2
+        assert out.shape == out_shape
+        np.testing.assert_allclose(out.reshape(-1), expected.reshape(-1), rtol=1e-13)
+
+    def test_adjacency_norm_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        weights = rng.standard_normal((4, 4))
+        _check_gradients(
+            lambda ts: _layer_loss(ad.adjacency_norm(ts[0]), weights), [_adjacency(rng, 4, soft=True)]
+        )
+
+    def test_graph_conv_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(6)
+        arrays = [_adjacency(rng, 4, soft=True), rng.standard_normal((4, 3)), rng.standard_normal((3, 5))]
+        weights = rng.standard_normal((4, 5))
+        _check_gradients(lambda ts: _layer_loss(ad.graph_conv(*ts), weights), arrays)
+
+    def test_gumbel_relax_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        delta, weights = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+        _check_gradients(
+            lambda ts: _layer_loss(ad.gumbel_relax(ts[0], delta, 0.7), weights),
+            [rng.standard_normal((4, 4))],
+        )
+
+    @pytest.mark.parametrize("x_shape", [(6, 3), (3, 18)])
+    def test_classifier_head_gradients_match_finite_differences(self, x_shape):
+        rng = np.random.default_rng(8)
+        arrays = _head_arrays(rng, x_shape, 18)
+        weights = rng.standard_normal(x_shape[:-2] if x_shape == (6, 3) else x_shape[:1])
+        _check_gradients(lambda ts: _layer_loss(ad.classifier_head(*ts), weights), arrays)
+
+    def test_layer_weights_share_one_stacked_product(self, monkeypatch):
+        # Three uses of each weight; each use's factors are smaller than
+        # the weight's gradient, so backward forms it with one product.
+        stacked = []
+        product = ad._stacked_product
+        monkeypatch.setattr(
+            ad, "_stacked_product", lambda parts: stacked.append(len(parts)) or product(parts)
+        )
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
+        head = [Tensor(a, requires_grad=True) for a in _head_arrays(rng, (2, 6), 12)[1:]]
+        loss = None
+        for _ in range(3):
+            norm = ad.adjacency_norm(Tensor(_adjacency(rng, 2)))
+            hidden = ad.graph_conv(norm, Tensor(rng.standard_normal((2, 6))), w)
+            term = ad.classifier_head(hidden, *head)
+            loss = term if loss is None else ad.add(loss, term)
+        loss.backward()
+        assert stacked == [3, 3]  # the head's w1 and the graph_conv weight
+
+    @pytest.mark.parametrize(
+        "name,shapes",
+        [
+            ("adjacency_norm", [(2, 3)]),
+            ("adjacency_norm", [(3,)]),
+            ("graph_conv", [(3, 3), (2, 4), (4, 2)]),
+            ("graph_conv", [(3, 3), (3, 4), (3, 2)]),
+            ("graph_conv", [(3, 2), (3, 4), (4, 2)]),
+            ("classifier_head", [(6, 3), (17, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [(6, 3), (18, 5), (4,), (5, 1), (1,)]),
+            ("classifier_head", [(6, 3), (18, 5), (5,), (5, 2), (1,)]),
+            ("classifier_head", [(6, 3), (18, 5), (5,), (5, 1), (2,)]),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, name, shapes):
+        with pytest.raises(ValueError, match=r"incompatible shapes|must be square"):
+            getattr(ad, name)(*[Tensor(np.zeros(s)) for s in shapes])
+
+    def test_gumbel_relax_rejects_mismatched_noise(self):
+        with pytest.raises(ValueError, match="gumbel_relax"):
+            ad.gumbel_relax(Tensor(np.zeros((3, 3))), np.zeros((3, 2)), 1.0)
+
+
 class TestBceWithLogits:
     def test_logit_zero(self):
         for label in (0, 1):
@@ -540,6 +708,7 @@ class TestEngineInvariants:
         assert ops == {
             "add", "mul", "scale", "matmul", "transpose", "relu", "sigmoid", "power",
             "sum_all", "row_sum", "reshape", "concat", "pair_logits", "bce_with_logits",
+            "adjacency_norm", "graph_conv", "gumbel_relax", "classifier_head",
         }
 
     def test_forward_is_deterministic(self):

@@ -12,7 +12,7 @@ from dualgraph.model import init_model, load_checkpoint
 
 from test_model import checkpoint_with_header, checkpoint_bytes, rewrite_checkpoint_header
 from test_preprocess import CSV_BYTES
-from test_train import poison_sigmoid_vjp
+from test_train import poison_gumbel_vjp
 
 CONFIG = {
     "learning_rate": 1e-2,
@@ -168,7 +168,7 @@ class TestTrainCommand:
         assert all(np.isfinite(p.data).all() for p in load_checkpoint(str(out)).parameters())
 
     def test_non_finite_gradient_exits_3_naming_the_batch(self, workspace, monkeypatch, capsys):
-        poison_sigmoid_vjp(monkeypatch)
+        poison_gumbel_vjp(monkeypatch)
         out = workspace["root"] / "poisoned.ckpt"
         code = main(
             ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]), "--out", str(out)]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor
-from dualgraph.graphgen import edge_probabilities, sample_gumbel_noise
+from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, sample_gumbel_noise
 from dualgraph.model import (
     MODES,
     GcnStack,
@@ -27,9 +27,15 @@ from dualgraph.model import (
     save_checkpoint,
     subject_graphs,
 )
-from dualgraph.preprocess import pearson_correlation
+from dualgraph.preprocess import generate_synthetic, pearson_correlation
+from dualgraph.train import TrainConfig, train_model
 
-from oracles import finite_difference_gradient, max_rel_error, normalize_dense_oracle
+from oracles import (
+    LAYER_OP_COMPOSITES,
+    finite_difference_gradient,
+    max_rel_error,
+    normalize_dense_oracle,
+)
 
 
 def _config(**overrides):
@@ -366,10 +372,10 @@ class TestWeightGradientStacking:
         n, d, f, hc, batch = 6, 4, 8, 4, 3
         state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
         # The gradient pair_logits' VJP receives is pair_w2's right factor;
-        # reshape outputs include the head's input row, classifier.w1's
-        # left operand.
+        # classifier_head flattens the stacked branches, concat's output,
+        # into its input row, classifier.w1's left operand.
         events = _spy_on_outputs(
-            monkeypatch, ["pair_logits", "reshape"], gradients_of=["pair_logits"]
+            monkeypatch, ["pair_logits", "concat"], gradients_of=["pair_logits"]
         )
         rng = np.random.default_rng(7)
         loss = None
@@ -403,6 +409,15 @@ def _reachable(root):
     return list(found.values())
 
 
+def _kept_arrays(root):
+    """The arrays a tape keeps alive: each tensor's data and what its VJP captured."""
+    kept = []
+    for node in _reachable(root):
+        cells = node._vjp.__closure__ if node._vjp is not None else None
+        kept += [node.data] + [c.cell_contents for c in cells or ()]
+    return [x for x in kept if isinstance(x, np.ndarray)]
+
+
 class TestTapeMemory:
     def test_a_training_subject_keeps_no_pair_sized_activation(self):
         n, d = 12, 8
@@ -411,15 +426,108 @@ class TestTapeMemory:
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
         loss = ad.bce_with_logits(forward(series, corr, state, noise=noise), 1)
-        kept = []  # each tensor's data and the arrays its VJP captured
-        for node in _reachable(loss):
-            cells = node._vjp.__closure__ if node._vjp is not None else None
-            kept += [node.data] + [c.cell_contents for c in cells or ()]
-        sizes = [x.size for x in kept if isinstance(x, np.ndarray)]
+        sizes = [x.size for x in _kept_arrays(loss)]
         assert n * n in sizes  # the tape does reach the (n, n) edge logits
         assert n * n * d not in sizes
         scorer = _reachable(edge_probabilities(series, state.scorer))
         assert sum(node._vjp is not None for node in scorer) <= 5
+
+    def test_a_training_subject_keeps_no_gcn_pre_activation_and_one_branch_row(self):
+        n = 12
+        state = init_model(_config(n_rois=n, gcn_hidden_dim=8, gcn_out_dim=8))
+        series, corr = _toy_subject(seed=3, n=n)
+        noise = sample_gumbel_noise(np.random.default_rng(0), n)
+        kept = _kept_arrays(ad.bce_with_logits(forward(series, corr, state, noise=noise), 1))
+
+        relaxed = gumbel_sample(edge_probabilities(series, state.scorer), 1.0, noise).data
+        graphs = [build_filtered(corr, 0.6), relaxed]
+        branches = []
+        for adjacency, stack in zip(graphs, (state.filtered_gcn, state.optimal_gcn)):
+            norm = normalize_adjacency(adjacency).data
+            features = corr
+            for weight in (stack.w0.data, stack.w1.data):
+                pre = (norm @ features) @ weight
+                assert (pre < 0).any()  # so the ReLU output differs from it
+                assert not any(x.shape == pre.shape and np.array_equal(x, pre) for x in kept)
+                features = np.maximum(pre, 0.0)
+            branches.append(features)
+        row = np.concatenate(branches).reshape(-1)
+        copies = {
+            x.__array_interface__["data"][0]
+            for x in kept
+            if x.size == row.size and np.array_equal(x.reshape(-1), row)
+        }
+        assert len(copies) == 1
+
+
+def _batch_gradients(state, subjects, noises):
+    """Each subject's logit and every parameter's gradient of the batch's BCE sum."""
+    loss, logits = None, []
+    for (series, corr), noise in zip(subjects, noises):
+        logit = forward(series, corr, state, noise=noise)
+        logits.append(logit.data)
+        term = ad.bce_with_logits(logit, len(logits) % 2)
+        loss = term if loss is None else ad.add(loss, term)
+    loss.backward()
+    names = [name for name, _ in parameter_shapes(state.config)]
+    return logits, dict(zip(names, (p.grad for p in state.parameters())))
+
+
+class TestLayerOpsEqualTheirComposites:
+    """The fused layer ops change no bit of the model's logits, gradients or training."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_forward_and_gradients(self, monkeypatch, mode, training):
+        subjects = [_toy_subject(seed=s) for s in range(3)]
+        rng = np.random.default_rng(4)
+        noises = [sample_gumbel_noise(rng, 6) if training else None for _ in subjects]
+
+        def run():
+            state = init_model(_config(mode=mode, seed=21))
+            # shift the scorer so the hardened graphs have both edges and gaps
+            logits = edge_probabilities(subjects[0][0], state.scorer).data
+            state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
+            return _batch_gradients(state, subjects, noises)
+
+        logits, grads = run()
+        for name, composite in LAYER_OP_COMPOSITES.items():
+            monkeypatch.setattr(ad, name, composite)
+        ref_logits, ref_grads = run()
+
+        for ours, ref in zip(logits, ref_logits):
+            assert ours.shape == ref.shape == ()
+            np.testing.assert_array_equal(ours, ref)
+        for name, grad in grads.items():
+            if ref_grads[name] is None:
+                assert grad is None, name
+            else:
+                np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
+        sampled = mode in ("full", "no_corr")
+        live = {"optimal_gcn": sampled, "scorer": sampled and training, "classifier": True}
+        for prefix, flows in live.items():
+            group = [g for name, g in grads.items() if name.startswith(prefix)]
+            if flows:  # a dead branch would make the comparison vacuous
+                assert all(g is not None and g.any() for g in group), prefix
+            else:
+                assert all(g is None for g in group), prefix
+
+    def test_training_writes_the_same_checkpoint(self, monkeypatch, tmp_path):
+        dataset = generate_synthetic(20, 8, 32, seed=2)
+        config = TrainConfig(
+            learning_rate=1e-2, extractor_dim=4, gcn_hidden_dim=5, gcn_out_dim=3,
+            classifier_hidden_dim=4, epochs=3, patience=3, batch_size=4,
+        )
+
+        def run(path):
+            state, metrics, log = train_model(dataset, config)
+            save_checkpoint(state, str(path))
+            return path.read_bytes(), repr(metrics), repr(log)
+
+        fused = run(tmp_path / "fused.ckpt")
+        for name, composite in LAYER_OP_COMPOSITES.items():
+            monkeypatch.setattr(ad, name, composite)
+        assert run(tmp_path / "composite.ckpt") == fused
 
 
 class TestSubjectGraphs:

@@ -31,16 +31,16 @@ from dualgraph.train import (
 from oracles import adam_out_of_place, auc_pair_counting
 
 
-def poison_sigmoid_vjp(monkeypatch):
-    """Make every sigmoid's VJP return NaN while its forward stays exact."""
-    sigmoid = ad.sigmoid
+def poison_gumbel_vjp(monkeypatch):
+    """Make every Gumbel relaxation's VJP return NaN while its forward stays exact."""
+    gumbel_relax = ad.gumbel_relax
 
-    def poisoned(a):
-        out = sigmoid(a)
-        out._vjp = lambda g: (np.full(a.shape, np.nan),)
+    def poisoned(logits, delta, tau):
+        out = gumbel_relax(logits, delta, tau)
+        out._vjp = lambda g: (np.full(logits.shape, np.nan),)
         return out
 
-    monkeypatch.setattr(ad, "sigmoid", poisoned)
+    monkeypatch.setattr(ad, "gumbel_relax", poisoned)
 
 
 def _small_config(**overrides):
@@ -335,7 +335,7 @@ class TestTrainingLoop:
 
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
         # The forward pass and the loss stay finite; only the VJP is poisoned.
-        poison_sigmoid_vjp(monkeypatch)
+        poison_gumbel_vjp(monkeypatch)
         created = []
 
         def recording_init(config):
