@@ -24,9 +24,10 @@ outputs and gradients match that chain in every bit. A VJP that needs a
 weight reads the live parameter array, which is sound because the
 optimizer steps only after ``backward`` returns.
 
-Gradients accumulate into ``Tensor.grad``; each ``backward()`` call adds
-one full pass worth of gradient, so calling it twice without zeroing
-doubles every gradient. No operation mutates its inputs.
+Gradients accumulate into ``Tensor.grad`` on leaves only, the tensors
+with no VJP such as parameters; each ``backward()`` call adds one full
+pass worth of gradient, so calling it twice without zeroing doubles
+every gradient. No operation mutates its inputs.
 
 Backward does no work a gradient does not need. A product skips the side
 whose operand does not require grad. Every weight gradient ``x.T @ g``,
@@ -94,9 +95,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Accumulate dself/dparam into ``grad`` for every reachable tensor.
+        """Accumulate dself/dleaf into ``grad`` for every reachable leaf.
 
-        Requires a scalar (shape ``()``) tensor on the tape. Gradients from
+        A leaf is a tensor with no VJP, such as a parameter; an
+        intermediate's gradient is dropped once its VJP has run. Requires
+        a scalar (shape ``()``) tensor on the tape. Gradients from
         repeated calls add up; zero them between steps.
         """
         if self.data.shape != ():
@@ -117,8 +120,8 @@ class Tensor:
                 flow = product if flow is None else flow + product
             if flow is None:
                 continue
-            node.grad = flow if node.grad is None else node.grad + flow
             if node._vjp is None:
+                node.grad = flow if node.grad is None else node.grad + flow
                 continue
             for parent, pgrad in zip(node._parents, node._vjp(flow)):
                 if pgrad is None or not parent.requires_grad:

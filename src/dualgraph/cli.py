@@ -14,8 +14,10 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
-from dualgraph.model import atomic_write, load_checkpoint, save_checkpoint, subject_graphs
-from dualgraph.preprocess import generate_synthetic, load_dataset, save_dataset, pearson_correlation
+from dualgraph.model import load_checkpoint, save_checkpoint, subject_graphs
+from dualgraph.preprocess import (
+    atomic_write, generate_synthetic, load_dataset, save_dataset, pearson_correlation
+)
 from dualgraph.train import (
     Metrics,
     TrainConfig,

@@ -60,10 +60,6 @@ class EdgeScorer:
             self.pair_b2,
         ]
 
-    @property
-    def t_steps(self) -> int:
-        return self.extract_w.shape[0]
-
 
 def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
     """Matrix of edge logits for every ordered ROI pair.
@@ -72,16 +68,10 @@ def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
     first); ``sigmoid`` of it is the edge probability. Differentiable
     with respect to all scorer parameters. The function returns logits
     in spite of its name, which the benchmark's per-layer timing span
-    ``graphgen.edge_probabilities`` fixes.
+    ``graphgen.edge_probabilities`` fixes. A series whose length is not
+    the scorer's input width is rejected by ``ad.matmul``.
     """
-    series = np.asarray(series, dtype=np.float64)
-    n, t = series.shape
-    if t != scorer.t_steps:
-        raise ValueError(
-            f"series has {t} time steps but the scorer expects {scorer.t_steps}"
-        )
-    signals = Tensor(series)
-    embed = ad.relu(ad.add(ad.matmul(signals, scorer.extract_w), scorer.extract_b))
+    embed = ad.relu(ad.add(ad.matmul(Tensor(series), scorer.extract_w), scorer.extract_b))
     w1, b1, w2, b2 = scorer.pair_w1, scorer.pair_b1, scorer.pair_w2, scorer.pair_b2
     return ad.pair_logits(embed, w1, b1, w2, b2)
 
@@ -97,17 +87,15 @@ def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
     The noise pair is injected explicitly so training can resample per
     pass while tests freeze it; zero noise at tau=1 gives sigmoid(logits)
     exactly. The diagonal is forced to zero. Gradients flow to the
-    logits only; the noise enters as a constant.
+    logits only; the noise enters as a constant. ``ad.gumbel_relax``
+    rejects logits that are not square.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {tau}")
     g1, g2 = noise
-    n = logits.shape[0]
-    if logits.shape != (n, n) or np.shape(g1) != (n, n) or np.shape(g2) != (n, n):
-        raise ValueError(
-            f"logits and noise must all be ({n}, {n}); got {logits.shape}, "
-            f"{np.shape(g1)}, {np.shape(g2)}"
-        )
+    if np.shape(g1) != logits.shape or np.shape(g2) != logits.shape:
+        shapes = f"{np.shape(g1)} and {np.shape(g2)}"
+        raise ValueError(f"noise shapes {shapes} do not match logits {logits.shape}")
     delta = np.asarray(g1, dtype=np.float64) - np.asarray(g2, dtype=np.float64)
     return ad.gumbel_relax(logits, delta, tau)
 

@@ -15,11 +15,9 @@ through both branch slots. The classifier input width follows the mode.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import numbers
-import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -34,6 +32,7 @@ from dualgraph.graphgen import (
     gumbel_sample,
     harden,
 )
+from dualgraph.preprocess import atomic_write
 
 MODES = ("full", "no_corr", "no_optim", "no_gconv")
 
@@ -207,26 +206,19 @@ def normalize_adjacency(adjacency) -> Tensor:
     entries and the degrees.
     """
     if not isinstance(adjacency, Tensor):
-        adjacency = Tensor(np.asarray(adjacency, dtype=np.float64))
+        adjacency = Tensor(adjacency)
     if (adjacency.data < 0).any():
         raise ValueError("adjacency entries must be non-negative")
     return ad.adjacency_norm(adjacency)
 
 
 def gcn_forward(features, norm_adjacency: Tensor, stack: GcnStack) -> Tensor:
-    """Two-layer graph convolution: ReLU(A (ReLU(A X W0)) W1)."""
+    """Two-layer graph convolution: ReLU(A (ReLU(A X W0)) W1).
+
+    Each ``ad.graph_conv`` call checks its shapes (ValueError).
+    """
     if not isinstance(features, Tensor):
-        features = Tensor(np.asarray(features, dtype=np.float64))
-    n = norm_adjacency.shape[0]
-    if features.shape[0] != n:
-        raise ValueError(
-            f"features have {features.shape[0]} rows but adjacency is {n}x{n}"
-        )
-    if features.shape[1] != stack.w0.shape[0]:
-        raise ValueError(
-            f"features width {features.shape[1]} does not match weight "
-            f"input {stack.w0.shape[0]}"
-        )
+        features = Tensor(features)
     hidden = ad.graph_conv(norm_adjacency, features, stack.w0)
     return ad.graph_conv(norm_adjacency, hidden, stack.w1)
 
@@ -285,25 +277,6 @@ def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> t
     filtered = build_filtered(corr, state.config.corr_threshold)
     logits = edge_probabilities(series, state.scorer).data
     return filtered, logistic(logits), harden(logits)
-
-
-@contextlib.contextmanager
-def atomic_write(path: str):
-    """Binary file handle whose contents replace ``path`` only on success.
-
-    Writes go to a temp file beside ``path`` that ``os.replace`` moves
-    into place when the block exits cleanly. On any error the temp file
-    is removed and an earlier file at ``path`` is left as it was.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def save_checkpoint(state: ModelState, path: str) -> None:

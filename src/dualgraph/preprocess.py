@@ -134,6 +134,34 @@ def _check_subject_id(subject_id: str, where: str) -> None:
         raise ValueError(f"{where}: subject id 'labels' would clash with labels.csv")
 
 
+@contextlib.contextmanager
+def atomic_paths(paths: list):
+    """Temp paths that replace ``paths``, in order, only on success.
+
+    The block writes each temp path, a file beside its target. When it
+    exits cleanly ``os.replace`` moves each into place in the order
+    given. On any error every temp file is removed and the files at
+    ``paths`` are left as they were.
+    """
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Binary file handle whose contents replace ``path`` only on success."""
+    with atomic_paths([path]) as (tmp,), open(tmp, "wb") as fh:
+        yield fh
+
+
 def save_dataset(dataset: Dataset, directory: str) -> None:
     """Write the labels.csv + per-subject CSV layout under ``directory``.
 
@@ -148,21 +176,11 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
              for s in dataset.subjects]
     labels = [f"{s.subject_id},{s.label}" for s in dataset.subjects]
     files.append(("labels.csv", ["subject_id,label"] + labels))
-    staged = []
-    try:
-        for name, lines in files:
-            path = os.path.join(directory, name)
-            staged.append((f"{path}.{os.getpid()}.tmp", path))
-            with open(staged[-1][0], "w", newline="") as fh:
+    with atomic_paths([os.path.join(directory, name) for name, _ in files]) as tmps:
+        for tmp, (_, lines) in zip(tmps, files):
+            with open(tmp, "w", newline="") as fh:
                 for line in lines:
                     fh.write(line + "\n")
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
 
 
 def load_dataset(directory: str) -> Dataset:

@@ -148,20 +148,11 @@ class Adam:
     """
 
     CHUNK = 16384
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        params: list,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list, learning_rate: float):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
@@ -169,7 +160,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        b1, b2, lr, eps = self.BETA1, self.BETA2, self.learning_rate, self.EPS
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             data = p.data

@@ -544,11 +544,31 @@ class TestBackwardContract:
         y.backward()
         assert float(x.grad) == 2.0
 
-    def test_intermediates_receive_grad(self):
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        mid = ad.scale(x, 3.0)
-        ad.sum_all(mid).backward()
-        np.testing.assert_array_equal(mid.grad, [1.0, 1.0])
+    def test_only_leaves_hold_grad(self):
+        """After a backward through every layer op, only the leaves hold ``grad``."""
+        rng = np.random.default_rng(8)
+        n, t, d, h, f, hc = 4, 6, 3, 5, 2, 3
+
+        def param(*shape):
+            return Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
+
+        scorer = [param(t, d), param(2 * d, d), param(d), param(d, 1), param(1)]
+        gcn = [param(n, h), param(h, f), param(n, h), param(h, f)]
+        head = [param(2 * n * f, hc), param(hc), param(hc, 1), param(1)]
+        features = Tensor(rng.standard_normal((n, n)))
+        embed = ad.relu(ad.matmul(Tensor(rng.standard_normal((n, t))), scorer[0]))
+        sampled = ad.gumbel_relax(ad.pair_logits(embed, *scorer[1:]), np.zeros((n, n)), 1.0)
+        branches = []
+        for adjacency, (w0, w1) in [(sampled, gcn[:2]), (Tensor(np.ones((n, n))), gcn[2:])]:
+            norm = ad.adjacency_norm(adjacency)
+            branches.append(ad.graph_conv(norm, ad.graph_conv(norm, features, w0), w1))
+        loss = ad.bce_with_logits(ad.classifier_head(ad.concat(*branches), *head), 1)
+        loss.backward()
+        tape = ad._topo_order(loss)
+        leaves = [node for node in tape if node._vjp is None]
+        assert len(tape) - len(leaves) == 12  # every op above but the constant branch's norm
+        assert [id(p) for p in leaves] == [id(p) for p in tape if p.grad is not None]
+        assert {id(p) for p in leaves} == {id(p) for p in scorer + gcn + head}
 
 
 def _shared_weight_loss(inputs, weight):

@@ -151,10 +151,15 @@ class TestGcnForward:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(15)
         stack = self._stack(rng, 4, 3, 2)
-        with pytest.raises(ValueError, match="rows"):
+        with pytest.raises(ValueError, match="incompatible shapes"):
             gcn_forward(np.ones((5, 4)), Tensor(np.eye(4)), stack)
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ValueError, match="incompatible shapes"):
             gcn_forward(np.ones((4, 5)), Tensor(np.eye(4)), stack)
+
+    def test_one_dimensional_features_rejected(self):
+        stack = self._stack(np.random.default_rng(16), 4, 3, 2)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            gcn_forward(np.ones(4), Tensor(np.eye(4)), stack)
 
 
 def _forward_oracle(series, corr, state, noise):
