@@ -42,6 +42,14 @@ widths, each GCN's second layer. Any other weight, like a GCN's first
 layer, gets ``x.T @ g`` per use instead, since stacking its factors
 would copy more than the gradient holds.
 
+A leaf keeps the array of its last stacked gradient. When a pass's
+gradient of a leaf is that one product and the leaf holds no gradient
+(``grad`` is None, as after ``zero_grad``), ``backward`` writes the
+product into that array, so steady-state training allocates no
+parameter-sized gradient. A gradient you keep past the next
+``zero_grad`` and ``backward`` may thus be overwritten: copy it. While
+a leaf still holds a gradient, the pass adds to it in a new array.
+
 ReLU is ``fmax(x, 0) + 0.0``, equal to ``where(x > 0, x, 0)`` in every
 bit but free of data-dependent branches. The logistic is
 ``where(x >= 0, 1/(1+e), e/(1+e))`` with ``e = exp(min(x, -x))``, not
@@ -74,7 +82,7 @@ class _Factors:
 class Tensor:
     """Dense float64 array with an optional place on the backward tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_stacked")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -82,6 +90,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._vjp: Optional[Vjp] = None
+        self._stacked: Optional[np.ndarray] = None  # last stacked gradient's array
 
     @property
     def shape(self) -> tuple:
@@ -100,7 +109,9 @@ class Tensor:
         A leaf is a tensor with no VJP, such as a parameter; an
         intermediate's gradient is dropped once its VJP has run. Requires
         a scalar (shape ``()``) tensor on the tape. Gradients from
-        repeated calls add up; zero them between steps.
+        repeated calls add up; zero them between steps. A leaf holding no
+        gradient whose gradient this pass is one stacked product gets it
+        in the array its previous stacked gradient used.
         """
         if self.data.shape != ():
             raise ValueError(
@@ -115,8 +126,14 @@ class Tensor:
         for node in reversed(order):
             flow = flows.pop(id(node), None)
             pending = factors.pop(id(node), None)
-            if pending is not None:
-                product = _stacked_product(pending)
+            if pending is not None:  # only leaves get factors
+                keep = flow is None and node.grad is None  # the product is the gradient
+                if keep and node._stacked is not None:
+                    product = _stacked_product(pending, out=node._stacked)
+                else:
+                    product = _stacked_product(pending)
+                if keep:
+                    node._stacked = product
                 flow = product if flow is None else flow + product
             if flow is None:
                 continue
@@ -155,13 +172,20 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def _stacked_product(parts: list) -> np.ndarray:
-    """Sum of ``a_i.T @ g_i`` as one product of the stacked factors."""
+def _stacked_product(parts: list, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum of ``a_i.T @ g_i`` as one product of the stacked factors.
+
+    Written into ``out`` when it has the product's shape; the bits are
+    the same either way.
+    """
     if len(parts) == 1:
-        return parts[0].a.T @ parts[0].g
-    a = np.concatenate([p.a for p in parts])
-    g = np.concatenate([p.g for p in parts])
-    return a.T @ g
+        a, g = parts[0].a, parts[0].g
+    else:
+        a = np.concatenate([p.a for p in parts])
+        g = np.concatenate([p.g for p in parts])
+    if out is None or out.shape != (a.shape[1], g.shape[1]):
+        return a.T @ g
+    return np.matmul(a.T, g, out=out)
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -173,7 +197,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Vjp) -> Tensor:
         out.data = data
     else:  # numpy scalars, 0-d results and other dtypes, as Tensor() takes them
         out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
+    out.grad = out._stacked = None
     for parent in parents:
         if parent.requires_grad:
             out.requires_grad, out._parents, out._vjp = True, tuple(parents), vjp

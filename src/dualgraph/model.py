@@ -299,7 +299,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for tensor in state.parameters():
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))  # no bytes copy
 
 
 def load_checkpoint(path: str) -> ModelState:
@@ -340,7 +340,7 @@ def load_checkpoint(path: str) -> ModelState:
         end = offset + count * 8
         if end > len(raw):
             raise ValueError(f"{path}: truncated while reading {name}")
-        values = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64)
+        values = np.frombuffer(raw, "<f8", count=count, offset=offset).astype(np.float64)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: parameter {name} has non-finite values")
         arrays.append(values.reshape(shape))

@@ -383,8 +383,16 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
     Returns (state, test Metrics, log) where log is one dict per epoch
     with keys epoch, train_loss, val_f1, val_loss. The retained
     parameters are those of the best validation epoch, not the last.
+    Raises ValueError before training when the test split lacks a class.
     """
     indices = split(dataset, config.seed)
+    test_counts = np.bincount(dataset.labels[indices.test], minlength=2)
+    if not test_counts.all():  # the test AUC needs both; fail before training
+        cohort = np.bincount(dataset.labels, minlength=2)
+        raise ValueError(
+            f"the test split holds {test_counts[0]} class-0 and {test_counts[1]} class-1 "
+            f"subjects (cohort: {cohort[0]} and {cohort[1]}); its AUC needs both classes"
+        )
     state, corrs, optimizer, rng = _setup(dataset, config)
     val_labels = dataset.labels[np.asarray(indices.val, dtype=np.int64)]
 
@@ -414,9 +422,12 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
 
         key = (-val_f1, val_loss, epoch)
         if best_key is None or key < best_key:
-            best_key = key
-            best_params = [p.data.copy() for p in state.parameters()]
-            stall = 0
+            best_key, stall = key, 0
+            if best_params is None:
+                best_params = [p.data.copy() for p in state.parameters()]
+            else:  # one snapshot per run, refreshed in place
+                for p, saved in zip(state.parameters(), best_params):
+                    np.copyto(saved, p.data)
         else:
             stall += 1
             if stall >= config.patience:

@@ -622,6 +622,43 @@ class TestFactoredWeightGradients:
         loss.backward()
         np.testing.assert_allclose(w.grad, 2.0 * first, rtol=1e-15)
 
+    def test_zeroed_leaf_takes_the_next_stacked_gradient_in_the_same_array(self):
+        rng = np.random.default_rng(79)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        first_inputs, second_inputs = (
+            [Tensor(rng.standard_normal((1, 4))) for _ in range(3)] for _ in range(2)
+        )
+        _shared_weight_loss(first_inputs, w).backward()
+        kept = w.grad
+        w.grad = None
+        _shared_weight_loss(second_inputs, w).backward()
+        fresh = Tensor(w.data, requires_grad=True)
+        _shared_weight_loss(second_inputs, fresh).backward()
+        assert w.grad is kept
+        assert w.grad.tobytes() == fresh.grad.tobytes()
+
+    def test_leaf_with_a_kept_array_and_a_per_use_flow_matches_finite_differences(self):
+        # The first pass leaves w with a kept stacked-gradient array; the
+        # second feeds w a per-use flow besides its stacked factors, so
+        # the product must be added, not written into that array.
+        rng = np.random.default_rng(83)
+        x, w0 = rng.standard_normal((1, 3)), rng.standard_normal((3, 3))
+
+        def build(ts):
+            through_product = ad.sum_all(ad.sigmoid(ad.matmul(ts[0], ts[1])))
+            return ad.add(through_product, ad.sum_all(ad.mul(ts[1], ts[1])))
+
+        w = Tensor(w0, requires_grad=True)
+        ad.sum_all(ad.sigmoid(ad.matmul(Tensor(x), w))).backward()
+        kept = w.grad
+        w.grad = None
+        build([Tensor(x), w]).backward()
+        numeric = finite_difference_gradient(
+            lambda arrs: float(build([Tensor(a) for a in arrs]).data), [x.copy(), w0.copy()], 1
+        )
+        assert w.grad is not kept
+        assert max_rel_error(w.grad, numeric) < GRAD_TOL
+
     def test_constant_left_operand_product_never_formed(self):
         rng = np.random.default_rng(71)
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)

@@ -12,7 +12,8 @@ from dualgraph.model import init_model, load_checkpoint
 
 from test_model import checkpoint_with_header, checkpoint_bytes, rewrite_checkpoint_header
 from test_preprocess import CSV_BYTES
-from test_train import poison_gumbel_vjp
+from dualgraph.preprocess import save_dataset
+from test_train import one_sided_cohort, poison_gumbel_vjp
 
 CONFIG = {
     "learning_rate": 1e-2,
@@ -176,6 +177,18 @@ class TestTrainCommand:
         assert code == 3
         assert "non-finite gradient at epoch 1, batch 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_single_class_test_split_exits_2_before_training(self, workspace, tmp_path, monkeypatch, capsys, command):
+        data = tmp_path / "one-sided"
+        save_dataset(one_sided_cohort(), str(data))
+        monkeypatch.setattr(train_module, "_epoch_pass", lambda *args: pytest.fail("trained"))
+        out = tmp_path / "run" / "model.ckpt"
+        code = main([command, "--data", str(data), "--config", str(workspace["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "4 class-0 and 0 class-1" in err and "Traceback" not in err
+        assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize("field", ["temperature", "learning_rate"])
     def test_nan_config_value_exits_2(self, workspace, capsys, field):

@@ -43,6 +43,15 @@ def poison_gumbel_vjp(monkeypatch):
     monkeypatch.setattr(ad, "gumbel_relax", poisoned)
 
 
+def one_sided_cohort():
+    """19 controls and 1 patient: the stratified test split holds controls only."""
+    rng = np.random.default_rng(17)
+    subjects = [
+        BoldMatrix(f"s{i:02d}", rng.standard_normal((8, 32)), int(i == 19)) for i in range(20)
+    ]
+    return Dataset(name="one-sided", subjects=subjects)
+
+
 def _small_config(**overrides):
     base = dict(
         learning_rate=1e-2,
@@ -392,15 +401,61 @@ class TestTrainingLoop:
         assert list(log[0]) == ["epoch", "train_loss", "val_f1", "val_loss"]
         assert [row["epoch"] for row in log] == list(range(1, len(log) + 1))
 
-    def test_returned_state_reproduces_test_metrics(self):
+    def test_single_class_test_split_fails_before_training(self, monkeypatch):
+        ds = one_sided_cohort()
+        assert set(ds.labels[split(ds, seed=0).test]) == {0}
+        passes = []
+        monkeypatch.setattr(train_module, "_epoch_pass", lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match=r"4 class-0 and 0 class-1 .*cohort: 19 and 1"):
+            train_model(ds, _small_config())
+        assert passes == []
+
+    def test_head_gradient_array_is_reused_across_updates(self):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, corrs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        train_module._batch_update(state, ds, corrs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        first = state.classifier.w1.grad
+        train_module._batch_update(state, ds, corrs, [4, 5, 6, 7], optimizer, rng, "batch 2")
+        assert state.classifier.w1.grad is first
+
+    def test_a_worse_later_epoch_restores_the_best_parameters_bit_for_bit(self, monkeypatch):
+        # Validation scores are scripted: every epoch classifies the
+        # validation set alike, and epoch 2 has the lowest loss, so the
+        # snapshot taken at epoch 1 is refreshed once and then kept.
         ds = generate_synthetic(12, 8, 32, seed=8)
-        state, metrics, _ = train_model(ds, _small_config(epochs=3))
+        scales = iter([0.1, 3.0, 0.5, 0.2])
+        after_epoch = []
+        epoch_pass, predict = train_module._epoch_pass, train_module._predict_logits
+
+        def recording_pass(state, *args):
+            loss = epoch_pass(state, *args)
+            after_epoch.append([p.data.copy() for p in state.parameters()])
+            return loss
+
+        def scripted_validation(state, dataset, indices, corrs=None):
+            if corrs is None:  # the test set, scored after training
+                return predict(state, dataset, indices)
+            return next(scales) * (2.0 * dataset.labels[indices] - 1.0)
+
+        monkeypatch.setattr(train_module, "_epoch_pass", recording_pass)
+        monkeypatch.setattr(train_module, "_predict_logits", scripted_validation)
+        state, _, log = train_model(ds, _small_config(epochs=4, patience=4, gcn_out_dim=8))
+        assert len(log) == 4 and min(log, key=lambda row: row["val_loss"])["epoch"] == 2
+        assert not np.array_equal(after_epoch[3][0], after_epoch[1][0])
+        for param, best in zip(state.parameters(), after_epoch[1]):
+            assert param.data.tobytes() == best.tobytes()
+
+    def test_returned_state_reproduces_test_metrics(self):
+        # GCN output width 8 keeps the sampled branch alive, so the
+        # restored best epoch includes a trained scorer and optimal GCN.
+        ds = generate_synthetic(12, 8, 32, seed=8)
+        state, metrics, _ = train_model(ds, _small_config(epochs=3, gcn_out_dim=8))
         again = evaluate(state, ds, split(ds, seed=0).test)
         assert metrics == again
 
     def test_whole_run_determinism(self):
         ds = generate_synthetic(12, 8, 32, seed=9)
-        config = _small_config(epochs=3)
+        config = _small_config(epochs=3, gcn_out_dim=8)
         state_a, metrics_a, log_a = train_model(ds, config)
         state_b, metrics_b, log_b = train_model(ds, config)
         assert metrics_a == metrics_b and log_a == log_b
