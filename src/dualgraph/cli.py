@@ -14,7 +14,9 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
-from dualgraph.model import load_checkpoint, save_checkpoint, subject_graphs
+import numpy as np
+
+from dualgraph.model import MODES, load_checkpoint, save_checkpoint, subject_graphs
 from dualgraph.preprocess import (
     atomic_write, generate_synthetic, load_dataset, save_dataset, pearson_correlation
 )
@@ -72,6 +74,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     metrics = evaluate(state, dataset, list(range(len(dataset))))
     text = _metrics_json(metrics)
     if args.out:
@@ -109,13 +113,16 @@ def _write_edges(path: str, edges: list) -> None:
     _write_text(path, "source,target,weight\n" + "".join(rows))
 
 
+def _edges(graph: np.ndarray, weights: np.ndarray) -> list:
+    """(source, target, weight) for each nonzero entry of ``graph``, row-major."""
+    rows, cols = np.nonzero(graph)
+    return list(zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist()))
+
+
 def _top_edges(edges: list, top_percent: float) -> list:
     """Keep the ceil(p%) heaviest edges; ties resolved by (source, target)."""
-    if not edges:
-        return []
     keep = math.ceil(len(edges) * top_percent / 100.0)
-    ranked = sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
-    return ranked[:keep]
+    return sorted(edges, key=lambda e: (-e[2], e[0], e[1]))[:keep]
 
 
 def cmd_inspect(args) -> int:
@@ -132,39 +139,26 @@ def cmd_inspect(args) -> int:
     filtered, theta, hard = subject_graphs(subject.series, corr, state)
     n = filtered.shape[0]
 
-    # Undirected edges once with source < target; directed edges as ordered pairs.
-    filtered_edges = [
-        (i, j, float(corr[i, j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if filtered[i, j] == 1.0
-    ]
-    optimal_edges = [
-        (i, j, float(theta[i, j]))
-        for i in range(n)
-        for j in range(n)
-        if i != j and hard[i, j] == 1.0
-    ]
-    filtered_top = _top_edges(filtered_edges, args.top_percent)
-    optimal_top = _top_edges(optimal_edges, args.top_percent)
+    # Undirected edges once with source < target; directed ones as ordered pairs.
+    edges = {"filtered": _edges(np.triu(filtered, 1), corr), "optimal": _edges(hard, theta)}
+    top = {g: _top_edges(found, args.top_percent) for g, found in edges.items()}
 
     os.makedirs(args.out, exist_ok=True)
-    _write_edges(os.path.join(args.out, "edges_filtered.csv"), filtered_top)
-    _write_edges(os.path.join(args.out, "edges_optimal.csv"), optimal_top)
+    for g, kept in top.items():
+        _write_edges(os.path.join(args.out, f"edges_{g}.csv"), kept)
 
-    degrees = {"filtered": [0] * n, "optimal": [0] * n}
-    for source, target, _ in filtered_top:
-        degrees["filtered"][source] += 1  # undirected: both endpoints incident
-        degrees["filtered"][target] += 1
-    for _, target, _ in optimal_top:
-        degrees["optimal"][target] += 1
+    incident = {  # undirected: both endpoints; directed: the target
+        "filtered": [node for edge in top["filtered"] for node in edge[:2]],
+        "optimal": [target for _, target, _ in top["optimal"]],
+    }
+    degrees = {g: np.bincount(nodes, minlength=n).tolist() for g, nodes in incident.items()}
     rows = [f"{g},{node},{degrees[g][node]}\n" for g in degrees for node in range(n)]
     header = "graph,node_id,in_degree\n"
     _write_text(os.path.join(args.out, "degrees.csv"), header + "".join(rows))
 
     print(
-        f"subject {args.subject}: kept {len(filtered_top)}/{len(filtered_edges)} "
-        f"filtered and {len(optimal_top)}/{len(optimal_edges)} sampled edges"
+        f"subject {args.subject}: kept {len(top['filtered'])}/{len(edges['filtered'])} "
+        f"filtered and {len(top['optimal'])}/{len(edges['optimal'])} sampled edges"
     )
     print(f"inspection files in {args.out}")
     return 0
@@ -184,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, help="override the config seed")
     train.add_argument(
         "--mode",
-        choices=["full", "no-corr", "no-optim", "no-gconv"],
+        choices=[mode.replace("_", "-") for mode in MODES],
         help="override the config ablation mode",
     )
     train.set_defaults(func=cmd_train)

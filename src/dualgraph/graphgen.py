@@ -13,7 +13,7 @@ normalization in the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,14 +51,7 @@ class EdgeScorer:
     pair_b2: Tensor  # 1
 
     def parameters(self) -> list:
-        return [
-            self.extract_w,
-            self.extract_b,
-            self.pair_w1,
-            self.pair_b1,
-            self.pair_w2,
-            self.pair_b2,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -97,7 +99,7 @@ class GcnStack:
     w1: Tensor  # hidden x out
 
     def parameters(self) -> list:
-        return [self.w0, self.w1]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass
@@ -110,7 +112,7 @@ class ClassifierHead:
     b2: Tensor
 
     def parameters(self) -> list:
-        return [self.w1, self.b1, self.w2, self.b2]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass
@@ -124,12 +126,8 @@ class ModelState:
     classifier: ClassifierHead
 
     def parameters(self) -> list:
-        return (
-            self.scorer.parameters()
-            + self.filtered_gcn.parameters()
-            + self.optimal_gcn.parameters()
-            + self.classifier.parameters()
-        )
+        """Parameter tensors in ``parameter_shapes`` order."""
+        return [attrgetter(name)(self) for name, _ in parameter_shapes(self.config)]
 
 
 def classifier_input_dim(config: ModelConfig) -> int:
@@ -173,13 +171,16 @@ def parameter_count(config: ModelConfig) -> int:
 
 
 def _assemble(config: ModelConfig, arrays: list) -> ModelState:
-    params = [Tensor(a, requires_grad=True) for a in arrays]
+    groups = {}
+    for (name, _), array in zip(parameter_shapes(config), arrays):
+        group, field = name.split(".")
+        groups.setdefault(group, {})[field] = Tensor(array, requires_grad=True)
     return ModelState(
         config=config,
-        scorer=EdgeScorer(*params[0:6]),
-        filtered_gcn=GcnStack(*params[6:8]),
-        optimal_gcn=GcnStack(*params[8:10]),
-        classifier=ClassifierHead(*params[10:14]),
+        scorer=EdgeScorer(**groups["scorer"]),
+        filtered_gcn=GcnStack(**groups["filtered_gcn"]),
+        optimal_gcn=GcnStack(**groups["optimal_gcn"]),
+        classifier=ClassifierHead(**groups["classifier"]),
     )
 
 
@@ -282,23 +283,20 @@ def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> t
 def save_checkpoint(state: ModelState, path: str) -> None:
     """Single-file checkpoint: magic, version, JSON header, raw float64 LE."""
     config = state.config
+    shapes = parameter_shapes(config)
     header = {
         "format_version": _FORMAT_VERSION,
         "config": asdict(config),
-        "params": [
-            {"name": name, "shape": list(shape)}
-            for name, shape in parameter_shapes(config)
-        ],
+        "params": [{"name": name, "shape": list(shape)} for name, shape in shapes],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    for tensor, (name, shape) in zip(state.parameters(), parameter_shapes(config)):
-        if tensor.data.shape != shape:
-            raise ValueError(f"parameter {name} has drifted to {tensor.data.shape}")
-    with atomic_write(path) as fh:
+    with atomic_write(path) as fh:  # a raise below leaves the earlier file as it was
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", _FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for tensor in state.parameters():
+        for tensor, (name, shape) in zip(state.parameters(), shapes):
+            if tensor.data.shape != shape:
+                raise ValueError(f"parameter {name} has drifted to {tensor.data.shape}")
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))  # no bytes copy
 
 
@@ -308,43 +306,42 @@ def load_checkpoint(path: str) -> ModelState:
     Any malformed header or non-finite parameter value raises ValueError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    version, header_len = struct.unpack_from("<IQ", raw, 4)
-    if version != _FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported checkpoint version {version}, "
-            f"expected {_FORMAT_VERSION}"
-        )
-    offset = 4 + 12
-    if offset + header_len > len(raw):
-        raise ValueError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-        if header.get("format_version") != _FORMAT_VERSION:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if len(prefix) < 16 or prefix[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+        version, header_len = struct.unpack_from("<IQ", prefix, 4)
+        if version != _FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: unsupported checkpoint version {version}, "
+                f"expected {_FORMAT_VERSION}"
+            )
+        if 16 + header_len > size:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header_version = header.get("format_version")
+            if header_version == _FORMAT_VERSION:
+                config = ModelConfig(**header["config"])
+                listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
+        if header_version != _FORMAT_VERSION:
             raise ValueError(f"{path}: header/container version mismatch")
-        config = ModelConfig(**header["config"])
-        listed = [(p["name"], tuple(p["shape"])) for p in header["params"]]
-    except (AttributeError, KeyError, TypeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
 
-    expected = parameter_shapes(config)
-    if listed != expected:
-        raise ValueError(f"{path}: parameter table does not match configuration")
-
-    offset += header_len
-    arrays = []
-    for name, shape in expected:
-        count = math.prod(shape)
-        end = offset + count * 8
-        if end > len(raw):
-            raise ValueError(f"{path}: truncated while reading {name}")
-        values = np.frombuffer(raw, "<f8", count=count, offset=offset).astype(np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: parameter {name} has non-finite values")
-        arrays.append(values.reshape(shape))
-        offset = end
-    if offset != len(raw):
-        raise ValueError(f"{path}: trailing bytes after parameters")
+        expected = parameter_shapes(config)
+        if listed != expected:
+            raise ValueError(f"{path}: parameter table does not match configuration")
+        arrays = []
+        for name, shape in expected:
+            if fh.tell() + 8 * math.prod(shape) > size:  # checked before allocating
+                raise ValueError(f"{path}: truncated while reading {name}")
+            values = np.empty(shape, dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
+                raise ValueError(f"{path}: truncated while reading {name}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: parameter {name} has non-finite values")
+            arrays.append(values)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after parameters")
     return _assemble(config, arrays)

@@ -108,7 +108,11 @@ def _apportion(total: int, counts: list) -> list:
 
 
 def split(dataset: Dataset, seed: int) -> SplitIndices:
-    """Stratified, seeded 80/20 test split then 85/15 train/validation."""
+    """Stratified, seeded 80/20 test split then 85/15 train/validation.
+
+    Five subjects are enough to split, but ``train_model`` also needs both
+    classes in the test split, which 5-7 subjects (one test subject) never give.
+    """
     n = len(dataset)
     if n < 5:
         raise ValueError(f"need at least 5 subjects to split, got {n}")
@@ -398,7 +402,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
 
     log = []
     best_key = None
-    best_params = None
+    best_params = [np.empty_like(p.data) for p in state.parameters()]  # one snapshot per run
     stall = 0
     for epoch in range(1, config.epochs + 1):
         train_loss = _epoch_pass(
@@ -423,11 +427,8 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
         key = (-val_f1, val_loss, epoch)
         if best_key is None or key < best_key:
             best_key, stall = key, 0
-            if best_params is None:
-                best_params = [p.data.copy() for p in state.parameters()]
-            else:  # one snapshot per run, refreshed in place
-                for p, saved in zip(state.parameters(), best_params):
-                    np.copyto(saved, p.data)
+            for p, saved in zip(state.parameters(), best_params):
+                np.copyto(saved, p.data)
         else:
             stall += 1
             if stall >= config.patience:

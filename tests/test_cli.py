@@ -124,7 +124,6 @@ class TestTrainCommand:
         assert code == 2
         assert "learning_rte" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_deeply_nested_config_exits_2_naming_the_file(self, workspace, tmp_path, capsys, command):
         deep = tmp_path / "deep.json"
@@ -135,6 +134,7 @@ class TestTrainCommand:
         assert code == 2
         assert str(deep) in err and "recursion" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a learning rate of 1e150 overflows
     def test_divergence_exits_3(self, workspace, capsys):
         bad = workspace["root"] / "diverge.json"
         config = dict(CONFIG)
@@ -292,7 +292,9 @@ class TestEvalCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("n_rois", 8.0), ("temperature", float("nan"))])
+    @pytest.mark.parametrize(
+        "field,value", [("n_rois", 8.0), ("temperature", float("nan")), ("mode", "sideways")]
+    )
     def test_eval_bad_checkpoint_config_exits_2(self, workspace, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(workspace["ckpt"].read_bytes())
@@ -300,7 +302,24 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
         err = capsys.readouterr().err
         assert code == 2
-        assert field in err and "Traceback" not in err
+        assert f"{bad}: malformed checkpoint header: {field}" in err and "Traceback" not in err
+
+    def test_eval_on_a_header_that_is_not_json_exits_2_naming_the_file(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(checkpoint_with_header(b"{not json}"))
+        code = main(["eval", "--model", str(bad), "--data", str(workspace["data"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: malformed checkpoint header: Expecting" in err and "Traceback" not in err
+
+    def test_eval_creates_the_out_directory(self, workspace, tmp_path):
+        out = tmp_path / "fresh" / "sub" / "eval.json"
+        code = main(
+            ["eval", "--model", str(workspace["ckpt"]), "--data", str(workspace["data"]), "--out", str(out)]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == ["eval.json"]
+        assert "f1" in json.loads(out.read_text())
 
     def test_eval_subject_id_outside_the_directory_exits_2(self, tmp_path, capsys, workspace):
         data = tmp_path / "data"

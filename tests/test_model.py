@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,17 @@ class TestForward:
             forward(series[:, :-1], corr, state)
         with pytest.raises(ValueError, match="corr"):
             forward(series, corr[:-1, :-1], state)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_parameters_follow_parameter_shapes_by_name(self, mode):
+        state = init_model(_config(mode=mode))
+        params = state.parameters()
+        shapes = parameter_shapes(state.config)
+        assert len(params) == len(shapes)
+        for tensor, (name, shape) in zip(params, shapes):
+            group, field = name.split(".")
+            assert tensor is getattr(getattr(state, group), field)
+            assert tensor.shape == shape
 
     def test_parameter_count_hand_check(self):
         config = _config(
@@ -719,14 +731,44 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize(
-        "field,value", [("n_rois", 6.0), ("temperature", float("nan")), ("seed", "0")]
+        "field,value",
+        [("n_rois", 6.0), ("temperature", float("nan")), ("seed", "0"), ("mode", "sideways")],
     )
     def test_rejects_bad_config_values(self, tmp_path, field, value):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(_config()), str(path))
         rewrite_checkpoint_header(path, lambda h: dict(h, config=dict(h["config"], **{field: value})))
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=rf"model\.ckpt: malformed checkpoint header: {field}"):
             load_checkpoint(str(path))
+
+    def test_header_that_is_not_json_is_malformed_naming_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_with_header(b"{not json}"))
+        with pytest.raises(ValueError, match=r"model\.ckpt: malformed checkpoint header: Expecting"):
+            load_checkpoint(str(path))
+
+    def test_header_version_mismatch_is_reported_once(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(_config()), str(path))
+        rewrite_checkpoint_header(path, lambda h: dict(h, format_version=2))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(str(path))
+        assert str(excinfo.value) == f"{path}: header/container version mismatch"
+
+    def test_load_holds_each_parameter_once(self, tmp_path):
+        # One copy of the parameters plus a one-byte-per-value finiteness mask.
+        state = init_model(_config(n_rois=64, gcn_out_dim=32, classifier_hidden_dim=128))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(state, path)
+        parameter_bytes = 8 * parameter_count(state.config)
+        assert parameter_bytes > 4_000_000
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * parameter_bytes
 
     def test_huge_dimension_is_a_truncation_naming_the_file(self, tmp_path):
         # 2**62 * 4 is 0 in int64 arithmetic; the size must be exact so
