@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Covers exactly the operations the dual-graph classifier needs: matrix
-products, elementwise add/mul/scale, ReLU/sigmoid/power, transpose,
-reshape, concatenation, sum reductions and a numerically stable binary
-cross-entropy on a single logit, plus one op per model layer, so that a
-layer costs one tape node:
+Covers exactly the operations the dual-graph classifier runs: matrix
+products, add, ReLU and concatenation for the edge scorer's embedding
+and the branch stack, a numerically stable mean binary cross-entropy
+over a mini-batch (``bce_mean``, one node for the whole batch), and one
+op per model layer, so that a layer costs one tape node:
 
 - ``pair_logits``, the edge scorer's pair MLP, keeps only its inputs and
   recomputes its (n*n, h) hidden layer in backward;
@@ -18,9 +18,10 @@ layer costs one tape node:
   its input rows as a view of its input (no second copy) and the hidden
   layer.
 
-Each layer op runs the numpy expressions of the primitive-op chain it
-replaces, in the same order and on operands of the same layout, so its
-outputs and gradients match that chain in every bit. A VJP that needs a
+Each layer op and ``bce_mean`` runs the numpy expressions of the
+primitive-op chain it replaced (the tests keep it as their reference), in
+the same order and on operands of the same layout, so its outputs and
+gradients match that chain in every bit. A VJP that needs a
 weight reads the live parameter array, which is sound because the
 optimizer steps only after ``backward`` returns.
 
@@ -247,24 +248,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    ad, bd = a.data, b.data
-
-    def vjp(g: np.ndarray) -> tuple:
-        return (
-            g * bd if a.requires_grad else None,
-            g * ad if b.requires_grad else None,
-        )
-
-    return _make(ad * bd, (a, b), vjp)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return _make(a.data * s, (a,), lambda g: (g * s,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(
@@ -279,10 +262,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _make(ad @ bd, (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -301,42 +280,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """Elementwise 1/(1+exp(-x)), stable for large |x|, any shape."""
     e = np.exp(np.minimum(x, -x))  # exp(-|x|); minimum keeps a NaN's sign
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = logistic(a.data)
-    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise power for strictly positive inputs (fractional exponents)."""
-    ad = a.data
-    out = ad**exponent
-    return _make(out, (a,), lambda g: (g * exponent * ad ** (exponent - 1.0),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    return _make(
-        np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, g, dtype=np.float64),)
-    )
-
-
-def row_sum(a: Tensor) -> Tensor:
-    """Sum each row of an (m, n) matrix into an (m, 1) column."""
-    if a.data.ndim != 2:
-        raise ValueError(f"row_sum expects a matrix, got shape {a.data.shape}")
-    n = a.data.shape[1]
-    return _make(
-        a.data.sum(axis=1, keepdims=True),
-        (a,),
-        lambda g: (np.repeat(g, n, axis=1),),
-    )
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    old = a.data.shape
-    return _make(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -507,18 +450,30 @@ def bce_value(logit: float, label) -> float:
     return max(logit, 0.0) - logit * label + float(np.log1p(np.exp(-abs(logit))))
 
 
-def bce_with_logits(logit: Tensor, label) -> Tensor:
-    """``bce_value`` on a scalar logit tensor; the gradient is s(z) - y."""
-    if logit.data.size != 1:
-        raise ValueError(f"bce_with_logits expects a scalar logit, got {logit.shape}")
-    y = float(label)
-    if y not in (0.0, 1.0):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    z = float(logit.data.reshape(()))
-    in_shape = logit.data.shape
-    residual = logistic(z) - y
+def bce_mean(logits: Sequence[Tensor], labels: Sequence) -> Tensor:
+    """Mean ``bce_value`` over a mini-batch of scalar logits, as one tape node.
+
+    The losses add in batch order, then the sum is multiplied by ``1 / B``.
+    Logit i's gradient is ``(g * (1 / B)) * (s(z_i) - y_i)``. Labels are 0 or 1.
+    """
+    if not logits or len(labels) != len(logits):
+        raise ValueError(f"bce_mean needs one label per logit, got {len(labels)} for {len(logits)}")
+    total, residuals = 0.0, []  # 0.0 + loss is loss: no loss is -0.0
+    for logit, label in zip(logits, labels):
+        if logit.data.size != 1:
+            raise ValueError(f"bce_mean expects scalar logits, got {logit.shape}")
+        z, y = float(logit.data.reshape(())), float(label)
+        if y not in (0.0, 1.0):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        total += bce_value(z, y)
+        residuals.append(logistic(z) - y)
+    inv_b = 1.0 / len(logits)
 
     def vjp(g: np.ndarray) -> tuple:
-        return (np.full(in_shape, g * residual, dtype=np.float64),)
+        g = g * inv_b
+        return tuple(
+            np.full(t.data.shape, g * r) if t.requires_grad else None
+            for t, r in zip(logits, residuals)
+        )
 
-    return _make(np.asarray(bce_value(z, y)), (logit,), vjp)
+    return _make(np.asarray(total * inv_b), logits, vjp)

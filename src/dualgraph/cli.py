@@ -71,9 +71,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model_and_data(args) -> tuple:
+    """The checkpoint and the dataset, rejecting subjects of another geometry."""
+    state, dataset = load_checkpoint(args.model), load_dataset(args.data)
+    have, want = (dataset.n_rois, dataset.t_steps), (state.config.n_rois, state.config.t_steps)
+    if have != want:
+        raise ValueError(
+            f"dataset {args.data} holds {have} series (ROIs, steps), "
+            f"but checkpoint {args.model} expects {want}"
+        )
+    return state, dataset
+
+
 def cmd_eval(args) -> int:
-    state = load_checkpoint(args.model)
-    dataset = load_dataset(args.data)
+    state, dataset = _load_model_and_data(args)
+    counts = np.bincount(dataset.labels, minlength=2)
+    if not counts.all():  # fail before scoring
+        raise ValueError(
+            f"dataset {args.data} holds {counts[0]} class-0 and {counts[1]} class-1 "
+            "subjects; its AUC needs both classes"
+        )
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     metrics = evaluate(state, dataset, list(range(len(dataset))))
@@ -128,8 +145,7 @@ def _top_edges(edges: list, top_percent: float) -> list:
 def cmd_inspect(args) -> int:
     if not 0.0 < args.top_percent <= 100.0:
         raise ValueError(f"--top-percent must be in (0, 100], got {args.top_percent}")
-    state = load_checkpoint(args.model)
-    dataset = load_dataset(args.data)
+    state, dataset = _load_model_and_data(args)
     by_id = {s.subject_id: s for s in dataset.subjects}
     if args.subject not in by_id:
         raise ValueError(f"unknown subject {args.subject!r} in {args.data}")

@@ -165,11 +165,6 @@ def parameter_shapes(config: ModelConfig) -> list:
     ]
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Closed-form parameter total for the configuration."""
-    return sum(math.prod(shape) for _, shape in parameter_shapes(config))
-
-
 def _assemble(config: ModelConfig, arrays: list) -> ModelState:
     groups = {}
     for (name, _), array in zip(parameter_shapes(config), arrays):

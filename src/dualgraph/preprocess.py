@@ -183,17 +183,24 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
                     fh.write(line + "\n")
 
 
+def _read_lines(path: str, kind: str) -> list:
+    """The lines of a dataset file; one that is missing or does not decode is named."""
+    if not os.path.isfile(path):
+        raise ValueError(f"missing {kind} file: {path}")
+    try:
+        with open(path, newline="") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_dataset(directory: str) -> Dataset:
     """Load a dataset directory, subjects ordered by subject_id."""
     labels_path = os.path.join(directory, "labels.csv")
-    if not os.path.isfile(labels_path):
-        raise ValueError(f"missing labels file: {labels_path}")
-
-    entries = []
-    with open(labels_path, newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(labels_path, "labels")
     if not lines or lines[0] != "subject_id,label":
         raise ValueError(f"{labels_path}: expected header 'subject_id,label'")
+    entries = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -216,23 +223,20 @@ def load_dataset(directory: str) -> Dataset:
     subjects = []
     for subject_id, label in sorted(entries):
         path = os.path.join(directory, f"{subject_id}.csv")
-        if not os.path.isfile(path):
-            raise ValueError(f"missing subject file: {path}")
         rows = []
-        with open(path, newline="") as fh:
-            for lineno, line in enumerate(fh.read().splitlines(), start=1):
-                if not line:
-                    continue
-                try:
-                    row = np.array(line.split(","), dtype=np.float64)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: row {lineno}: {exc}") from None
-                if rows and len(row) != len(rows[0]):
-                    raise ValueError(
-                        f"{path}: row {lineno}: has {len(row)} columns, "
-                        f"expected {len(rows[0])}"
-                    )
-                rows.append(row)
+        for lineno, line in enumerate(_read_lines(path, "subject"), start=1):
+            if not line:
+                continue
+            try:
+                row = np.array(line.split(","), dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {lineno}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: row {lineno}: has {len(row)} columns, "
+                    f"expected {len(rows[0])}"
+                )
+            rows.append(row)
         if not rows:
             raise ValueError(f"{path}: empty subject file")
         subjects.append(BoldMatrix(subject_id, np.array(rows), label))

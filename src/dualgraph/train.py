@@ -148,7 +148,8 @@ class Adam:
     fixed-size chunk at a time through two scratch buffers, so its memory
     traffic does not grow with temporaries. The arithmetic is the
     out-of-place textbook form operation for operation, so the results
-    are the same bits.
+    are the same bits. A parameter with no gradient, like an ablation
+    mode's unused branch, is skipped: its moments and value stay as they are.
     """
 
     CHUNK = 16384
@@ -167,8 +168,9 @@ class Adam:
         b1, b2, lr, eps = self.BETA1, self.BETA2, self.learning_rate, self.EPS
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            data = p.data
-            g = p.grad if p.grad is not None else np.zeros(data.shape)
+            if p.grad is None:
+                continue
+            data, g = p.data, p.grad
             if g.shape != data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter {data.shape}")
             flat_p = data.reshape(-1)  # a copy when data is not C-contiguous
@@ -330,14 +332,12 @@ def _batch_update(
     builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
-    batch_loss = None
-    for idx in batch:
-        subject = dataset.subjects[idx]
-        noise = sample_gumbel_noise(rng, dataset.n_rois)
-        logit = forward(subject.series, corrs[idx], state, noise=noise)
-        loss = ad.bce_with_logits(logit, subject.label)
-        batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
-    mean_loss = ad.scale(batch_loss, 1.0 / len(batch))
+    logits = [
+        forward(dataset.subjects[idx].series, corrs[idx], state,
+                noise=sample_gumbel_noise(rng, dataset.n_rois))
+        for idx in batch
+    ]
+    mean_loss = ad.bce_mean(logits, [dataset.subjects[idx].label for idx in batch])
     value = float(mean_loss.data)
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite training loss at {where}")

@@ -3,9 +3,13 @@
 Everything here is deliberately dumb: explicit loops, textbook
 formulas, and scalar math. None of it touches the autodiff engine or
 the library's own vectorized paths, so agreement is evidence rather
-than tautology. The one exception is the composite layer references at
-the end, which chain the engine's primitive ops on purpose: they are the
-op-by-op forms that the fused layer ops must match bit for bit.
+than tautology. The one exception is the primitive ops and the
+composite references at the end. The primitives (``mul``, ``sigmoid``,
+``sum_all`` and the rest) are taped ops built on ``ad._make`` that the
+model no longer runs; tests use them as probes, such as ``sum_all`` to
+reduce an op's output to a scalar loss. The composites chain them on
+purpose: they are the op-by-op forms that the fused layer ops and
+``ad.bce_mean`` must match bit for bit.
 """
 
 import math
@@ -13,7 +17,8 @@ import math
 import numpy as np
 
 from dualgraph import autodiff as ad
-from dualgraph.autodiff import Tensor
+from dualgraph.autodiff import Tensor, _make, bce_value, logistic
+from dualgraph.model import parameter_shapes
 
 
 def finite_difference_gradient(f, arrays, index, eps=1e-5):
@@ -209,7 +214,8 @@ def adam_out_of_place(params, grads_by_step, learning_rate, beta1=0.9, beta2=0.9
     """Textbook Adam, every step building new arrays; returns the final values.
 
     ``grads_by_step[t][i]`` is parameter i's gradient at step t + 1, or
-    None for no gradient (treated as zeros).
+    None for no gradient (treated as zeros; for a parameter that has had
+    no gradient yet, that leaves it as ``Adam.step``'s skip does).
     """
     params = [np.array(p, dtype=np.float64) for p in params]
     m = [np.zeros_like(p) for p in params]
@@ -225,13 +231,97 @@ def adam_out_of_place(params, grads_by_step, learning_rate, beta1=0.9, beta2=0.9
     return params
 
 
+def parameter_count(config):
+    """Closed-form parameter total for the configuration."""
+    return sum(math.prod(shape) for _, shape in parameter_shapes(config))
+
+
+# Primitive taped ops. They run on the engine's tape machinery but are
+# not part of it: the model's layers are single ops of their own.
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
+    ad, bd = a.data, b.data
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (
+            g * bd if a.requires_grad else None,
+            g * ad if b.requires_grad else None,
+        )
+
+    return _make(ad * bd, (a, b), vjp)
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    return _make(a.data * s, (a,), lambda g: (g * s,))
+
+
+def transpose(a: Tensor) -> Tensor:
+    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = logistic(a.data)
+    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
+
+
+def power(a: Tensor, exponent: float) -> Tensor:
+    """Elementwise power for strictly positive inputs (fractional exponents)."""
+    ad = a.data
+    out = ad**exponent
+    return _make(out, (a,), lambda g: (g * exponent * ad ** (exponent - 1.0),))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    shape = a.data.shape
+    return _make(
+        np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, g, dtype=np.float64),)
+    )
+
+
+def row_sum(a: Tensor) -> Tensor:
+    """Sum each row of an (m, n) matrix into an (m, 1) column."""
+    if a.data.ndim != 2:
+        raise ValueError(f"row_sum expects a matrix, got shape {a.data.shape}")
+    n = a.data.shape[1]
+    return _make(
+        a.data.sum(axis=1, keepdims=True),
+        (a,),
+        lambda g: (np.repeat(g, n, axis=1),),
+    )
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    old = a.data.shape
+    return _make(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),))
+
+
+def bce_with_logits(logit: Tensor, label) -> Tensor:
+    """``bce_value`` on a scalar logit tensor; the gradient is s(z) - y."""
+    if logit.data.size != 1:
+        raise ValueError(f"bce_with_logits expects a scalar logit, got {logit.shape}")
+    y = float(label)
+    if y not in (0.0, 1.0):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    z = float(logit.data.reshape(()))
+    in_shape = logit.data.shape
+    residual = logistic(z) - y
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (np.full(in_shape, g * residual, dtype=np.float64),)
+
+    return _make(np.asarray(bce_value(z, y)), (logit,), vjp)
+
+
 def adjacency_norm_composite(adjacency):
     """``ad.adjacency_norm`` as primitive ops: add I, row sums, power, outer product."""
     n = adjacency.shape[0]
     with_loops = ad.add(adjacency, Tensor(np.eye(n)))
-    inv_sqrt_deg = ad.power(ad.row_sum(with_loops), -0.5)  # (n, 1)
-    scaling = ad.matmul(inv_sqrt_deg, ad.transpose(inv_sqrt_deg))
-    return ad.mul(with_loops, scaling)
+    inv_sqrt_deg = power(row_sum(with_loops), -0.5)  # (n, 1)
+    scaling = ad.matmul(inv_sqrt_deg, transpose(inv_sqrt_deg))
+    return mul(with_loops, scaling)
 
 
 def graph_conv_composite(adjacency, features, weight):
@@ -241,18 +331,27 @@ def graph_conv_composite(adjacency, features, weight):
 
 def gumbel_relax_composite(logits, delta, tau):
     """``ad.gumbel_relax`` as primitive ops: add, scale, sigmoid, off-diagonal mask."""
-    relaxed = ad.sigmoid(ad.scale(ad.add(logits, Tensor(delta)), 1.0 / tau))
-    return ad.mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
+    relaxed = sigmoid(scale(ad.add(logits, Tensor(delta)), 1.0 / tau))
+    return mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
 
 
 def classifier_head_composite(x, w1, b1, w2, b2):
     """``ad.classifier_head`` as primitive ops: copy out the rows, affine, ReLU, affine."""
     d = w1.shape[0]
     axes = next(k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d)
-    rows = ad.reshape(x, (x.size // d, d))
+    rows = reshape(x, (x.size // d, d))
     hidden = ad.relu(ad.add(ad.matmul(rows, w1), b1))
     logit = ad.add(ad.matmul(hidden, w2), b2)
-    return ad.reshape(logit, x.shape[:-axes])
+    return reshape(logit, x.shape[:-axes])
+
+
+def bce_mean_composite(logits, labels):
+    """``ad.bce_mean`` as primitive ops: one loss per logit, summed in order, scaled by 1/B."""
+    total = None
+    for logit, label in zip(logits, labels):
+        loss = bce_with_logits(logit, label)
+        total = loss if total is None else ad.add(total, loss)
+    return scale(total, 1.0 / len(logits))
 
 
 LAYER_OP_COMPOSITES = {
@@ -260,4 +359,5 @@ LAYER_OP_COMPOSITES = {
     "graph_conv": graph_conv_composite,
     "gumbel_relax": gumbel_relax_composite,
     "classifier_head": classifier_head_composite,
+    "bce_mean": bce_mean_composite,
 }

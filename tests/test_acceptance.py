@@ -30,6 +30,7 @@ from oracles import (
     normalize_dense_oracle,
     pearson_textbook,
     stump_best_accuracy,
+    sum_all,
     threshold_double_loop,
 )
 
@@ -142,7 +143,7 @@ def test_criterion_1_gradient_integrity():
         label = 1
 
         state = init_model(config)
-        loss = ad.bce_with_logits(forward(series, corr, state, noise=noise), label)
+        loss = ad.bce_mean([forward(series, corr, state, noise=noise)], [label])
         loss.backward()
 
         def loss_value(arrays):
@@ -150,7 +151,7 @@ def test_criterion_1_gradient_integrity():
             for p, d in zip(trial.parameters(), arrays):
                 p.data = d
             out = forward(series, corr, trial, noise=noise)
-            return float(ad.bce_with_logits(out, label).data)
+            return float(ad.bce_mean([out], [label]).data)
 
         eps = 1e-5
         base = [p.data.copy() for p in state.parameters()]
@@ -170,17 +171,31 @@ def test_criterion_1_gradient_integrity():
                 worst = max(worst, err)
         assert worst < 1e-4, f"worst full-model gradient error {worst}"
 
-        # per-op spot checks at the tighter tolerance
+        # per-op spot checks at the tighter tolerance, one for each op the engine ships
         op_rng = np.random.default_rng(7)
+
+        def normal(*shape):
+            return op_rng.standard_normal(shape)
+
+        def soft_adjacency():
+            return op_rng.uniform(0.1, 0.9, (4, 4))
+
+        delta = normal(4, 4)
         cases = [
-            (lambda ts: ad.sum_all(ad.matmul(ts[0], ts[1])),
-             [op_rng.standard_normal((3, 4)), op_rng.standard_normal((4, 2))]),
-            (lambda ts: ad.sum_all(ad.sigmoid(ts[0])), [op_rng.standard_normal((4, 4))]),
-            (lambda ts: ad.sum_all(ad.relu(ts[0])),
-             [np.where(np.abs(x := op_rng.standard_normal((4, 4))) < 1e-3, 0.5, x)]),
-            (lambda ts: ad.sum_all(ad.power(ts[0], -0.5)),
-             [np.abs(op_rng.standard_normal((3, 3))) + 0.5]),
-            (lambda ts: ad.bce_with_logits(ad.reshape(ts[0], ()), 1), [np.array([0.4])]),
+            (lambda ts: sum_all(ad.matmul(ts[0], ts[1])), [normal(3, 4), normal(4, 2)]),
+            (lambda ts: sum_all(ad.add(ts[0], ts[1])), [normal(3, 4), normal(4)]),
+            (lambda ts: sum_all(ad.relu(ts[0])),
+             [np.where(np.abs(x := normal(4, 4)) < 1e-3, 0.5, x)]),
+            (lambda ts: sum_all(ad.concat(ts[0], ts[1])), [normal(2, 3), normal(1, 3)]),
+            (lambda ts: sum_all(ad.pair_logits(*ts)),
+             [normal(4, 3), normal(6, 5), normal(5), normal(5, 1), normal(1)]),
+            (lambda ts: sum_all(ad.adjacency_norm(ts[0])), [soft_adjacency()]),
+            (lambda ts: sum_all(ad.graph_conv(*ts)), [soft_adjacency(), normal(4, 3), normal(3, 5)]),
+            (lambda ts: sum_all(ad.gumbel_relax(ts[0], delta, 0.7)), [normal(4, 4)]),
+            (lambda ts: sum_all(ad.classifier_head(*ts)),
+             [normal(6, 3), normal(18, 5), normal(5), normal(5, 1), normal(1)]),
+            (lambda ts: sum_all(ad.bce_mean(ts, [1, 0, 1])),
+             [np.array(0.4), np.array(-1.3), np.array(2.1)]),
         ]
         for build, arrays in cases:
             tensors = [Tensor(a, requires_grad=True) for a in arrays]

@@ -12,7 +12,7 @@ from dualgraph.model import init_model, load_checkpoint
 
 from test_model import checkpoint_with_header, checkpoint_bytes, rewrite_checkpoint_header
 from test_preprocess import CSV_BYTES
-from dualgraph.preprocess import save_dataset
+from dualgraph.preprocess import BoldMatrix, Dataset, save_dataset
 from test_train import one_sided_cohort, poison_gumbel_vjp
 
 CONFIG = {
@@ -258,11 +258,29 @@ class TestEvalCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "f1" in payload
 
-    def test_eval_dimension_mismatch_exits_2(self, workspace, tmp_path, capsys):
+    def test_eval_dimension_mismatch_exits_2(self, workspace, tmp_path, monkeypatch, capsys):
         other = tmp_path / "other"
         assert main(["synth", "--out", str(other), "--subjects", "4", "--rois", "10", "--steps", "32"]) == 0
-        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(other)])
+        monkeypatch.setattr(train_module, "forward", lambda *args, **kwargs: pytest.fail("scored"))
+        ckpt, out = workspace["ckpt"], tmp_path / "scores" / "eval.json"
+        code = main(["eval", "--model", str(ckpt), "--data", str(other), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 2
+        assert f"dataset {other} holds (10, 32)" in err and f"checkpoint {ckpt} expects (8, 32)" in err
+        assert not out.parent.exists()
+
+    def test_eval_on_a_one_class_dataset_exits_2_before_scoring(self, workspace, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(2)
+        controls = [BoldMatrix(f"s{i}", rng.standard_normal((8, 32)), 0) for i in range(3)]
+        data = tmp_path / "controls"
+        save_dataset(Dataset(name="controls", subjects=controls), str(data))
+        monkeypatch.setattr(train_module, "forward", lambda *args, **kwargs: pytest.fail("scored"))
+        out = tmp_path / "scores" / "eval.json"
+        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"dataset {data} holds 3 class-0 and 0 class-1 subjects" in err
+        assert "Traceback" not in err and not out.parent.exists()
 
     def test_eval_missing_checkpoint_exits_2(self, workspace):
         code = main(
@@ -520,6 +538,7 @@ class TestInspectCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "(10, 32)" in err and "(8, 32)" in err
+        assert f"dataset {other}" in err and f"checkpoint {workspace['ckpt']}" in err
         assert not out.exists()
 
     def test_bad_top_percent_exits_2(self, workspace):

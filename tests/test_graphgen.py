@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualgraph.autodiff import Tensor, logistic
-from dualgraph import autodiff as ad
 from dualgraph.graphgen import (
     EdgeScorer,
     build_filtered,
@@ -25,6 +24,8 @@ from oracles import (
     gumbel_elementwise_oracle,
     harden_double_loop,
     max_rel_error,
+    sigmoid,
+    sum_all,
     threshold_double_loop,
 )
 
@@ -125,7 +126,7 @@ class TestEdgeProbabilities:
         rng = np.random.default_rng(13)
         scorer = _toy_scorer(rng)
         series = rng.standard_normal((4, 10))
-        out = ad.sum_all(ad.sigmoid(edge_probabilities(series, scorer)))
+        out = sum_all(sigmoid(edge_probabilities(series, scorer)))
         out.backward()
 
         w = scorer.extract_w
@@ -139,7 +140,7 @@ class TestEdgeProbabilities:
                 pair_w2=scorer.pair_w2,
                 pair_b2=scorer.pair_b2,
             )
-            return float(ad.sum_all(ad.sigmoid(edge_probabilities(series, trial))).data)
+            return float(sum_all(sigmoid(edge_probabilities(series, trial))).data)
 
         numeric = finite_difference_gradient(value, [w.data.copy()], 0)
         assert max_rel_error(w.grad, numeric) < 1e-5
@@ -159,15 +160,15 @@ class TestEdgeProbabilities:
         rng = np.random.default_rng(17)
         scorer = _toy_scorer(rng)
         series = rng.standard_normal((4, 10))
-        ad.sum_all(ad.sigmoid(edge_probabilities(series, scorer))).backward()
+        sum_all(sigmoid(edge_probabilities(series, scorer))).backward()
         params = scorer.parameters()
         for index in (2, 3, 4, 5):  # pair_w1, pair_b1, pair_w2, pair_b2
 
             def value(arrays):
                 trial = [Tensor(p.data) for p in params]
                 trial[index] = Tensor(arrays[0])
-                probs = ad.sigmoid(edge_probabilities(series, EdgeScorer(*trial)))
-                return float(ad.sum_all(probs).data)
+                probs = sigmoid(edge_probabilities(series, EdgeScorer(*trial)))
+                return float(sum_all(probs).data)
 
             numeric = finite_difference_gradient(value, [params[index].data.copy()], 0)
             assert max_rel_error(params[index].grad, numeric) < 1e-5
@@ -237,10 +238,10 @@ class TestGumbelSample:
         logit_values = rng.uniform(-1.4, 1.4, size=(4, 4))
         g1, g2 = sample_gumbel_noise(rng, 4)
         logits = Tensor(logit_values, requires_grad=True)
-        ad.sum_all(gumbel_sample(logits, 0.7, (g1, g2))).backward()
+        sum_all(gumbel_sample(logits, 0.7, (g1, g2))).backward()
 
         def value(arrays):
-            return float(ad.sum_all(gumbel_sample(Tensor(arrays[0]), 0.7, (g1, g2))).data)
+            return float(sum_all(gumbel_sample(Tensor(arrays[0]), 0.7, (g1, g2))).data)
 
         numeric = finite_difference_gradient(value, [logit_values.copy()], 0)
         assert max_rel_error(logits.grad, numeric) < 1e-6
@@ -252,7 +253,7 @@ class TestGumbelSample:
         logits = Tensor(values, requires_grad=True)
         g1, g2 = sample_gumbel_noise(rng, 3)
         soft = gumbel_sample(logits, 0.5, (g1, g2))
-        ad.sum_all(soft).backward()
+        sum_all(soft).backward()
         assert np.isfinite(soft.data).all() and np.isfinite(logits.grad).all()
         assert np.all(np.diag(logits.grad) == 0.0)
 

@@ -23,7 +23,6 @@ from dualgraph.model import (
     init_model,
     load_checkpoint,
     normalize_adjacency,
-    parameter_count,
     parameter_shapes,
     save_checkpoint,
     subject_graphs,
@@ -36,6 +35,8 @@ from oracles import (
     finite_difference_gradient,
     max_rel_error,
     normalize_dense_oracle,
+    parameter_count,
+    sum_all,
 )
 
 
@@ -96,10 +97,10 @@ class TestNormalizeAdjacency:
         rng = np.random.default_rng(11)
         soft = rng.uniform(0.1, 0.9, size=(4, 4))
         t = Tensor(soft, requires_grad=True)
-        ad.sum_all(normalize_adjacency(t)).backward()
+        sum_all(normalize_adjacency(t)).backward()
 
         def value(arrays):
-            return float(ad.sum_all(normalize_adjacency(Tensor(arrays[0]))).data)
+            return float(sum_all(normalize_adjacency(Tensor(arrays[0]))).data)
 
         numeric = finite_difference_gradient(value, [soft.copy()], 0)
         assert max_rel_error(t.grad, numeric) < 1e-6
@@ -140,11 +141,11 @@ class TestGcnForward:
         np.fill_diagonal(adj, 0.0)
         norm = normalize_adjacency(adj)
         stack = self._stack(rng, 4, 3, 2)
-        ad.sum_all(gcn_forward(corr, norm, stack)).backward()
+        sum_all(gcn_forward(corr, norm, stack)).backward()
 
         def value(arrays):
             trial = GcnStack(w0=Tensor(arrays[0]), w1=stack.w1)
-            return float(ad.sum_all(gcn_forward(corr, norm, trial)).data)
+            return float(sum_all(gcn_forward(corr, norm, trial)).data)
 
         numeric = finite_difference_gradient(value, [stack.w0.data.copy()], 0)
         assert max_rel_error(stack.w0.grad, numeric) < 1e-5
@@ -395,13 +396,11 @@ class TestWeightGradientStacking:
             monkeypatch, ["pair_logits", "concat"], gradients_of=["pair_logits"]
         )
         rng = np.random.default_rng(7)
-        loss = None
-        for seed in range(batch):
-            series, corr = _toy_subject(seed=seed)
-            logit = forward(series, corr, state, noise=sample_gumbel_noise(rng, n))
-            term = ad.bce_with_logits(logit, seed % 2)
-            loss = term if loss is None else ad.add(loss, term)
-        loss.backward()
+        logits = [
+            forward(*_toy_subject(seed=seed), state, noise=sample_gumbel_noise(rng, n))
+            for seed in range(batch)
+        ]
+        ad.bce_mean(logits, [seed % 2 for seed in range(batch)]).backward()
 
         width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
         concats = [shapes for kind, shapes in events if kind == "concatenate"]
@@ -442,7 +441,7 @@ class TestTapeMemory:
         state = init_model(config)
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
-        loss = ad.bce_with_logits(forward(series, corr, state, noise=noise), 1)
+        loss = ad.bce_mean([forward(series, corr, state, noise=noise)], [1])
         sizes = [x.size for x in _kept_arrays(loss)]
         assert n * n in sizes  # the tape does reach the (n, n) edge logits
         assert n * n * d not in sizes
@@ -454,7 +453,7 @@ class TestTapeMemory:
         state = init_model(_config(n_rois=n, gcn_hidden_dim=8, gcn_out_dim=8))
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
-        kept = _kept_arrays(ad.bce_with_logits(forward(series, corr, state, noise=noise), 1))
+        kept = _kept_arrays(ad.bce_mean([forward(series, corr, state, noise=noise)], [1]))
 
         relaxed = gumbel_sample(edge_probabilities(series, state.scorer), 1.0, noise).data
         graphs = [build_filtered(corr, 0.6), relaxed]
@@ -478,20 +477,17 @@ class TestTapeMemory:
 
 
 def _batch_gradients(state, subjects, noises):
-    """Each subject's logit and every parameter's gradient of the batch's BCE sum."""
-    loss, logits = None, []
-    for (series, corr), noise in zip(subjects, noises):
-        logit = forward(series, corr, state, noise=noise)
-        logits.append(logit.data)
-        term = ad.bce_with_logits(logit, len(logits) % 2)
-        loss = term if loss is None else ad.add(loss, term)
-    loss.backward()
+    """Each subject's logit and every parameter's gradient of the batch's mean BCE."""
+    logits = [
+        forward(series, corr, state, noise=noise) for (series, corr), noise in zip(subjects, noises)
+    ]
+    ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(logits))]).backward()
     names = [name for name, _ in parameter_shapes(state.config)]
-    return logits, dict(zip(names, (p.grad for p in state.parameters())))
+    return [t.data for t in logits], dict(zip(names, (p.grad for p in state.parameters())))
 
 
 class TestLayerOpsEqualTheirComposites:
-    """The fused layer ops change no bit of the model's logits, gradients or training."""
+    """The fused layer ops and ``bce_mean`` change no bit of the model's logits, gradients or training."""
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("mode", MODES)

@@ -1,5 +1,7 @@
 """Correlation, dataset IO, and synthetic-cohort tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -147,6 +149,16 @@ class TestDatasetIO:
         d.mkdir()
         (d / "labels.csv").write_text("subject_id,label\ns1,0\n")
         with pytest.raises(ValueError, match=r"s1\.csv"):
+            load_dataset(str(d))
+
+    @pytest.mark.parametrize("target", ["labels.csv", "s1.csv"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, target):
+        d = tmp_path / "encoded"
+        d.mkdir()
+        (d / "labels.csv").write_text("subject_id,label\ns1,0\n")
+        (d / "s1.csv").write_text("1,2,3\n4,5,6\n")
+        (d / target).write_bytes(b"\xff\xfe" + (d / target).read_bytes())
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(d / target))}: .*can't decode"):
             load_dataset(str(d))
 
     def test_unparseable_value_names_location(self, tmp_path):

@@ -28,7 +28,7 @@ from dualgraph.train import (
     train_model,
 )
 
-from oracles import adam_out_of_place, auc_pair_counting
+from oracles import adam_out_of_place, auc_pair_counting, mul
 
 
 def poison_gumbel_vjp(monkeypatch):
@@ -148,7 +148,7 @@ class TestAdam:
         opt = Adam([p], learning_rate=0.1)
         for _ in range(200):
             opt.zero_grad()
-            loss = ad.mul(p, p)
+            loss = mul(p, p)
             loss.backward()
             opt.step()
         assert abs(float(p.data)) < 1e-2
@@ -184,6 +184,18 @@ class TestAdam:
         # The updates land in the caller's arrays, the view's base included.
         assert params[0].data is big and params[1].data is view
         assert base[1:5, ::3].T.tobytes() == expected[1].tobytes()
+
+    def test_a_parameter_without_a_gradient_keeps_its_moments_and_value(self):
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = Adam([p], learning_rate=0.1)
+        p.grad = np.array([0.5, -0.25])
+        opt.step()
+        before = [p.data.copy(), opt.m[0].copy(), opt.v[0].copy()]
+        p.grad = None  # skipped, not stepped with a zero gradient
+        opt.step()
+        assert [p.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes()] == [
+            a.tobytes() for a in before
+        ]
 
     def test_gradient_of_the_wrong_shape_is_rejected(self):
         p = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -380,6 +392,21 @@ class TestTrainingLoop:
         for param, before in zip(state.parameters(), created[0]):
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
+
+    def test_a_training_step_tapes_twelve_nodes_per_subject_and_one_loss(self, monkeypatch):
+        # Per subject: the scorer's matmul, add and relu, pair_logits,
+        # gumbel_relax, the sampled graph's adjacency_norm, two graph_convs
+        # per branch, concat and classifier_head. The batch adds one bce_mean.
+        tapes, backward = [], Tensor.backward
+
+        def recording_backward(loss):
+            tapes.append(sum(node._vjp is not None for node in ad._topo_order(loss)))
+            return backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
+        ds = generate_synthetic(10, 8, 32, seed=6)
+        fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
+        assert tapes == [12 * 4 + 1, 12 * 4 + 1, 12 * 2 + 1]
 
     def test_one_update_reaches_every_sampled_branch_weight(self):
         # At GCN output width 8 the sampled branch is alive at init, so
