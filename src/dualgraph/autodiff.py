@@ -6,8 +6,8 @@ and the branch stack, a numerically stable mean binary cross-entropy
 over a mini-batch (``bce_mean``, one node for the whole batch), and one
 op per model layer, so that a layer costs one tape node:
 
-- ``pair_logits``, the edge scorer's pair MLP, keeps only its inputs and
-  recomputes its (n*n, h) hidden layer in backward;
+- ``pair_logits``, the edge scorer's pair MLP, keeps only its inputs; its
+  VJP recomputes the ReLU mask and forms no (n*n, h) product;
 - ``adjacency_norm``, ``D^-1/2 (A + I) D^-1/2``, keeps ``A + I``, the
   scaling and the degrees;
 - ``graph_conv``, ``relu((A @ X) @ W)``, keeps ``A @ X`` and reads the
@@ -21,9 +21,10 @@ op per model layer, so that a layer costs one tape node:
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
 the same order and on operands of the same layout, so its outputs and
-gradients match that chain in every bit. A VJP that needs a
-weight reads the live parameter array, which is sound because the
-optimizer steps only after ``backward`` returns.
+gradients match that chain in every bit, except ``pair_logits``'
+gradients: summed in another order, they differ in the last bits. A VJP
+that needs a weight reads the live parameter array, which is sound
+because the optimizer steps only after ``backward`` returns.
 
 Gradients accumulate into ``Tensor.grad`` on leaves only, the tensors
 with no VJP such as parameters; each ``backward()`` call adds one full
@@ -300,11 +301,14 @@ def pair_logits(embed: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -
     """Pair MLP logits for every ordered row pair of ``embed``: (n, d) -> (n, n).
 
     Entry (i, j) is ``relu(concat(E[i], E[j]) @ w1 + b1) @ w2 + b2``, the
-    first layer factored as ``E[i] @ w1[:d] + b1 + E[j] @ w1[d:]``. Only
-    the inputs go on the tape; the VJP recomputes the (n*n, h) hidden
-    layer from the live parameter arrays, which is sound because the
-    optimizer steps only after ``backward`` returns (``matmul``'s VJP
-    relies on that too).
+    first layer factored as ``L[i] + R[j]`` with ``L = E @ w1[:d] + b1``
+    and ``R = E @ w1[d:]``. Only the inputs go on the tape. The VJP
+    recomputes ``L``, ``R`` and the ReLU mask from the live parameter
+    arrays, which is sound because the optimizer steps only after
+    ``backward`` returns. The upstream gradient's masked row and column
+    sums ``s`` and ``t`` give every gradient: ``s * w2`` and ``t * w2``
+    for ``L`` and ``R``, and ``sum(L * s) + sum(R * t)`` for ``w2``, which
+    is ``sum(relu(L[i] + R[j]) * g[i, j])`` added in another order.
     """
     ed, w1d, b1d, w2d, b2d = embed.data, w1.data, b1.data, w2.data, b2.data
     shapes, h = [x.shape for x in (ed, w1d, b1d, w2d, b2d)], b1d.size
@@ -312,23 +316,24 @@ def pair_logits(embed: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -
         raise ValueError(f"pair_logits: incompatible shapes {shapes}")
     n, d = ed.shape
 
-    def pre_activation() -> np.ndarray:  # row i*n + j: pair (i, j)
-        left, right = ed @ w1d[:d] + b1d, ed @ w1d[d:]
-        return (left[:, None] + right[None]).reshape(n * n, h)
+    def halves() -> tuple:
+        return ed @ w1d[:d] + b1d, ed @ w1d[d:]
 
     def vjp(g: np.ndarray) -> tuple:
-        g, pre = g.reshape(n * n, 1), pre_activation()
-        mask = pre > 0
-        gw2 = _relu_in_place(pre).T @ g
-        g_pre = g @ w2d.T
-        g_pre *= mask
-        g3 = g_pre.reshape(n, n, h)
-        g_left, g_right = g3.sum(axis=1), g3.sum(axis=0)
+        left, right = halves()
+        # L > -R is L + R > 0 in every bit, without the (n, n, h) sum
+        q = g[:, :, None] * (left[:, None] > -right[None])
+        ones = np.ones((1, n))  # a product sums q faster than q.sum
+        s, t = (ones @ q)[:, 0], (ones @ q.reshape(n, n * h)).reshape(n, h)
+        g_left, g_right = s * w2d[:, 0], t * w2d[:, 0]
+        gw2 = ((left * s).sum(axis=0) + (right * t).sum(axis=0)).reshape(h, 1)
         ge = g_left @ w1d[:d].T + g_right @ w1d[d:].T
         gw1 = np.concatenate((ed.T @ g_left, ed.T @ g_right))
-        return ge, gw1, g_left.sum(axis=0), gw2, g.sum(axis=0)
+        return ge, gw1, g_left.sum(axis=0), gw2, g.reshape(n * n, 1).sum(axis=0)
 
-    out = (_relu_in_place(pre_activation()) @ w2d + b2d).reshape(n, n)
+    left, right = halves()
+    pre = (left[:, None] + right[None]).reshape(n * n, h)  # row i*n + j: pair (i, j)
+    out = (_relu_in_place(pre) @ w2d + b2d).reshape(n, n)
     return _make(out, (embed, w1, b1, w2, b2), vjp)
 
 

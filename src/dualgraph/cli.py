@@ -40,6 +40,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def _check_file_out(path: str) -> None:
+    """Reject an ``--out`` naming a directory (or ending in a separator), before any work."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory, not a file path")
+
+
 def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
@@ -49,6 +55,7 @@ def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    _check_file_out(args.out)
     dataset = load_dataset(args.data)
     config = _apply_overrides(load_train_config(args.config), args)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -84,6 +91,8 @@ def _load_model_and_data(args) -> tuple:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_file_out(args.out)
     state, dataset = _load_model_and_data(args)
     counts = np.bincount(dataset.labels, minlength=2)
     if not counts.all():  # fail before scoring
@@ -104,6 +113,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_file_out(args.out)
     dataset = load_dataset(args.data)
     config = _apply_overrides(load_train_config(args.config), args)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

@@ -145,6 +145,8 @@ def pair_logits_unfused(embed, w1, b1, w2, b2, g):
     its bias, then the reverse of each. ``pair_w1``'s gradient is the sum
     of two zero-padded halves. Returns the (n, n) logits and the
     gradients of ``sum(g * logits)`` with respect to the five inputs.
+    ``pair_logits`` matches the logits bit for bit; its VJP sums in
+    another order, so the gradients match to rounding only.
     """
     n, d = embed.shape
     top, bottom = w1[:d].copy(), w1[d:].copy()

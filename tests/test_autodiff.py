@@ -268,6 +268,9 @@ class TestPairLogits:
         [(1, 3, 3, 0.0), (2, 2, 5, 0.0), (6, 4, 4, 0.0), (7, 3, 6, 0.0), (5, 4, 4, -100.0)],
     )
     def test_equals_the_unfused_composite_exactly(self, n, d, h, b1_shift):
+        # The logits are the composite's bits. The gradients come from
+        # masked row and column sums instead of the (n*n, h) products, so
+        # each is within 16 * n * eps of its largest oracle entry.
         rng = np.random.default_rng(17 + n)
         arrays = _pair_mlp(rng, n, d, h, b1_shift)
         g = rng.standard_normal((n, n))
@@ -278,12 +281,42 @@ class TestPairLogits:
         np.testing.assert_array_equal(out.data, logits)
         for t, expected in zip(tensors, grads):
             assert t.grad.shape == t.data.shape
-            np.testing.assert_array_equal(t.grad, expected)
+            bound = 16 * n * np.finfo(float).eps * np.abs(expected).max()
+            np.testing.assert_allclose(t.grad, expected, rtol=0, atol=bound)
         if b1_shift < 0:  # every hidden unit dead: only pair_b2 learns
             np.testing.assert_array_equal(out.data, np.full((n, n), arrays[4][0]))
             for t in tensors[:4]:
                 assert not t.grad.any()
             np.testing.assert_array_equal(tensors[4].grad, [g.sum()])
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.floats(-1e4, 1e4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_w2_gradient_survives_opposite_shifts_of_the_halves(self, n, d, h, shift, seed):
+        # pair_w2's gradient sums L * s and R * t separately; shifting L by
+        # +shift and R by -shift leaves every L[i] + R[j] about where it
+        # was but makes both sums large and cancelling. The error stays
+        # within a sum of n terms' rounding, n * eps * sum |g| (|L| + |R|).
+        rng = np.random.default_rng(seed)
+        arrays = _pair_mlp(rng, n, d, h)
+        embed, w1, b1 = arrays[:3]
+        embed[:, -1] = 1.0  # a constant input carries the shift
+        w1[d - 1] += shift
+        w1[-1] -= shift
+        g = rng.standard_normal((n, n))
+        w2 = Tensor(arrays[3], requires_grad=True)
+        out = ad.pair_logits(*map(Tensor, arrays[:3]), w2, Tensor(arrays[4]))
+        sum_all(mul(out, Tensor(g))).backward()
+        expected = pair_logits_unfused(*arrays, g)[1][3]
+        left, right = np.abs(embed @ w1[:d] + b1), np.abs(embed @ w1[d:])
+        scale = np.abs(g).sum(axis=1) @ left + np.abs(g).sum(axis=0) @ right
+        bound = n * np.finfo(float).eps * scale
+        assert np.all(np.abs(w2.grad - expected)[:, 0] <= bound)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)

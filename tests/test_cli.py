@@ -1,12 +1,13 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualgraph import train as train_module
+from dualgraph import cli, train as train_module
 from dualgraph.cli import main
 from dualgraph.model import init_model, load_checkpoint
 
@@ -582,6 +583,32 @@ class TestAblateCommand:
             "no_optim",
             "no_gconv",
         ]
+
+
+class TestOutNamingADirectory:
+    @pytest.mark.parametrize("command", ["train", "ablate", "eval"])
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_exits_2_before_any_loading_or_work(
+        self, workspace, tmp_path, monkeypatch, capsys, command, existing
+    ):
+        for name in ("load_dataset", "load_checkpoint", "train_model", "run_ablation", "evaluate"):
+            monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(_name))
+        target = tmp_path / "out"
+        if existing:
+            target.mkdir()
+            out = str(target)
+        else:  # a trailing separator names a directory that is not there yet
+            out = str(target) + os.sep
+        inputs = (
+            ["--model", str(workspace["ckpt"]), "--data", str(workspace["data"])]
+            if command == "eval"
+            else ["--data", str(workspace["data"]), "--config", str(workspace["config"])]
+        )
+        code = main([command, *inputs, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"--out {out} is a directory" in err and "Traceback" not in err
+        assert list(tmp_path.rglob("*")) == ([target] if existing else [])
 
 
 class TestSynthCommand:
