@@ -46,6 +46,24 @@ def _check_file_out(path: str) -> None:
         raise ValueError(f"--out {path} is a directory, not a file path")
 
 
+def _check_outputs_spare_inputs(outputs: list, inputs: list) -> None:
+    """Reject a command that would write over one of its own inputs, before any work.
+
+    An output that does not exist yet is no input; one that does is
+    compared with ``os.path.samefile``, so a link to an input counts too.
+    """
+    for out in filter(os.path.exists, outputs):
+        for path in inputs:
+            if os.path.samefile(out, path):
+                raise ValueError(f"output {out} is the input {path}; it would be overwritten")
+
+
+def _dataset_files(directory: str, dataset) -> list:
+    """``labels.csv`` and each subject file that ``load_dataset`` read."""
+    names = ["labels"] + [s.subject_id for s in dataset.subjects]
+    return [os.path.join(directory, f"{name}.csv") for name in names]
+
+
 def _apply_overrides(config: TrainConfig, args) -> TrainConfig:
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
@@ -58,12 +76,14 @@ def cmd_train(args) -> int:
     _check_file_out(args.out)
     dataset = load_dataset(args.data)
     config = _apply_overrides(load_train_config(args.config), args)
+    base = os.path.splitext(args.out)[0]
+    log_path, metrics_path = base + ".log.csv", base + ".metrics.json"
+    inputs = [args.config] + _dataset_files(args.data, dataset)
+    _check_outputs_spare_inputs([args.out, log_path, metrics_path], inputs)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     state, metrics, log = train_model(dataset, config)
 
     save_checkpoint(state, args.out)
-    base = os.path.splitext(args.out)[0]
-    log_path, metrics_path = base + ".log.csv", base + ".metrics.json"
     rows = [
         f"{row['epoch']},{row['train_loss']!r},{row['val_f1']!r},{row['val_loss']!r}\n"
         for row in log
@@ -94,6 +114,8 @@ def cmd_eval(args) -> int:
     if args.out:
         _check_file_out(args.out)
     state, dataset = _load_model_and_data(args)
+    if args.out:
+        _check_outputs_spare_inputs([args.out], [args.model] + _dataset_files(args.data, dataset))
     counts = np.bincount(dataset.labels, minlength=2)
     if not counts.all():  # fail before scoring
         raise ValueError(
@@ -116,6 +138,7 @@ def cmd_ablate(args) -> int:
     _check_file_out(args.out)
     dataset = load_dataset(args.data)
     config = _apply_overrides(load_train_config(args.config), args)
+    _check_outputs_spare_inputs([args.out], [args.config] + _dataset_files(args.data, dataset))
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     table = run_ablation(dataset, config)
     lines = ["mode," + ",".join(f.name for f in fields(Metrics)) + "\n"]
@@ -160,6 +183,10 @@ def cmd_inspect(args) -> int:
     if args.subject not in by_id:
         raise ValueError(f"unknown subject {args.subject!r} in {args.data}")
     subject = by_id[args.subject]
+    names = ("edges_filtered", "edges_optimal", "degrees")
+    paths = {name: os.path.join(args.out, f"{name}.csv") for name in names}
+    inputs = [args.model] + _dataset_files(args.data, dataset)
+    _check_outputs_spare_inputs(list(paths.values()), inputs)
 
     corr = pearson_correlation(subject.series)
     filtered, theta, hard = subject_graphs(subject.series, corr, state)
@@ -171,7 +198,7 @@ def cmd_inspect(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     for g, kept in top.items():
-        _write_edges(os.path.join(args.out, f"edges_{g}.csv"), kept)
+        _write_edges(paths[f"edges_{g}"], kept)
 
     incident = {  # undirected: both endpoints; directed: the target
         "filtered": [node for edge in top["filtered"] for node in edge[:2]],
@@ -180,7 +207,7 @@ def cmd_inspect(args) -> int:
     degrees = {g: np.bincount(nodes, minlength=n).tolist() for g, nodes in incident.items()}
     rows = [f"{g},{node},{degrees[g][node]}\n" for g in degrees for node in range(n)]
     header = "graph,node_id,in_degree\n"
-    _write_text(os.path.join(args.out, "degrees.csv"), header + "".join(rows))
+    _write_text(paths["degrees"], header + "".join(rows))
 
     print(
         f"subject {args.subject}: kept {len(top['filtered'])}/{len(edges['filtered'])} "

@@ -3,12 +3,13 @@
 The thresholded graph keeps correlation pairs above a cutoff and is a
 fixed, undirected input. The sampled graph is learned: a per-node signal
 embedding feeds a pair MLP producing one edge logit ``z`` per ordered
-pair (edge probability ``sigmoid(z)``). During training a logistic-Gumbel
-relaxation of those logits, ``sigmoid((z + g1 - g2) / tau)``, gives a
-differentiable soft adjacency; at evaluation time the graph is the
-noise-free limit of that relaxation, the 0/1 matrix ``z >= 0``. Both
-graphs keep a zero diagonal; self-loops are added once during
-normalization in the model.
+pair (edge probability ``sigmoid(z)``), two tape nodes in all: the
+extractor's product, then ``ad.pair_logits`` for the rest. During
+training a logistic-Gumbel relaxation of those logits,
+``sigmoid((z + g1 - g2) / tau)``, gives a differentiable soft
+adjacency; at evaluation time the graph is the noise-free limit of that
+relaxation, the 0/1 matrix ``z >= 0``. Both graphs keep a zero
+diagonal; self-loops are added once during normalization in the model.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ def build_filtered(corr: np.ndarray, threshold: float) -> np.ndarray:
 class EdgeScorer:
     """Learnable edge-probability head: signal embedding + pair MLP.
 
-    Each node's length-T signal maps to an embedding through one
-    ReLU layer; ordered pair embeddings are concatenated and scored by
-    a two-layer MLP ending in one logit, so the resulting matrix is
-    generally asymmetric (directed edges).
+    Each node's length-T signal maps to an embedding through one ReLU
+    layer, ``relu(series @ extract_w + extract_b)``; ordered pair
+    embeddings are concatenated and scored by a two-layer MLP ending in
+    one logit, so the resulting matrix is generally asymmetric (directed
+    edges). ``ad.pair_logits`` takes the product ``series @ extract_w``
+    and does everything after it, the bias and ReLU included.
     """
 
     extract_w: Tensor  # T x d
@@ -64,9 +67,9 @@ def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
     ``graphgen.edge_probabilities`` fixes. A series whose length is not
     the scorer's input width is rejected by ``ad.matmul``.
     """
-    embed = ad.relu(ad.add(ad.matmul(Tensor(series), scorer.extract_w), scorer.extract_b))
+    product = ad.matmul(Tensor(series), scorer.extract_w)
     w1, b1, w2, b2 = scorer.pair_w1, scorer.pair_b1, scorer.pair_w2, scorer.pair_b2
-    return ad.pair_logits(embed, w1, b1, w2, b2)
+    return ad.pair_logits(product, scorer.extract_b, w1, b1, w2, b2)
 
 
 def sample_gumbel_noise(rng: np.random.Generator, n: int) -> tuple:

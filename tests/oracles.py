@@ -4,8 +4,8 @@ Everything here is deliberately dumb: explicit loops, textbook
 formulas, and scalar math. None of it touches the autodiff engine or
 the library's own vectorized paths, so agreement is evidence rather
 than tautology. The one exception is the primitive ops and the
-composite references at the end. The primitives (``mul``, ``sigmoid``,
-``sum_all`` and the rest) are taped ops built on ``ad._make`` that the
+composite references at the end. The primitives (``add``, ``relu``,
+``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops built on ``ad._make`` that the
 model no longer runs; tests use them as probes, such as ``sum_all`` to
 reduce an op's output to a scalar loss. The composites chain them on
 purpose: they are the op-by-op forms that the fused layer ops and
@@ -173,6 +173,20 @@ def pair_logits_unfused(embed, w1, b1, w2, b2, g):
     return logits, grads
 
 
+def pair_logits_chained(product, bias, w1, b1, w2, b2, g):
+    """``ad.pair_logits`` as the chain it replaced: the taped ``add`` and ``relu``, then the MLP.
+
+    The embedding ``relu(add(P, b0))`` goes through ``pair_logits_unfused``;
+    its gradient goes back through the two taped ops. Returns the logits
+    and the gradients of ``sum(g * logits)`` with respect to the six inputs.
+    """
+    p, b0 = Tensor(product, requires_grad=True), Tensor(bias, requires_grad=True)
+    embed = relu(add(p, b0))
+    logits, grads = pair_logits_unfused(embed.data, w1, b1, w2, b2, g)
+    sum_all(mul(embed, Tensor(grads[0]))).backward()
+    return logits, [p.grad, b0.grad] + grads[1:]
+
+
 def harden_double_loop(logits):
     n, m = logits.shape
     out = np.zeros((n, m))
@@ -240,6 +254,27 @@ def parameter_count(config):
 
 # Primitive taped ops. They run on the engine's tape machinery but are
 # not part of it: the model's layers are single ops of their own.
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; also supports adding a length-n bias row to (m, n)."""
+    if a.data.shape == b.data.shape:
+        return _make(a.data + b.data, (a, b), lambda g: (g, g))
+    if a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
+        return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
+    raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
+
+
+def relu(a: Tensor) -> Tensor:
+    """``where(x > 0, x, 0)`` bit for bit, without a data-dependent branch.
+
+    ``fmax`` maps NaN to 0 as the comparison does but may return -0.0,
+    which adding +0.0 turns into +0.0 and leaves every other value as is.
+    """
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    mask = a.data > 0 if a.requires_grad else None
+    return _make(out, (a,), lambda g: (g * mask,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -320,7 +355,7 @@ def bce_with_logits(logit: Tensor, label) -> Tensor:
 def adjacency_norm_composite(adjacency):
     """``ad.adjacency_norm`` as primitive ops: add I, row sums, power, outer product."""
     n = adjacency.shape[0]
-    with_loops = ad.add(adjacency, Tensor(np.eye(n)))
+    with_loops = add(adjacency, Tensor(np.eye(n)))
     inv_sqrt_deg = power(row_sum(with_loops), -0.5)  # (n, 1)
     scaling = ad.matmul(inv_sqrt_deg, transpose(inv_sqrt_deg))
     return mul(with_loops, scaling)
@@ -328,12 +363,12 @@ def adjacency_norm_composite(adjacency):
 
 def graph_conv_composite(adjacency, features, weight):
     """``ad.graph_conv`` as primitive ops: two products, then ReLU."""
-    return ad.relu(ad.matmul(ad.matmul(adjacency, features), weight))
+    return relu(ad.matmul(ad.matmul(adjacency, features), weight))
 
 
 def gumbel_relax_composite(logits, delta, tau):
     """``ad.gumbel_relax`` as primitive ops: add, scale, sigmoid, off-diagonal mask."""
-    relaxed = sigmoid(scale(ad.add(logits, Tensor(delta)), 1.0 / tau))
+    relaxed = sigmoid(scale(add(logits, Tensor(delta)), 1.0 / tau))
     return mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
 
 
@@ -342,8 +377,8 @@ def classifier_head_composite(x, w1, b1, w2, b2):
     d = w1.shape[0]
     axes = next(k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d)
     rows = reshape(x, (x.size // d, d))
-    hidden = ad.relu(ad.add(ad.matmul(rows, w1), b1))
-    logit = ad.add(ad.matmul(hidden, w2), b2)
+    hidden = relu(add(ad.matmul(rows, w1), b1))
+    logit = add(ad.matmul(hidden, w2), b2)
     return reshape(logit, x.shape[:-axes])
 
 
@@ -352,7 +387,7 @@ def bce_mean_composite(logits, labels):
     total = None
     for logit, label in zip(logits, labels):
         loss = bce_with_logits(logit, label)
-        total = loss if total is None else ad.add(total, loss)
+        total = loss if total is None else add(total, loss)
     return scale(total, 1.0 / len(logits))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -609,6 +610,55 @@ class TestOutNamingADirectory:
         assert code == 2
         assert f"--out {out} is a directory" in err and "Traceback" not in err
         assert list(tmp_path.rglob("*")) == ([target] if existing else [])
+
+
+def _input_cases(root, workspace):
+    """(argv, output, input) for each way an output can name one of the command's inputs."""
+    data, ckpt, config = root / "data", root / "model.ckpt", root / "config.json"
+    shutil.copytree(workspace["data"], data)
+    shutil.copy(workspace["ckpt"], ckpt)
+    shutil.copy(workspace["config"], config)
+    log_config = root / "model.log.csv"  # the log train writes beside --out model.ckpt
+    shutil.copy(config, log_config)
+    (root / "alias").symlink_to(root, target_is_directory=True)
+    (data / "s0001.csv").rename(data / "degrees.csv")  # inspect writes a degrees.csv
+    labels = data / "labels.csv"
+    labels.write_text(labels.read_text().replace("s0001,", "degrees,"))
+    model, train = ["--model", ckpt, "--data", data], ["--data", data, "--config", config]
+    return {
+        "eval-checkpoint": (["eval", *model, "--out", ckpt], ckpt, ckpt),
+        "eval-through-a-link": (["eval", *model, "--out", root / "alias" / "model.ckpt"],
+                                root / "alias" / "model.ckpt", ckpt),
+        "train-config": (["train", *train, "--out", config], config, config),
+        "train-labels": (["train", *train, "--out", labels], labels, labels),
+        "train-log": (["train", "--data", data, "--config", log_config, "--out", ckpt],
+                      log_config, log_config),
+        "ablate-subject": (["ablate", *train, "--out", data / "s0002.csv"],
+                           data / "s0002.csv", data / "s0002.csv"),
+        "inspect-subject": (["inspect", *model, "--subject", "s0000", "--out", data],
+                            data / "degrees.csv", data / "degrees.csv"),
+    }
+
+
+class TestOutNamingAnInput:
+    @pytest.mark.parametrize(
+        "case",
+        ["eval-checkpoint", "eval-through-a-link", "train-config", "train-labels", "train-log",
+         "ablate-subject", "inspect-subject"],
+    )
+    def test_exits_2_before_any_work_and_leaves_the_input(
+        self, workspace, tmp_path, monkeypatch, capsys, case
+    ):
+        for name in ("train_model", "run_ablation", "evaluate", "subject_graphs"):
+            monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(_name))
+        argv, out, path = _input_cases(tmp_path, workspace)[case]
+        before = path.read_bytes()
+        code = main([str(arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"output {out} is the input {path}" in err and "Traceback" not in err
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestSynthCommand:

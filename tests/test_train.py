@@ -393,10 +393,10 @@ class TestTrainingLoop:
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
 
-    def test_a_training_step_tapes_twelve_nodes_per_subject_and_one_loss(self, monkeypatch):
-        # Per subject: the scorer's matmul, add and relu, pair_logits,
-        # gumbel_relax, the sampled graph's adjacency_norm, two graph_convs
-        # per branch, concat and classifier_head. The batch adds one bce_mean.
+    def test_a_training_step_tapes_ten_nodes_per_subject_and_one_loss(self, monkeypatch):
+        # Per subject: the scorer's matmul and pair_logits, gumbel_relax,
+        # the sampled graph's adjacency_norm, two graph_convs per branch,
+        # concat and classifier_head. The batch adds one bce_mean.
         tapes, backward = [], Tensor.backward
 
         def recording_backward(loss):
@@ -406,7 +406,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
         fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
-        assert tapes == [12 * 4 + 1, 12 * 4 + 1, 12 * 2 + 1]
+        assert tapes == [10 * 4 + 1, 10 * 4 + 1, 10 * 2 + 1]
 
     def test_one_update_reaches_every_sampled_branch_weight(self):
         # At GCN output width 8 the sampled branch is alive at init, so
