@@ -7,8 +7,9 @@ mini-batch (``bce_mean``, one node for the whole batch), and one op per
 model layer, so that a layer costs one tape node:
 
 - ``pair_logits``, the edge scorer from the extractor's product on (bias,
-  ReLU, pair MLP), keeps its inputs and the embedding; its VJP
-  recomputes the pair ReLU mask and forms no (n*n, h) product;
+  ReLU, pair MLP), keeps the embedding and the pair MLP's two (n, h)
+  halves; its VJP recomputes the pair ReLU mask from them and forms no
+  (n*n, h) product;
 - ``adjacency_norm``, ``D^-1/2 (A + I) D^-1/2``, keeps ``A + I``, the
   scaling and the degrees;
 - ``graph_conv``, ``relu((A @ X) @ W)``, keeps ``A @ X`` and reads the
@@ -298,13 +299,14 @@ def pair_logits(
     ``b0`` its bias row, so ``E`` is the node embedding. Entry (i, j) is
     ``relu(concat(E[i], E[j]) @ w1 + b1) @ w2 + b2``, the first layer
     factored as ``L[i] + R[j]`` with ``L = E @ w1[:d] + b1`` and
-    ``R = E @ w1[d:]``. The tape keeps the inputs and ``E``. The VJP
-    recomputes ``L``, ``R`` and the ReLU mask from the live parameter
-    arrays, which is sound because the optimizer steps only after
-    ``backward`` returns. The upstream gradient's masked row and column
-    sums ``s`` and ``t`` give every gradient: ``s * w2`` and ``t * w2``
-    for ``L`` and ``R``, and ``sum(L * s) + sum(R * t)`` for ``w2``, which
-    is ``sum(relu(L[i] + R[j]) * g[i, j])`` added in another order.
+    ``R = E @ w1[d:]``. The tape keeps ``E``, ``L`` and ``R`` (2·n·h floats
+    besides ``E``), and the VJP recomputes only the ReLU mask from them.
+    It reads ``w1`` and ``w2`` from the live parameter arrays, which is
+    sound because the optimizer steps only after ``backward`` returns.
+    The upstream gradient's masked row and column sums ``s`` and ``t``
+    give every gradient: ``s * w2`` and ``t * w2`` for ``L`` and ``R``,
+    and ``sum(L * s) + sum(R * t)`` for ``w2``, which is
+    ``sum(relu(L[i] + R[j]) * g[i, j])`` added in another order.
     ``E``'s gradient times ``E > 0`` is ``P``'s, and its column sums are
     ``b0``'s.
     """
@@ -315,12 +317,9 @@ def pair_logits(
         raise ValueError(f"pair_logits: incompatible shapes {shapes}")
     n = pd.shape[0]
     embed = _relu_in_place(pd + b0d)
-
-    def halves() -> tuple:
-        return embed @ w1d[:d] + b1d, embed @ w1d[d:]
+    left, right = embed @ w1d[:d] + b1d, embed @ w1d[d:]
 
     def vjp(g: np.ndarray) -> tuple:
-        left, right = halves()
         # L > -R is L + R > 0 in every bit, without the (n, n, h) sum
         q = g[:, :, None] * (left[:, None] > -right[None])
         ones = np.ones((1, n))  # a product sums q faster than q.sum
@@ -332,7 +331,6 @@ def pair_logits(
         gb2 = g.reshape(n * n, 1).sum(axis=0)
         return gp, gp.sum(axis=0), gw1, g_left.sum(axis=0), gw2, gb2
 
-    left, right = halves()
     pre = (left[:, None] + right[None]).reshape(n * n, h)  # row i*n + j: pair (i, j)
     out = (_relu_in_place(pre) @ w2d + b2d).reshape(n, n)
     return _make(out, (product, b0, w1, b1, w2, b2), vjp)

@@ -234,12 +234,27 @@ def _check_inputs(series, corr, config: ModelConfig) -> tuple:
     return series, corr
 
 
-def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None) -> Tensor:
+def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
+    """The thresholded branch's normalized adjacency, or None in a mode without it.
+
+    A constant tensor: no parameter reaches it, so training builds it
+    once per subject and passes it to every ``forward``.
+    """
+    if config.mode not in ("full", "no_optim"):
+        return None
+    return normalize_adjacency(Tensor(build_filtered(corr, config.corr_threshold)))
+
+
+def forward(
+    series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None
+) -> Tensor:
     """Scalar logit for one subject.
 
     ``noise`` is a pair of standard-Gumbel matrices for the training
     path; ``None`` selects the deterministic evaluation path, where the
     sampled graph holds the edges with a non-negative scorer logit.
+    ``graph`` is the subject's ``thresholded_graph``; without it the
+    thresholded branch builds its own.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
@@ -247,9 +262,9 @@ def forward(series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None)
     # Branch outputs (n x f, thresholded first) stack, then flatten row-major.
     branches = [Tensor(corr)] * 2 if config.mode == "no_gconv" else []
     if config.mode in ("full", "no_optim"):
-        filtered = build_filtered(corr, config.corr_threshold)
-        norm_f = normalize_adjacency(Tensor(filtered))
-        branches.append(gcn_forward(corr, norm_f, state.filtered_gcn))
+        if graph is None:
+            graph = thresholded_graph(corr, config)
+        branches.append(gcn_forward(corr, graph, state.filtered_gcn))
     if config.mode in ("full", "no_corr"):
         logits = edge_probabilities(series, state.scorer)
         if noise is None:

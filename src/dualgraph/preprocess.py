@@ -127,11 +127,19 @@ def _format_row(values: np.ndarray) -> str:
 
 
 def _check_subject_id(subject_id: str, where: str) -> None:
-    """Reject an id whose file would not sit beside labels.csv in the directory."""
-    if subject_id in ("", ".", "..") or "/" in subject_id or "\\" in subject_id:
+    """Reject an id that is not a plain file name or not one labels.csv field.
+
+    Its file must sit beside labels.csv in the directory, and its
+    labels.csv line must read back as written: no comma, and none of the
+    line breaks of ``str.splitlines``, a superset of the LF the loader
+    splits on.
+    """
+    if subject_id in ("", ".", "..") or any(c in subject_id for c in "/\\\0"):
         raise ValueError(f"{where}: subject id {subject_id!r} is not a plain file name")
     if subject_id == "labels":
         raise ValueError(f"{where}: subject id 'labels' would clash with labels.csv")
+    if "," in subject_id or subject_id.splitlines() != [subject_id]:
+        raise ValueError(f"{where}: subject id {subject_id!r} holds a comma or a line break")
 
 
 @contextlib.contextmanager
@@ -171,6 +179,8 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
     """
     for s in dataset.subjects:
         _check_subject_id(s.subject_id, directory)
+    if len({s.subject_id for s in dataset.subjects}) != len(dataset):
+        raise ValueError(f"{directory}: duplicate subject ids")
     os.makedirs(directory, exist_ok=True)
     files = [(f"{s.subject_id}.csv", (_format_row(row) for row in s.series))
              for s in dataset.subjects]
@@ -184,14 +194,19 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
 
 
 def _read_lines(path: str, kind: str) -> list:
-    """The lines of a dataset file; one that is missing or does not decode is named."""
+    """The LF-separated lines of a dataset file, each without one trailing CR.
+
+    A file that is missing or does not decode is named. No other
+    character ends a line, so a form feed or U+2028 stays inside its row.
+    """
     if not os.path.isfile(path):
         raise ValueError(f"missing {kind} file: {path}")
     try:
         with open(path, newline="") as fh:
-            return fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return [line.removesuffix("\r") for line in text.split("\n")]
 
 
 def load_dataset(directory: str) -> Dataset:

@@ -28,6 +28,7 @@ from dualgraph.model import (
     check_config,
     forward,
     init_model,
+    thresholded_graph,
 )
 from dualgraph.preprocess import Dataset, pearson_correlation
 
@@ -264,23 +265,22 @@ def binary_metrics(probs: np.ndarray, labels: np.ndarray) -> Metrics:
 
 
 def _predict_logits(
-    state: ModelState, dataset: Dataset, indices: list, corrs: list = None
+    state: ModelState, dataset: Dataset, indices: list, inputs: list = None
 ) -> np.ndarray:
+    """Noise-free logits; ``inputs`` is ``_setup``'s, else each subject's are built here."""
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
     logits = []
     for idx in indices:
-        subject = dataset.subjects[idx]
-        corr = corrs[idx] if corrs is not None else pearson_correlation(subject.series)
-        logits.append(float(forward(subject.series, corr, state, noise=None).data))
+        series = dataset.subjects[idx].series
+        corr, graph = inputs[idx] if inputs is not None else (pearson_correlation(series), None)
+        logits.append(float(forward(series, corr, state, noise=None, graph=graph).data))
     return np.asarray(logits)
 
 
-def predict_probabilities(
-    state: ModelState, dataset: Dataset, indices: list, corrs: list = None
-) -> np.ndarray:
+def predict_probabilities(state: ModelState, dataset: Dataset, indices: list) -> np.ndarray:
     """Deterministic disease probabilities via the noise-free path."""
-    return logistic(_predict_logits(state, dataset, indices, corrs))
+    return logistic(_predict_logits(state, dataset, indices))
 
 
 def evaluate(state: ModelState, dataset: Dataset, indices: list) -> Metrics:
@@ -300,7 +300,7 @@ def _model_config(dataset: Dataset, config: TrainConfig) -> ModelConfig:
 def _epoch_pass(
     state: ModelState,
     dataset: Dataset,
-    corrs: list,
+    inputs: list,
     train_indices: list,
     optimizer: Adam,
     rng: np.random.Generator,
@@ -313,14 +313,14 @@ def _epoch_pass(
     for batch_number, start in enumerate(range(0, len(order), config.batch_size), 1):
         batch = order[start : start + config.batch_size]
         where = f"epoch {epoch}, batch {batch_number}"
-        total += _batch_update(state, dataset, corrs, batch, optimizer, rng, where) * len(batch)
+        total += _batch_update(state, dataset, inputs, batch, optimizer, rng, where) * len(batch)
     return total / len(order)
 
 
 def _batch_update(
     state: ModelState,
     dataset: Dataset,
-    corrs: list,
+    inputs: list,
     batch: list,
     optimizer: Adam,
     rng: np.random.Generator,
@@ -332,11 +332,11 @@ def _batch_update(
     builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
-    logits = [
-        forward(dataset.subjects[idx].series, corrs[idx], state,
-                noise=sample_gumbel_noise(rng, dataset.n_rois))
-        for idx in batch
-    ]
+    logits = []
+    for idx in batch:
+        corr, graph = inputs[idx]
+        noise = sample_gumbel_noise(rng, dataset.n_rois)
+        logits.append(forward(dataset.subjects[idx].series, corr, state, noise=noise, graph=graph))
     mean_loss = ad.bce_mean(logits, [dataset.subjects[idx].label for idx in batch])
     value = float(mean_loss.data)
     if not np.isfinite(value):
@@ -352,16 +352,20 @@ def _batch_update(
 
 
 def _setup(dataset: Dataset, config: TrainConfig) -> tuple:
-    """Fresh model, every subject's correlations, Adam and the noise stream.
+    """Fresh model, every subject's inputs, Adam and the noise stream.
 
-    The Gumbel noise comes from a child of the config seed, so it never
-    shares draws with the split or the parameter init.
+    A subject's inputs are its correlations and its ``thresholded_graph``
+    (None in a mode without that branch), both fixed by its signals, so
+    they are built once here instead of in every step and validation
+    pass. The Gumbel noise comes from a child of the config seed, so it
+    never shares draws with the split or the parameter init.
     """
     state = init_model(_model_config(dataset, config))
     corrs = [pearson_correlation(s.series) for s in dataset.subjects]
+    inputs = [(corr, thresholded_graph(corr, state.config)) for corr in corrs]
     optimizer = Adam(state.parameters(), config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    return state, corrs, optimizer, rng
+    return state, inputs, optimizer, rng
 
 
 def fit(dataset: Dataset, indices: list, config: TrainConfig) -> tuple:
@@ -372,11 +376,11 @@ def fit(dataset: Dataset, indices: list, config: TrainConfig) -> tuple:
     """
     if not indices:
         raise ValueError("cannot train on an empty index list")
-    state, corrs, optimizer, rng = _setup(dataset, config)
+    state, inputs, optimizer, rng = _setup(dataset, config)
     losses = []
     for epoch in range(1, config.epochs + 1):
         losses.append(
-            _epoch_pass(state, dataset, corrs, indices, optimizer, rng, config, epoch)
+            _epoch_pass(state, dataset, inputs, indices, optimizer, rng, config, epoch)
         )
     return state, losses
 
@@ -397,7 +401,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
             f"the test split holds {test_counts[0]} class-0 and {test_counts[1]} class-1 "
             f"subjects (cohort: {cohort[0]} and {cohort[1]}); its AUC needs both classes"
         )
-    state, corrs, optimizer, rng = _setup(dataset, config)
+    state, inputs, optimizer, rng = _setup(dataset, config)
     val_labels = dataset.labels[np.asarray(indices.val, dtype=np.int64)]
 
     log = []
@@ -406,10 +410,10 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
     stall = 0
     for epoch in range(1, config.epochs + 1):
         train_loss = _epoch_pass(
-            state, dataset, corrs, indices.train, optimizer, rng, config, epoch
+            state, dataset, inputs, indices.train, optimizer, rng, config, epoch
         )
 
-        val_logits = _predict_logits(state, dataset, indices.val, corrs)
+        val_logits = _predict_logits(state, dataset, indices.val, inputs)
         tp, fp, tn, fn = _confusion(logistic(val_logits), val_labels)
         val_f1 = _safe_ratio(2.0 * tp, 2.0 * tp + fp + fn)
         val_loss = float(

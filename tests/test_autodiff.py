@@ -280,6 +280,30 @@ def _pair_bounds(n, expected):
     return [16 * n * np.finfo(float).eps * scale for scale in scales]
 
 
+def _pair_mlp_bounds(arrays, g):
+    """Allowed error of the pair_w1, pair_b1, pair_w2 and pair_b2 gradients, any draw.
+
+    Each is ``(n + 2) * eps`` times the sum of the magnitudes of the
+    terms the gradient adds up: ``n * eps`` for the n-term row and column
+    sums on each side, ``2 * eps`` for the few roundings around them,
+    which is all there is at n = 1. Unlike ``_pair_bounds`` no
+    cancellation between the terms can break it.
+    """
+    product, b0, w1, b1, w2, _ = arrays
+    n, d = product.shape
+    embed = np.maximum(product + b0, 0.0)
+    left, right = np.abs(embed @ w1[:d] + b1), np.abs(embed @ w1[d:])
+    rows, cols, total = np.abs(g).sum(axis=1), np.abs(g).sum(axis=0), np.abs(g).sum()
+    w2_abs = np.abs(w2[:, 0])
+    scales = [
+        np.concatenate((np.outer(embed.T @ rows, w2_abs), np.outer(embed.T @ cols, w2_abs))),
+        w2_abs * total,
+        (rows @ left + cols @ right).reshape(-1, 1),
+        np.array([total]),
+    ]
+    return [(n + 2) * np.finfo(float).eps * scale for scale in scales]
+
+
 def _pair_run(arrays, g):
     """``pair_logits`` output and the input gradients of ``sum(g * logits)``."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -329,8 +353,8 @@ class TestPairLogits:
         out, grads = _pair_run(arrays, g)
         logits, expected = pair_logits_chained(*arrays, g)
         assert out.tobytes() == logits.tobytes()
-        bounds = _pair_bounds(n, expected)
-        for k in (0, 1):  # the product and extract_b
+        bounds = _pair_bounds(n, expected)[:2] + _pair_mlp_bounds(arrays, g)
+        for k in range(6):  # the product, extract_b, then the pair MLP's four
             assert np.all(np.abs(grads[k] - expected[k]) <= bounds[k]), k
         if b0_shift < 0:  # a dead embedding passes back exact zeros
             assert not grads[0].any() and not grads[1].any()

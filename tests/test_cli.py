@@ -349,6 +349,15 @@ class TestEvalCommand:
         assert code == 2
         assert "not a plain file name" in capsys.readouterr().err
 
+    def test_eval_on_a_labels_line_holding_a_form_feed_exits_2(self, tmp_path, capsys, workspace):
+        # A form feed does not end a line: this is one row of three fields.
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        (data / "labels.csv").write_text("subject_id,label\ns0000,0\x0cs0001,1\n", newline="")
+        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
+        assert code == 2
+        assert "labels.csv: row 2: expected 2 fields" in capsys.readouterr().err
+
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

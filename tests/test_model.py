@@ -26,6 +26,7 @@ from dualgraph.model import (
     parameter_shapes,
     save_checkpoint,
     subject_graphs,
+    thresholded_graph,
 )
 from dualgraph.preprocess import generate_synthetic, pearson_correlation
 from dualgraph.train import TrainConfig, train_model
@@ -273,6 +274,31 @@ class TestForward:
         noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
         ours = float(forward(series, corr, state, noise=noise).data)
         assert abs(ours - _forward_oracle(series, corr, state, noise)) < 1e-10
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_given_thresholded_graph_changes_no_bit(self, mode, training):
+        # Training passes each subject's thresholded_graph, built once;
+        # without one, forward builds the same tensor itself.
+        series, corr = _toy_subject(seed=8)
+        config = _config(mode=mode, seed=21, corr_threshold=0.1)
+        graph = thresholded_graph(corr, config)
+        if mode in ("no_corr", "no_gconv"):
+            assert graph is None
+        else:
+            assert 0 < build_filtered(corr, 0.1).sum() < 6 * 5  # edges and gaps
+        noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
+        runs = []
+        for given in (graph, None):
+            state = init_model(config)
+            logit = forward(series, corr, state, noise, graph=given)  # noise stays 4th
+            if training:
+                ad.bce_mean([logit], [1]).backward()
+            grads = [p.grad.tobytes() for p in state.parameters() if p.grad is not None]
+            runs.append((logit.data.tobytes(), grads))
+            if training and graph is not None:  # the thresholded branch does train
+                assert all(w.grad.any() for w in state.filtered_gcn.parameters())
+        assert runs[0] == runs[1]
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)

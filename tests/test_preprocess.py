@@ -1,6 +1,7 @@
 """Correlation, dataset IO, and synthetic-cohort tests."""
 
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -209,6 +210,71 @@ class TestDatasetIO:
             save_dataset(ds, str(tmp_path / "data"))
         assert not (tmp_path / "outside.csv").exists()
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "subject_id", ["a,b", "a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\x85", "a\x00b"]
+    )
+    def test_save_refuses_ids_that_would_not_load_back(self, tmp_path, subject_id):
+        series = np.arange(6.0).reshape(2, 3) ** 2
+        ds = Dataset("ids", [BoldMatrix("s1", series, 0), BoldMatrix(subject_id, series, 1)])
+        with pytest.raises(ValueError, match="subject id"):
+            save_dataset(ds, str(tmp_path / "data"))
+        assert not (tmp_path / "data").exists()
+
+    def test_save_refuses_duplicate_ids_and_leaves_the_earlier_dataset(self, tmp_path):
+        d = tmp_path / "data"
+        save_dataset(generate_synthetic(4, 8, 32, seed=1), str(d))
+        earlier = {f.name: f.read_bytes() for f in d.iterdir()}
+        series = np.arange(6.0).reshape(2, 3) ** 2
+        ds = Dataset("twins", [BoldMatrix("s0000", series, 0), BoldMatrix("s0000", series + 1, 1)])
+        with pytest.raises(ValueError, match="duplicate subject ids"):
+            save_dataset(ds, str(d))
+        assert {f.name: f.read_bytes() for f in d.iterdir()} == earlier
+
+    @given(
+        subject_id=st.text(
+            st.one_of(st.sampled_from(",\n\r\x0b\x0c\x1c\x85\u2028./"), st.characters()), max_size=8
+        )
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_id_save_accepts_loads_back_with_its_bits(self, tmp_path, subject_id):
+        series = np.random.default_rng(len(subject_id)).standard_normal((3, 4))
+        ds = Dataset("ids", [BoldMatrix(subject_id, series, 1)])
+        with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+            try:
+                save_dataset(ds, directory)
+            except ValueError as exc:
+                assert "subject id" in str(exc)
+                return
+            [back] = load_dataset(directory).subjects
+        assert back.subject_id == subject_id and back.label == 1
+        assert back.series.tobytes() == series.tobytes()
+
+    def test_a_form_feed_does_not_end_a_labels_line(self, tmp_path):
+        d = tmp_path / "data"
+        save_dataset(generate_synthetic(4, 8, 32, seed=1), str(d))
+        (d / "labels.csv").write_text("subject_id,label\ns0000,0\x0cs0001,1\n", newline="")
+        with pytest.raises(ValueError, match=r"labels\.csv: row 2: expected 2 fields"):
+            load_dataset(str(d))
+
+    def test_a_subject_row_broken_by_a_form_feed_is_named_by_its_line(self, tmp_path):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "labels.csv").write_text("subject_id,label\ns1,0\n")
+        (d / "s1.csv").write_text("1,2\x0c3\n4,5,6\n", newline="")
+        with pytest.raises(ValueError, match=r"s1\.csv: row 1: could not convert"):
+            load_dataset(str(d))
+
+    def test_crlf_files_load_as_lf_files_do(self, tmp_path):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        save_dataset(generate_synthetic(4, 8, 32, seed=1), str(lf))
+        crlf.mkdir()
+        for f in lf.iterdir():
+            (crlf / f.name).write_bytes(f.read_bytes().replace(b"\n", b"\r\n"))
+        key = lambda s: (s.subject_id, s.label, s.series.tobytes())  # noqa: E731
+        assert [key(s) for s in load_dataset(str(crlf)).subjects] == [
+            key(s) for s in load_dataset(str(lf)).subjects
+        ]
 
 
 CSV_TOKENS = [

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualgraph import autodiff as ad
+from dualgraph import model as model_module
 from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
-from dualgraph.model import init_model
-from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic
+from dualgraph.graphgen import build_filtered
+from dualgraph.model import MODES, init_model, normalize_adjacency
+from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic, pearson_correlation
 from dualgraph.train import (
     Adam,
     Metrics,
@@ -413,8 +415,8 @@ class TestTrainingLoop:
         # the fused pair MLP's VJP must hand every scorer parameter, and
         # the optimal GCN behind it both weights, a non-zero gradient.
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, corrs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
-        train_module._batch_update(state, ds, corrs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
         params = state.scorer.parameters() + state.optimal_gcn.parameters()
         names = ["extract_w", "extract_b", "pair_w1", "pair_b1", "pair_w2", "pair_b2", "w0", "w1"]
         for name, param in zip(names, params):
@@ -439,10 +441,10 @@ class TestTrainingLoop:
 
     def test_head_gradient_array_is_reused_across_updates(self):
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, corrs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
-        train_module._batch_update(state, ds, corrs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
         first = state.classifier.w1.grad
-        train_module._batch_update(state, ds, corrs, [4, 5, 6, 7], optimizer, rng, "batch 2")
+        train_module._batch_update(state, ds, inputs, [4, 5, 6, 7], optimizer, rng, "batch 2")
         assert state.classifier.w1.grad is first
 
     def test_a_worse_later_epoch_restores_the_best_parameters_bit_for_bit(self, monkeypatch):
@@ -459,8 +461,8 @@ class TestTrainingLoop:
             after_epoch.append([p.data.copy() for p in state.parameters()])
             return loss
 
-        def scripted_validation(state, dataset, indices, corrs=None):
-            if corrs is None:  # the test set, scored after training
+        def scripted_validation(state, dataset, indices, inputs=None):
+            if inputs is None:  # the test set, scored after training
                 return predict(state, dataset, indices)
             return next(scales) * (2.0 * dataset.labels[indices] - 1.0)
 
@@ -496,6 +498,90 @@ class TestTrainingLoop:
         )
         with pytest.raises(ValueError, match="empty"):
             evaluate(state, ds, [])
+
+
+class TestThresholdedGraphCache:
+    """``_setup`` builds each subject's thresholded graph once; steps and validation reuse it."""
+
+    def test_no_step_or_validation_pass_builds_a_thresholded_graph(self, monkeypatch):
+        ds = generate_synthetic(12, 8, 32, seed=8)
+        phase, calls = ["setup"], []
+        build, epoch_pass, predict = (
+            model_module.build_filtered, train_module._epoch_pass, train_module._predict_logits
+        )
+
+        def spied_build(*args):
+            calls.append(phase[0])
+            return build(*args)
+
+        def spied_pass(*args):
+            phase[0] = "epoch"
+            return epoch_pass(*args)
+
+        def spied_predict(state, dataset, indices, *inputs):
+            phase[0] = "validation" if inputs else "test"  # the test set gets no inputs
+            return predict(state, dataset, indices, *inputs)
+
+        monkeypatch.setattr(model_module, "build_filtered", spied_build)
+        monkeypatch.setattr(train_module, "_epoch_pass", spied_pass)
+        monkeypatch.setattr(train_module, "_predict_logits", spied_predict)
+        _, _, log = train_model(ds, _small_config(epochs=2, patience=2))
+        assert len(log) == 2
+        assert calls == ["setup"] * 12 + ["test"] * len(split(ds, seed=0).test)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_setup_builds_the_graph_only_in_modes_with_the_thresholded_branch(self, mode):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        _, inputs, _, _ = train_module._setup(ds, _small_config(mode=mode))
+        for subject, (corr, graph) in zip(ds.subjects, inputs):
+            assert corr.tobytes() == pearson_correlation(subject.series).tobytes()
+            if mode in ("no_corr", "no_gconv"):
+                assert graph is None
+                continue
+            expected = normalize_adjacency(build_filtered(corr, 0.6)).data
+            assert graph.data.tobytes() == expected.tobytes() and not graph.requires_grad
+
+    @pytest.mark.parametrize("mode,per_subject", [("full", 1), ("no_optim", 0)])
+    def test_a_batch_update_normalizes_only_the_sampled_graphs(self, monkeypatch, mode, per_subject):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(mode=mode))
+        calls, adjacency_norm = [], ad.adjacency_norm
+        monkeypatch.setattr(ad, "adjacency_norm", lambda a: calls.append(a) or adjacency_norm(a))
+        train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        assert len(calls) == 4 * per_subject
+
+    def test_every_op_a_training_step_calls_is_a_tape_node(self, monkeypatch):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        outputs = []
+
+        def recorded(name, op):
+            def wrapped(*args):
+                out = op(*args)
+                outputs.append((name, out))
+                return out
+
+            return wrapped
+
+        names = ["matmul", "concat", "pair_logits", "adjacency_norm", "graph_conv",
+                 "gumbel_relax", "classifier_head", "bce_mean"]
+        for name in names:
+            monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
+        train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        assert len(outputs) == 10 * 4 + 1
+        assert [name for name, out in outputs if out._vjp is None] == []
+
+    def test_an_epoch_and_a_validation_pass_leave_the_cached_inputs_as_they_were(self):
+        # No op mutates its inputs, so one graph can serve every step.
+        ds = generate_synthetic(10, 8, 32, seed=6)
+        config = _small_config(gcn_out_dim=8)
+        state, inputs, optimizer, rng = train_module._setup(ds, config)
+        before = [(corr.tobytes(), graph.data.tobytes()) for corr, graph in inputs]
+        head = state.classifier.w1.data.copy()
+        train_module._epoch_pass(state, ds, inputs, list(range(10)), optimizer, rng, config, 1)
+        train_module._predict_logits(state, ds, list(range(10)), inputs)
+        assert not np.array_equal(state.classifier.w1.data, head)  # the epoch did train
+        assert [(corr.tobytes(), graph.data.tobytes()) for corr, graph in inputs] == before
 
 
 class TestPaperScaleGeometry:
