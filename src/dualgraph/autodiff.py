@@ -35,16 +35,11 @@ every gradient. No operation mutates its inputs.
 
 Backward does no work a gradient does not need. A product skips the side
 whose operand does not require grad. Every weight gradient ``x.T @ g``,
-in ``matmul`` and in the layer ops alike, goes through one rule
-(``_weight_grad``): when the weight is a leaf and the factors ``(x, g)``
-are smaller than the gradient, ``rows * (in + out) < in * out``, the VJP
-returns the factors; ``backward`` stacks every such contribution to the
-weight over the whole tape (a mini-batch of subjects, say) and forms
-the gradient with one product. That serves a weight fed few rows at a
-time, like the classifier head's first layer and, at the benchmark
-widths, each GCN's second layer. Any other weight, like a GCN's first
-layer, gets ``x.T @ g`` per use instead, since stacking its factors
-would copy more than the gradient holds.
+in ``matmul`` and in the layer ops alike, follows one rule: the VJP
+returns the factors ``(x, g)`` unformed, and ``backward`` stacks every
+contribution to the weight over the whole tape (a mini-batch of
+subjects, say) and forms its gradient with one product, or none when the
+weight needs no gradient.
 
 A leaf keeps the array of its last stacked gradient. When a pass's
 gradient of a leaf is that one product and the leaf holds no gradient
@@ -134,12 +129,13 @@ class Tensor:
 
         order = _topo_order(self)
         flows = {id(self): np.ones((), dtype=np.float64)}
-        factors: dict = {}  # id(leaf) -> list of _Factors
+        factors: dict = {}  # id(tensor) -> list of _Factors
         for node in reversed(order):
             flow = flows.pop(id(node), None)
             pending = factors.pop(id(node), None)
-            if pending is not None:  # only leaves get factors
-                keep = flow is None and node.grad is None  # the product is the gradient
+            if pending is not None:
+                # on a leaf with no other gradient, the product is the gradient
+                keep = node._vjp is None and flow is None and node.grad is None
                 if keep and node._stacked is not None:
                     product = _stacked_product(pending, out=node._stacked)
                 else:
@@ -187,15 +183,15 @@ def _topo_order(root: Tensor) -> list:
 def _stacked_product(parts: list, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum of ``a_i.T @ g_i`` as one product of the stacked factors.
 
-    Written into ``out`` when it has the product's shape; the bits are
-    the same either way.
+    Written into ``out`` when given, the same leaf's previous product; the
+    bits are the same either way.
     """
     if len(parts) == 1:
         a, g = parts[0].a, parts[0].g
     else:
         a = np.concatenate([p.a for p in parts])
         g = np.concatenate([p.g for p in parts])
-    if out is None or out.shape != (a.shape[1], g.shape[1]):
+    if out is None:
         return a.T @ g
     return np.matmul(a.T, g, out=out)
 
@@ -216,19 +212,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Vjp) -> Tensor:
             return out
     out.requires_grad, out._parents, out._vjp = False, (), None
     return out
-
-
-def _weight_grad(x: np.ndarray, g: np.ndarray, weight: Tensor):
-    """The gradient ``x.T @ g`` of ``weight`` in ``x @ weight``.
-
-    Left as factors for ``backward`` to stack when the weight is a leaf
-    and the factors are smaller than the gradient they form,
-    ``rows * (in + out) < in * out``.
-    """
-    (rows, k), n = x.shape, g.shape[1]
-    if not weight._parents and rows * (k + n) < k * n:
-        return _Factors(x, g)
-    return x.T @ g
 
 
 def _relu_in_place(x: np.ndarray) -> np.ndarray:
@@ -264,7 +247,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: np.ndarray) -> tuple:
         return (
             g @ bd.T if a.requires_grad else None,
-            _weight_grad(ad, g, b) if b.requires_grad else None,
+            _Factors(ad, g),
         )
 
     return _make(ad @ bd, (a, b), vjp)
@@ -377,7 +360,7 @@ def graph_conv(adjacency: Tensor, features: Tensor, weight: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray) -> tuple:
         g = g * (out > 0)
-        gw = _weight_grad(ax, g, weight) if weight.requires_grad else None
+        gw = _Factors(ax, g)
         if not (adjacency.requires_grad or features.requires_grad):
             return None, None, gw
         g_ax = g @ wd.T
@@ -436,9 +419,9 @@ def classifier_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -
         g_hidden *= hidden > 0
         return (
             (g_hidden @ w1d.T).reshape(xd.shape) if x.requires_grad else None,
-            _weight_grad(rows, g_hidden, w1) if w1.requires_grad else None,
+            _Factors(rows, g_hidden),
             g_hidden.sum(axis=0),
-            _weight_grad(hidden, g, w2) if w2.requires_grad else None,
+            _Factors(hidden, g),
             g.sum(axis=0),
         )
 

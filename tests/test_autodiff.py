@@ -280,28 +280,38 @@ def _pair_bounds(n, expected):
     return [16 * n * np.finfo(float).eps * scale for scale in scales]
 
 
-def _pair_mlp_bounds(arrays, g):
-    """Allowed error of the pair_w1, pair_b1, pair_w2 and pair_b2 gradients, any draw.
+def _pair_magnitude_bounds(arrays, g):
+    """Allowed error of each ``pair_logits`` gradient against the chained oracle, any draw.
 
-    Each is ``(n + 2) * eps`` times the sum of the magnitudes of the
-    terms the gradient adds up: ``n * eps`` for the n-term row and column
-    sums on each side, ``2 * eps`` for the few roundings around them,
-    which is all there is at n = 1. Unlike ``_pair_bounds`` no
-    cancellation between the terms can break it.
+    Each bound is a multiple of ``eps`` times the sum of the magnitudes of
+    the terms the gradient adds up, so no cancellation between the terms
+    can break it. The pair MLP's four take ``n + 2``: ``n`` for the n-term
+    row and column sums on each side, ``2`` for the few roundings around
+    them, which is all there is at n = 1. Each entry of the product's
+    gradient also goes through an h-term product with ``w1``, so it takes
+    ``n + h + 2``, and ``extract_b``'s, a sum of the product's n rows,
+    ``2 * n + h + 2``.
     """
     product, b0, w1, b1, w2, _ = arrays
     n, d = product.shape
+    h = b1.size
     embed = np.maximum(product + b0, 0.0)
     left, right = np.abs(embed @ w1[:d] + b1), np.abs(embed @ w1[d:])
     rows, cols, total = np.abs(g).sum(axis=1), np.abs(g).sum(axis=0), np.abs(g).sum()
     w2_abs = np.abs(w2[:, 0])
-    scales = [
-        np.concatenate((np.outer(embed.T @ rows, w2_abs), np.outer(embed.T @ cols, w2_abs))),
-        w2_abs * total,
-        (rows @ left + cols @ right).reshape(-1, 1),
-        np.array([total]),
+    product_scale = (
+        np.outer(rows, w2_abs) @ np.abs(w1[:d]).T + np.outer(cols, w2_abs) @ np.abs(w1[d:]).T
+    ) * (embed > 0)
+    w1_scale = np.concatenate((np.outer(embed.T @ rows, w2_abs), np.outer(embed.T @ cols, w2_abs)))
+    scaled = [
+        (n + h + 2, product_scale),
+        (2 * n + h + 2, product_scale.sum(axis=0)),
+        (n + 2, w1_scale),
+        (n + 2, w2_abs * total),
+        (n + 2, (rows @ left + cols @ right).reshape(-1, 1)),
+        (n + 2, np.array([total])),
     ]
-    return [(n + 2) * np.finfo(float).eps * scale for scale in scales]
+    return [k * np.finfo(float).eps * scale for k, scale in scaled]
 
 
 def _pair_run(arrays, g):
@@ -353,7 +363,7 @@ class TestPairLogits:
         out, grads = _pair_run(arrays, g)
         logits, expected = pair_logits_chained(*arrays, g)
         assert out.tobytes() == logits.tobytes()
-        bounds = _pair_bounds(n, expected)[:2] + _pair_mlp_bounds(arrays, g)
+        bounds = _pair_magnitude_bounds(arrays, g)
         for k in range(6):  # the product, extract_b, then the pair MLP's four
             assert np.all(np.abs(grads[k] - expected[k]) <= bounds[k]), k
         if b0_shift < 0:  # a dead embedding passes back exact zeros
@@ -371,10 +381,10 @@ class TestPairLogits:
         # pair_w2's gradient sums L * s and R * t separately; shifting L by
         # +shift and R by -shift leaves every L[i] + R[j] about where it
         # was but makes both sums large and cancelling. The error stays
-        # within a sum of n terms' rounding, n * eps * sum |g| (|L| + |R|).
+        # within the sum-of-magnitudes bound of _pair_magnitude_bounds.
         rng = np.random.default_rng(seed)
         arrays = _pair_mlp(rng, n, d, h)
-        product, extract_b, w1, b1 = arrays[:4]
+        product, extract_b, w1 = arrays[:3]
         product[:, -1], extract_b[-1] = 1.0, 0.0  # a constant embedding column carries the shift
         w1[d - 1] += shift
         w1[-1] -= shift
@@ -383,11 +393,7 @@ class TestPairLogits:
         out = ad.pair_logits(*map(Tensor, arrays[:4]), w2, Tensor(arrays[5]))
         sum_all(mul(out, Tensor(g))).backward()
         expected = pair_logits_chained(*arrays, g)[1][4]
-        embed = np.maximum(product + extract_b, 0.0)
-        left, right = np.abs(embed @ w1[:d] + b1), np.abs(embed @ w1[d:])
-        scale = np.abs(g).sum(axis=1) @ left + np.abs(g).sum(axis=0) @ right
-        bound = n * np.finfo(float).eps * scale
-        assert np.all(np.abs(w2.grad - expected)[:, 0] <= bound)
+        assert np.all(np.abs(w2.grad - expected) <= _pair_magnitude_bounds(arrays, g)[4])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -487,7 +493,6 @@ class TestLayerOps:
     @pytest.mark.parametrize("flags", _FLAGS_3)
     @pytest.mark.parametrize("n,k,m", [(4, 4, 3), (2, 6, 6), (5, 3, 7)])
     def test_graph_conv_equals_the_composite(self, n, k, m, flags):
-        # (2, 6, 6): 2 * (6 + 6) < 6 * 6, so the weight's gradient is left as factors.
         rng = np.random.default_rng(n * k * m)
         norm = ad.adjacency_norm(Tensor(_adjacency(rng, n))).data
         arrays = [norm, rng.standard_normal((n, k)), rng.standard_normal((k, m))]
@@ -569,8 +574,8 @@ class TestLayerOps:
         _check_gradients(lambda ts: _layer_loss(ad.classifier_head(*ts), weights), arrays)
 
     def test_layer_weights_share_one_stacked_product(self, monkeypatch):
-        # Three uses of each weight; each use's factors are smaller than
-        # the weight's gradient, so backward forms it with one product.
+        # Three uses of each weight; backward stacks each weight's factors
+        # and forms its gradient with one product.
         stacked = []
         product = ad._stacked_product
         monkeypatch.setattr(
@@ -586,7 +591,7 @@ class TestLayerOps:
             term = ad.classifier_head(hidden, *head)
             loss = term if loss is None else add(loss, term)
         loss.backward()
-        assert stacked == [3, 3]  # the head's w1 and the graph_conv weight
+        assert stacked == [3, 3, 3]  # the graph_conv weight, then the head's w1 and w2
 
     @pytest.mark.parametrize(
         "name,shapes",
@@ -774,7 +779,7 @@ def _shared_weight_loss(inputs, weight):
 
 
 class TestFactoredWeightGradients:
-    """A leaf weight's matmul gradients are stacked and formed in one product."""
+    """Every use's weight gradient is stacked and formed in one product."""
 
     def test_shared_weight_matches_per_product_sum(self):
         rng = np.random.default_rng(53)
@@ -796,7 +801,7 @@ class TestFactoredWeightGradients:
 
     def test_weight_in_matmul_and_elementwise_op(self):
         rng = np.random.default_rng(61)
-        # one row: factors of 1 * (3 + 3) values beat a 3 x 3 gradient
+        # w takes stacked factors from the product and a flow from mul
         x, w = rng.standard_normal((1, 3)), rng.standard_normal((3, 3))
 
         def build(ts):
@@ -852,6 +857,18 @@ class TestFactoredWeightGradients:
         assert w.grad is not kept
         assert max_rel_error(w.grad, numeric) < GRAD_TOL
 
+    def test_intermediate_weight_passes_its_product_on_and_keeps_none(self):
+        # relu(v) is a weight with a VJP: its stacked product is a flow
+        # into that VJP, not a gradient to keep for the next pass.
+        rng = np.random.default_rng(97)
+        xs = [rng.standard_normal((k, 3)) for k in (2, 1)]
+        v = np.abs(rng.standard_normal((3, 4))) + 0.5  # away from the ReLU's kink
+        tensors = [Tensor(a, requires_grad=True) for a in xs + [v]]
+        weight = relu(tensors[2])
+        _shared_weight_loss(tensors[:2], weight).backward()
+        assert weight._stacked is None and weight.grad is None
+        _check_gradients(lambda ts: _shared_weight_loss(ts[:2], relu(ts[2])), xs + [v])
+
     def test_constant_left_operand_product_never_formed(self):
         rng = np.random.default_rng(71)
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -870,6 +887,44 @@ class TestFactoredWeightGradients:
         # hidden.T @ g would be the constant's gradient.
         assert products == [[(2, 4), (4, 3)]]
         assert constant.grad is None
+
+    @pytest.mark.parametrize(
+        "name,shapes,constant",
+        [
+            ("matmul", [(3, 4), (4, 2)], [1]),
+            ("graph_conv", [(3, 3), (3, 4), (4, 2)], [2]),
+            ("classifier_head", [(3, 4), (4, 5), (5,), (5, 1), (1,)], [1, 3]),
+        ],
+    )
+    def test_constant_weight_gradient_never_formed(self, monkeypatch, name, shapes, constant):
+        # Every VJP hands back a weight's factors whether or not the weight
+        # needs a gradient; backward must drop a constant's before any
+        # product. Each input is a view that records the shape of every
+        # product formed from it or from what was computed from it; no
+        # product here other than a weight's gradient has a weight's shape.
+        formed, stacked = [], []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+                result = np.asarray(getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs))
+                if ufunc is np.matmul:
+                    formed.append(result.shape)
+                return result.view(Spy)
+
+        product = ad._stacked_product
+        monkeypatch.setattr(
+            ad, "_stacked_product", lambda parts, out=None: stacked.append(parts) or product(parts)
+        )
+        rng = np.random.default_rng(89)
+        tensors = [Tensor(0, requires_grad=i not in constant) for i in range(len(shapes))]
+        for t, shape in zip(tensors, shapes):
+            t.data = rng.uniform(0.5, 1.5, shape).view(Spy)  # every ReLU alive
+        sum_all(getattr(ad, name)(*tensors)).backward()
+        assert stacked == []
+        assert not {shapes[i] for i in constant} & set(formed)
+        assert [t.grad is None for t in tensors] == [i in constant for i in range(len(shapes))]
 
 
 class TestRemainingOps:

@@ -412,7 +412,7 @@ def _spy_on_outputs(monkeypatch, names, gradients_of=()):
 
 
 class TestWeightGradientStacking:
-    def test_only_the_wide_head_weight_is_stacked(self, monkeypatch):
+    def test_the_head_weight_is_one_stacked_product(self, monkeypatch):
         n, d, f, hc, batch = 6, 4, 8, 4, 3
         state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
         # Any product pair_logits' VJP forms from the gradient it receives

@@ -1,5 +1,6 @@
 """Correlation, dataset IO, and synthetic-cohort tests."""
 
+import pathlib
 import re
 import tempfile
 
@@ -295,16 +296,22 @@ class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_bytes_load_or_raise_value_error(self, tmp_path, target, content):
         """Whatever one file holds, load_dataset raises ValueError or loads."""
-        d = tmp_path / "fuzz"
-        d.mkdir(exist_ok=True)
-        (d / "labels.csv").write_bytes(b"subject_id,label\ns1,0\ns2,1\n")
-        (d / "s1.csv").write_bytes(b"1,2,3\n4,5,6\n")
-        (d / "s2.csv").write_bytes(b"7,8,9\n1,0,2\n")
-        (d / target).write_bytes(content)
-        try:
-            dataset = load_dataset(str(d))
-        except ValueError:
-            return
+        files = {
+            "labels.csv": b"subject_id,label\ns1,0\ns2,1\n",
+            "s1.csv": b"1,2,3\n4,5,6\n",
+            "s2.csv": b"7,8,9\n1,0,2\n",
+            target: content,
+        }
+        # A fresh directory per example, each file written once: on ext4,
+        # truncating a file whose data is not yet on disk, then removing
+        # it, waits for its writeback (a minute over the 300 examples).
+        with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+            for name, data in files.items():
+                (pathlib.Path(directory) / name).write_bytes(data)
+            try:
+                dataset = load_dataset(directory)
+            except ValueError:
+                return
         assert all(np.isfinite(s.series).all() for s in dataset.subjects)
 
 
