@@ -1,8 +1,9 @@
 """Command-line surface: train, eval, ablate, synth, inspect.
 
 Exit codes are a stable contract: 0 success, 2 for usage or input
-problems, 3 when training fails numerically. Every command is
-deterministic given identical arguments and input files.
+problems (running out of memory included), 3 when training fails
+numerically. Every command is deterministic given identical arguments
+and input files.
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # such as numpy's for a config too large to allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

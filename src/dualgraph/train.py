@@ -153,7 +153,7 @@ class Adam:
     mode's unused branch, is skipped: its moments and value stay as they are.
     """
 
-    CHUNK = 16384
+    CHUNK = 32768
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: list, learning_rate: float):
@@ -366,23 +366,6 @@ def _setup(dataset: Dataset, config: TrainConfig) -> tuple:
     optimizer = Adam(state.parameters(), config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     return state, inputs, optimizer, rng
-
-
-def fit(dataset: Dataset, indices: list, config: TrainConfig) -> tuple:
-    """Train on exactly ``indices`` with no validation or early stopping.
-
-    Returns (state, per-epoch mean train losses). Mostly useful for
-    capacity checks and experiments on tiny cohorts.
-    """
-    if not indices:
-        raise ValueError("cannot train on an empty index list")
-    state, inputs, optimizer, rng = _setup(dataset, config)
-    losses = []
-    for epoch in range(1, config.epochs + 1):
-        losses.append(
-            _epoch_pass(state, dataset, inputs, indices, optimizer, rng, config, epoch)
-        )
-    return state, losses
 
 
 def train_model(dataset: Dataset, config: TrainConfig) -> tuple:

@@ -3,8 +3,10 @@
 Everything here is deliberately dumb: explicit loops, textbook
 formulas, and scalar math. None of it touches the autodiff engine or
 the library's own vectorized paths, so agreement is evidence rather
-than tautology. The one exception is the primitive ops and the
-composite references at the end. The primitives (``add``, ``relu``,
+than tautology. The exceptions are ``pair_logits_broadcast``, the edge
+scorer's forward as one array instead of blocks, ``fit``, a training
+loop built from ``train``'s own set-up and epoch pass, and the primitive
+ops and composite references at the end. The primitives (``add``, ``relu``,
 ``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops built on ``ad._make`` that the
 model no longer runs; tests use them as probes, such as ``sum_all`` to
 reduce an op's output to a scalar loss. The composites chain them on
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from dualgraph import autodiff as ad
+from dualgraph import train
 from dualgraph.autodiff import Tensor, _make, bce_value, logistic
 from dualgraph.model import parameter_shapes
 
@@ -173,6 +176,20 @@ def pair_logits_unfused(embed, w1, b1, w2, b2, g):
     return logits, grads
 
 
+def pair_logits_broadcast(product, bias, w1, b1, w2, b2):
+    """``ad.pair_logits``' logits from one (n*n, h) array: broadcast sum, ReLU, one GEMV.
+
+    The unblocked form: the same numpy expressions on operands of the same
+    layout, so the op, which works a block of rows at a time, must give
+    the same bits.
+    """
+    n, d = product.shape
+    embed = np.where(product + bias > 0, product + bias, 0.0)
+    left, right = embed @ w1[:d] + b1, embed @ w1[d:]
+    pre = (left[:, None] + right[None]).reshape(n * n, b1.size)  # row i*n + j: pair (i, j)
+    return (np.where(pre > 0, pre, 0.0) @ w2 + b2).reshape(n, n)
+
+
 def pair_logits_chained(product, bias, w1, b1, w2, b2, g):
     """``ad.pair_logits`` as the chain it replaced: the taped ``add`` and ``relu``, then the MLP.
 
@@ -250,6 +267,23 @@ def adam_out_of_place(params, grads_by_step, learning_rate, beta1=0.9, beta2=0.9
 def parameter_count(config):
     """Closed-form parameter total for the configuration."""
     return sum(math.prod(shape) for _, shape in parameter_shapes(config))
+
+
+def fit(dataset, indices, config):
+    """Train on exactly ``indices`` with no validation or early stopping.
+
+    ``train_model``'s set-up and epoch passes without its split, its
+    validation or its model selection. Returns (state, per-epoch mean
+    train losses); the tests use it for capacity checks on tiny cohorts.
+    """
+    if not indices:
+        raise ValueError("cannot train on an empty index list")
+    state, inputs, optimizer, rng = train._setup(dataset, config)
+    losses = [
+        train._epoch_pass(state, dataset, inputs, indices, optimizer, rng, config, epoch)
+        for epoch in range(1, config.epochs + 1)
+    ]
+    return state, losses
 
 
 # Primitive taped ops. They run on the engine's tape machinery but are

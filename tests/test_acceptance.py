@@ -25,6 +25,7 @@ from dualgraph.train import TrainConfig, roc_auc, run_ablation
 from oracles import (
     auc_pair_counting,
     finite_difference_gradient,
+    fit,
     gumbel_elementwise_oracle,
     max_rel_error,
     normalize_dense_oracle,
@@ -353,8 +354,6 @@ def test_criterion_7_overfit_sanity():
     """Training on 4 subjects for 200 epochs drives train loss below 0.05."""
 
     def check():
-        from dualgraph.train import fit
-
         ds = generate_synthetic(4, 16, 64, seed=11)
         config = TrainConfig(
             learning_rate=1e-3,

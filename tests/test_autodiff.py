@@ -20,6 +20,7 @@ from oracles import (
     logistic_masked,
     max_rel_error,
     mul,
+    pair_logits_broadcast,
     pair_logits_chained,
     power,
     relu,
@@ -60,7 +61,9 @@ def _assert_relu_is_where(x):
     with np.errstate(invalid="ignore"):
         expected = np.where(x > 0, x, 0.0)
     outs = [relu(Tensor(x, requires_grad=r)).data for r in (False, True)]
-    for out in outs + [ad._relu_in_place(np.array(x, dtype=np.float64))]:
+    # The in-place form twice: the second call's zero operand is the cached one.
+    outs += [ad._relu_in_place(np.array(x, dtype=np.float64)) for _ in range(2)]
+    for out in outs:
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
@@ -147,6 +150,23 @@ class TestRelu:
             x[: 2 * n : 3] = np.resize(_SPECIAL_FLOATS, len(x[: 2 * n : 3]))
             _assert_relu_is_where(x[:n])
             _assert_relu_is_where(x[::2])
+
+
+class TestZeroOperand:
+    def test_cached_zero_operands_are_read_only_zeros_after_use(self):
+        rng = np.random.default_rng(5)
+        arrays = _pair_mlp(rng, 17, 3, 4)
+        x = rng.standard_normal((5, 7))
+        shapes = [(17, 3), (17 * 17, 4), (5, 7)]  # the embedding, the one pair block, x
+        cached = {shape: ad._zeros(shape) for shape in shapes}
+        ad.pair_logits(*map(Tensor, arrays))
+        ad._relu_in_place(x)
+        for shape, zeros in cached.items():
+            assert ad._zeros(shape) is zeros
+            assert not zeros.flags.writeable
+            assert zeros.tobytes() == bytes(zeros.nbytes)  # +0.0 everywhere
+        with pytest.raises(ValueError, match="read-only"):
+            np.fmax(x, 1.0, out=cached[(5, 7)])
 
 
 _LOGISTIC_SPECIALS = _SPECIAL_FLOATS + [
@@ -394,6 +414,52 @@ class TestPairLogits:
         sum_all(mul(out, Tensor(g))).backward()
         expected = pair_logits_chained(*arrays, g)[1][4]
         assert np.all(np.abs(w2.grad - expected) <= _pair_magnitude_bounds(arrays, g)[4])
+
+    @pytest.mark.parametrize("rows", [5, 16, 32, None])
+    @pytest.mark.parametrize("h", [1, 32])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 35])
+    def test_blocked_forward_is_the_broadcast_formula_bit_for_bit(self, monkeypatch, n, h, rows):
+        # A budget of rows * n * h floats makes blocks of that many rows of
+        # pairs, 16 at the least: 16 + 1 at n = 17, 16 + 16 + 3 and 32 + 3
+        # at n = 35. Blocks of 5 rows would start GEMVs off the 4-row
+        # groups. None keeps the default budget, one block at every n here.
+        if rows is not None:
+            monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", rows * n * h)
+        rng = np.random.default_rng(100 * n + h)
+        arrays = _pair_mlp(rng, n, 3, h)
+        finite = [v for v in _SPECIAL_FLOATS if np.isfinite(v)]
+        # Every special value in the product gives some pairs non-finite
+        # pre-activations; signed zeros and subnormals in b1 and w2 keep
+        # the rest finite.
+        for array, values in [(arrays[0], _SPECIAL_FLOATS), (arrays[3], finite), (arrays[4], finite)]:
+            flat = array.reshape(-1)
+            spots = rng.choice(flat.size, size=max(1, flat.size // 4), replace=False)
+            flat[spots] = np.resize(values, spots.size)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = ad.pair_logits(*map(Tensor, arrays)).data
+            expected = pair_logits_broadcast(*arrays)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "n,h,budget,blocks",
+        [
+            (96, 32, None, [16] * 6),  # 16 rows of pairs, 384 KB
+            (40, 32, None, [32, 8]),  # 39 rows fit the budget; a multiple of 16 is 32
+            (16, 32, None, [16]),
+            (35, 32, 1, [16, 16, 3]),  # at least 16 rows, however small the budget
+            (17, 1, 1, [16, 1]),
+        ],
+    )
+    def test_each_block_but_the_last_is_a_multiple_of_16_rows_of_pairs(
+        self, monkeypatch, n, h, budget, blocks
+    ):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", budget)
+        arrays = _pair_mlp(np.random.default_rng(n), n, 2, h)
+        w2 = Tensor(arrays[4])
+        w2.data, products = _product_spy(w2.data)
+        ad.pair_logits(*map(Tensor, arrays[:4]), w2, Tensor(arrays[5]))
+        assert products == [[(rows * n, h), (h, 1)] for rows in blocks]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualgraph import cli, train as train_module
+from dualgraph import cli, model as model_module, train as train_module
 from dualgraph.cli import main
 from dualgraph.model import init_model, load_checkpoint
 
@@ -202,6 +202,25 @@ class TestTrainCommand:
         assert code == 2
         assert field in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["init", "save"])
+    def test_out_of_memory_exits_2_with_one_error_line(self, workspace, tmp_path, monkeypatch, capsys, where):
+        # Raised in place of numpy's MemoryError for an oversized config
+        # (at init) or while the checkpoint is being written.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 5.82 TiB for an array with shape (8, 100000000000)")
+
+        if where == "init":
+            monkeypatch.setattr(train_module, "init_model", no_memory)
+        else:
+            monkeypatch.setattr(model_module.struct, "pack", no_memory)
+        out = tmp_path / "run" / "model.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+        assert list(out.parent.iterdir()) == []  # no checkpoint and no .tmp file
 
     def test_out_directory_is_created(self, workspace, monkeypatch):
         monkeypatch.chdir(workspace["root"])

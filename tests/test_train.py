@@ -22,7 +22,6 @@ from dualgraph.train import (
     TrainingDiverged,
     binary_metrics,
     evaluate,
-    fit,
     load_train_config,
     roc_auc,
     run_ablation,
@@ -30,7 +29,7 @@ from dualgraph.train import (
     train_model,
 )
 
-from oracles import adam_out_of_place, auc_pair_counting, mul
+from oracles import adam_out_of_place, auc_pair_counting, fit, mul
 
 
 def poison_gumbel_vjp(monkeypatch):
