@@ -14,8 +14,6 @@ diagonal; self-loops are added once during normalization in the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from dualgraph import autodiff as ad
@@ -34,34 +32,18 @@ def build_filtered(corr: np.ndarray, threshold: float) -> np.ndarray:
     return adjacency
 
 
-@dataclass
-class EdgeScorer:
-    """Learnable edge-probability head: signal embedding + pair MLP.
-
-    Each node's length-T signal maps to an embedding through one ReLU
-    layer, ``relu(series @ extract_w + extract_b)``; ordered pair
-    embeddings are concatenated and scored by a two-layer MLP ending in
-    one logit, so the resulting matrix is generally asymmetric (directed
-    edges). ``ad.pair_logits`` takes the product ``series @ extract_w``
-    and does everything after it, the bias and ReLU included.
-    """
-
-    extract_w: Tensor  # T x d
-    extract_b: Tensor  # d
-    pair_w1: Tensor  # 2d x d
-    pair_b1: Tensor  # d
-    pair_w2: Tensor  # d x 1
-    pair_b2: Tensor  # 1
-
-    def parameters(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
-
-def edge_probabilities(series: np.ndarray, scorer: EdgeScorer) -> Tensor:
+def edge_probabilities(series: np.ndarray, scorer) -> Tensor:
     """Matrix of edge logits for every ordered ROI pair.
 
-    Entry (i, j) is the logit of the directed pair (node i's embedding
-    first); ``sigmoid`` of it is the edge probability. Differentiable
+    ``scorer`` is the model's ``scorer`` parameter group. Each node's
+    length-T signal maps to an embedding through one ReLU layer,
+    ``relu(series @ extract_w + extract_b)``; ordered pair embeddings are
+    concatenated and scored by a two-layer MLP (``pair_w1``, ``pair_b1``,
+    ``pair_w2``, ``pair_b2``) ending in one logit. Entry (i, j) is the
+    logit of the directed pair (node i's embedding first), so the matrix
+    is generally asymmetric; ``sigmoid`` of it is the edge probability.
+    ``ad.pair_logits`` takes the product ``series @ extract_w`` and does
+    everything after it, the bias and ReLU included. Differentiable
     with respect to all scorer parameters. The function returns logits
     in spite of its name, which the benchmark's per-layer timing span
     ``graphgen.edge_probabilities`` fixes. A series whose length is not

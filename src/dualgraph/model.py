@@ -20,20 +20,15 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor, logistic
-from dualgraph.graphgen import (
-    EdgeScorer,
-    build_filtered,
-    edge_probabilities,
-    gumbel_sample,
-    harden,
-)
+from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, harden
 from dualgraph.preprocess import atomic_write
 
 MODES = ("full", "no_corr", "no_optim", "no_gconv")
@@ -53,17 +48,18 @@ def check_config(config, counts: tuple = ()) -> None:
     """Reject bad values in the fields ModelConfig and TrainConfig share.
 
     Those are the mode, a corr_threshold in (0, 1), a finite positive
-    temperature, a non-negative integer seed and the four layer widths,
-    which like every field named in ``counts`` must be positive
-    integers. Raises ValueError naming the first bad field.
+    temperature whose reciprocal is finite too, a non-negative integer
+    seed and the four layer widths, which like every field named in
+    ``counts`` must be positive integers. Raises ValueError naming the
+    first bad field.
     """
     if config.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {config.mode!r}")
     threshold, tau = config.corr_threshold, config.temperature
     if not (_is_number(threshold) and 0.0 < threshold < 1.0):
         raise ValueError(f"corr_threshold must be in (0, 1), got {threshold!r}")
-    if not (_is_number(tau) and 0.0 < tau < np.inf):
-        raise ValueError(f"temperature must be positive and finite, got {tau!r}")
+    if not (_is_number(tau) and 0.0 < tau < np.inf and math.isfinite(1.0 / float(tau))):
+        raise ValueError(f"temperature and its reciprocal must be positive and finite, got {tau!r}")
     for name in _WIDTHS + counts:
         value = getattr(config, name)
         if not (_is_number(value, numbers.Integral) and value > 0):
@@ -91,28 +87,12 @@ class ModelConfig:
         check_config(self, counts=("n_rois", "t_steps"))
 
 
-@dataclass
-class GcnStack:
-    """Weights of one two-layer graph convolution branch (no biases)."""
-
-    w0: Tensor  # n_features x hidden
-    w1: Tensor  # hidden x out
+class ParamGroup(SimpleNamespace):
+    """One group of parameter tensors, named as in ``parameter_shapes``."""
 
     def parameters(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
-
-@dataclass
-class ClassifierHead:
-    """Two fully connected layers with a ReLU between, ending in one logit."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def parameters(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        """The group's tensors in insertion order, ``parameter_shapes``' in a model."""
+        return list(vars(self).values())
 
 
 @dataclass
@@ -120,10 +100,10 @@ class ModelState:
     """All learnable parameters plus the configuration that shaped them."""
 
     config: ModelConfig
-    scorer: EdgeScorer
-    filtered_gcn: GcnStack
-    optimal_gcn: GcnStack
-    classifier: ClassifierHead
+    scorer: ParamGroup
+    filtered_gcn: ParamGroup
+    optimal_gcn: ParamGroup
+    classifier: ParamGroup
 
     def parameters(self) -> list:
         """Parameter tensors in ``parameter_shapes`` order."""
@@ -170,13 +150,7 @@ def _assemble(config: ModelConfig, arrays: list) -> ModelState:
     for (name, _), array in zip(parameter_shapes(config), arrays):
         group, field = name.split(".")
         groups.setdefault(group, {})[field] = Tensor(array, requires_grad=True)
-    return ModelState(
-        config=config,
-        scorer=EdgeScorer(**groups["scorer"]),
-        filtered_gcn=GcnStack(**groups["filtered_gcn"]),
-        optimal_gcn=GcnStack(**groups["optimal_gcn"]),
-        classifier=ClassifierHead(**groups["classifier"]),
-    )
+    return ModelState(config, **{group: ParamGroup(**tensors) for group, tensors in groups.items()})
 
 
 def init_model(config: ModelConfig) -> ModelState:
@@ -208,9 +182,10 @@ def normalize_adjacency(adjacency) -> Tensor:
     return ad.adjacency_norm(adjacency)
 
 
-def gcn_forward(features, norm_adjacency: Tensor, stack: GcnStack) -> Tensor:
+def gcn_forward(features, norm_adjacency: Tensor, stack: ParamGroup) -> Tensor:
     """Two-layer graph convolution: ReLU(A (ReLU(A X W0)) W1).
 
+    ``stack`` is a GCN parameter group (``w0``, ``w1``; no biases).
     Each ``ad.graph_conv`` call checks its shapes (ValueError).
     """
     if not isinstance(features, Tensor):

@@ -192,16 +192,20 @@ class TestTrainCommand:
         assert "4 class-0 and 0 class-1" in err and "Traceback" not in err
         assert list(out.parent.iterdir()) == []
 
-    @pytest.mark.parametrize("field", ["temperature", "learning_rate"])
-    def test_nan_config_value_exits_2(self, workspace, capsys, field):
-        bad = workspace["root"] / f"nan-{field}.json"
-        bad.write_text(json.dumps(dict(CONFIG, **{field: float("nan")})))
-        out = workspace["root"] / "nan.ckpt"
+    # 5e-324 is finite, but its reciprocal overflows
+    @pytest.mark.parametrize(
+        "field,value", [("temperature", float("nan")), ("learning_rate", float("nan")), ("temperature", 5e-324)]
+    )
+    def test_bad_config_value_exits_2_before_training(self, workspace, tmp_path, monkeypatch, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(CONFIG, **{field: value})))
+        monkeypatch.setattr(train_module, "_epoch_pass", lambda *args: pytest.fail("trained"))
+        out = tmp_path / "run" / "model.ckpt"
         code = main(["train", "--data", str(workspace["data"]), "--config", str(bad), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert field in err and "Traceback" not in err
-        assert not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("where", ["init", "save"])
     def test_out_of_memory_exits_2_with_one_error_line(self, workspace, tmp_path, monkeypatch, capsys, where):
@@ -332,7 +336,8 @@ class TestEvalCommand:
         assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value", [("n_rois", 8.0), ("temperature", float("nan")), ("mode", "sideways")]
+        "field,value",
+        [("n_rois", 8.0), ("temperature", float("nan")), ("temperature", 5e-324), ("mode", "sideways")],
     )
     def test_eval_bad_checkpoint_config_exits_2(self, workspace, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.ckpt"

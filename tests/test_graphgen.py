@@ -8,14 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualgraph.autodiff import Tensor, logistic
 from dualgraph.graphgen import (
-    EdgeScorer,
     build_filtered,
     edge_probabilities,
     gumbel_sample,
     harden,
     sample_gumbel_noise,
 )
-from dualgraph.model import ModelConfig, init_model
+from dualgraph.model import ModelConfig, ParamGroup, init_model
 from dualgraph.preprocess import generate_synthetic
 
 from oracles import (
@@ -41,7 +40,7 @@ def _toy_scorer(rng, t_steps=10, dim=4):
     def w(shape):
         return Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
 
-    return EdgeScorer(
+    return ParamGroup(
         extract_w=w((t_steps, dim)),
         extract_b=w((dim,)),
         pair_w1=w((2 * dim, dim)),
@@ -103,7 +102,7 @@ class TestEdgeProbabilities:
     def test_zero_weights_give_half_everywhere(self):
         dim = 4
         zeros = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
-        scorer = EdgeScorer(
+        scorer = ParamGroup(
             extract_w=zeros((10, dim)),
             extract_b=zeros((dim,)),
             pair_w1=zeros((2 * dim, dim)),
@@ -132,7 +131,7 @@ class TestEdgeProbabilities:
         w = scorer.extract_w
 
         def value(arrays):
-            trial = EdgeScorer(
+            trial = ParamGroup(
                 extract_w=Tensor(arrays[0]),
                 extract_b=scorer.extract_b,
                 pair_w1=scorer.pair_w1,
@@ -162,12 +161,13 @@ class TestEdgeProbabilities:
         series = rng.standard_normal((4, 10))
         sum_all(sigmoid(edge_probabilities(series, scorer))).backward()
         params = scorer.parameters()
+        names = list(vars(scorer))
         for index in (2, 3, 4, 5):  # pair_w1, pair_b1, pair_w2, pair_b2
 
             def value(arrays):
-                trial = [Tensor(p.data) for p in params]
-                trial[index] = Tensor(arrays[0])
-                probs = sigmoid(edge_probabilities(series, EdgeScorer(*trial)))
+                trial = {name: Tensor(p.data) for name, p in zip(names, params)}
+                trial[names[index]] = Tensor(arrays[0])
+                probs = sigmoid(edge_probabilities(series, ParamGroup(**trial)))
                 return float(sum_all(probs).data)
 
             numeric = finite_difference_gradient(value, [params[index].data.copy()], 0)

@@ -1,10 +1,12 @@
 """Graph convolution, composed forward in every mode, and checkpoint tests."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from dualgraph.autodiff import Tensor
 from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, sample_gumbel_noise
 from dualgraph.model import (
     MODES,
-    GcnStack,
     ModelConfig,
+    ParamGroup,
     classifier_input_dim,
     forward,
     gcn_forward,
@@ -56,6 +58,14 @@ def _config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+# A format-1 checkpoint written by an earlier build: `dualgraph synth
+# --subjects 12 --rois 8 --steps 32 --seed 3`, then `dualgraph train` for
+# 2 epochs with every width 4 and seed 7. Today's code must read it and
+# write it back unchanged.
+PINNED_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint-v1-8x32-w4.ckpt"
+PINNED_SHA256 = "7b1eff54194e18ce7c65658da11a5ce8027ada71e75ebfc9422605402f9e175e"
 
 
 def _toy_subject(seed=2, n=6, t=16):
@@ -109,7 +119,7 @@ class TestNormalizeAdjacency:
 
 class TestGcnForward:
     def _stack(self, rng, n_feat, h, f):
-        return GcnStack(
+        return ParamGroup(
             w0=Tensor(rng.standard_normal((n_feat, h)) * 0.4, requires_grad=True),
             w1=Tensor(rng.standard_normal((h, f)) * 0.4, requires_grad=True),
         )
@@ -117,7 +127,7 @@ class TestGcnForward:
     def test_identity_propagation(self):
         rng = np.random.default_rng(12)
         v = rng.standard_normal((4, 4))
-        stack = GcnStack(w0=Tensor(np.eye(4)), w1=Tensor(np.eye(4)))
+        stack = ParamGroup(w0=Tensor(np.eye(4)), w1=Tensor(np.eye(4)))
         out = gcn_forward(v, Tensor(np.eye(4)), stack)
         np.testing.assert_array_equal(out.data, np.maximum(v, 0.0))
 
@@ -145,7 +155,7 @@ class TestGcnForward:
         sum_all(gcn_forward(corr, norm, stack)).backward()
 
         def value(arrays):
-            trial = GcnStack(w0=Tensor(arrays[0]), w1=stack.w1)
+            trial = ParamGroup(w0=Tensor(arrays[0]), w1=stack.w1)
             return float(sum_all(gcn_forward(corr, norm, trial)).data)
 
         numeric = finite_difference_gradient(value, [stack.w0.data.copy()], 0)
@@ -351,10 +361,17 @@ class TestForward:
         params = state.parameters()
         shapes = parameter_shapes(state.config)
         assert len(params) == len(shapes)
+        by_group = {}
         for tensor, (name, shape) in zip(params, shapes):
             group, field = name.split(".")
             assert tensor is getattr(getattr(state, group), field)
             assert tensor.shape == shape
+            by_group.setdefault(group, []).append(tensor)
+        # each group lists its own tensors, in parameter_shapes order
+        for group, tensors in by_group.items():
+            listed = getattr(state, group).parameters()
+            assert len(listed) == len(tensors)
+            assert all(a is b for a, b in zip(listed, tensors))
 
     def test_parameter_count_hand_check(self):
         config = _config(
@@ -659,6 +676,29 @@ def checkpoint_bytes(valid: bytes):
 
 
 class TestCheckpoint:
+    def test_reads_and_rewrites_a_pinned_checkpoint_byte_for_byte(self, tmp_path):
+        blob = PINNED_CHECKPOINT.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256
+        state = load_checkpoint(str(PINNED_CHECKPOINT))
+        widths = dict.fromkeys(
+            ("extractor_dim", "gcn_hidden_dim", "gcn_out_dim", "classifier_hidden_dim"), 4
+        )
+        assert state.config == _config(n_rois=8, t_steps=32, seed=7, **widths)
+        # the values follow the header in parameter_shapes order, each one
+        # reachable on the state under its name
+        offset = 16 + struct.unpack_from("<Q", blob, 8)[0]
+        for name, shape in parameter_shapes(state.config):
+            group, field = name.split(".")
+            tensor = getattr(getattr(state, group), field)
+            size = math.prod(shape)
+            stored = np.frombuffer(blob, "<f8", size, offset)
+            assert tensor.shape == shape and tensor.data.tobytes() == stored.tobytes()
+            offset += 8 * size
+        assert offset == len(blob)
+        out = tmp_path / "model.ckpt"
+        save_checkpoint(state, str(out))
+        assert out.read_bytes() == blob
+
     def test_round_trip_bitwise(self, tmp_path):
         state = init_model(_config(seed=33))
         path = str(tmp_path / "model.ckpt")
@@ -851,11 +891,19 @@ class TestModelConfigValidation:
         with pytest.raises(ValueError, match="temperature"):
             _config(temperature=0.0)
 
+    def test_accepts_the_smallest_temperatures_with_a_finite_reciprocal(self):
+        for tau in (1e-308, 5.56268464626801e-309):
+            assert _config(temperature=tau).temperature == tau
+
     @pytest.mark.parametrize(
         "field,value",
         [
             ("temperature", float("nan")),
             ("temperature", float("inf")),
+            # 1 / temperature overflows to inf below about 5.5626846462680e-309
+            ("temperature", 5e-324),
+            ("temperature", np.float64(5e-324)),
+            ("temperature", 5.562684646268e-309),
             ("corr_threshold", float("nan")),
             ("corr_threshold", "0.5"),
             ("n_rois", 6.0),

@@ -286,6 +286,7 @@ class TestTrainConfigFile:
             ('{"learning_rate": true}', "learning_rate"),
             ('{"temperature": Infinity}', "temperature"),
             ('{"temperature": NaN}', "temperature"),
+            ('{"temperature": 5e-324}', "temperature"),
             ('{"temperature": "1"}', "temperature"),
             ('{"batch_size": true}', "batch_size"),
             ('{"mode": 3}', "mode"),
