@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Covers exactly the operations the dual-graph classifier runs: the
-matrix product behind the edge scorer's extractor, concatenation for
-the branch stack, a numerically stable mean binary cross-entropy over a
-mini-batch (``bce_mean``, one node for the whole batch), and one op per
-model layer, so that a layer costs one tape node:
+matrix product behind the edge scorer's extractor, a numerically stable
+mean binary cross-entropy over a mini-batch (``bce_mean``, one node for
+the whole batch), and one op per model layer, so that a layer costs one
+tape node:
 
 - ``pair_logits``, the edge scorer from the extractor's product on (bias,
   ReLU, pair MLP), keeps the embedding and the pair MLP's two (n, h)
@@ -18,9 +18,9 @@ model layer, so that a layer costs one tape node:
   ReLU mask off its output, so no pre-activation stays alive;
 - ``gumbel_relax``, ``sigmoid((z + delta) / tau)`` with a zero diagonal,
   keeps nothing but its output;
-- ``classifier_head``, affine, ReLU, affine to one logit per row, keeps
-  its input rows as a view of its input (no second copy) and the hidden
-  layer.
+- ``classifier_head``, which joins the branch outputs and runs affine,
+  ReLU, affine to one logit per row, keeps its input rows (a view of a
+  single part, the joined copy of several) and the hidden layer.
 
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
@@ -271,20 +271,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Join along the first axis: (m, ...) and (k, ...) -> (m + k, ...)."""
-    if a.data.ndim == 0 or a.data.shape[1:] != b.data.shape[1:]:
-        raise ValueError(
-            f"concat: incompatible shapes {a.data.shape} and {b.data.shape}"
-        )
-    split = a.data.shape[0]
-    return _make(
-        np.concatenate([a.data, b.data]),
-        (a, b),
-        lambda g: (g[:split], g[split:]),
-    )
-
-
 # Floats in one block of ``pair_logits``' pre-activations: 400 KB, which
 # stays in L2. That is 16 rows of pairs at n = 96 and h = 32 (faster than
 # 2, 8 or 32 rows on a 2-core Haswell host) and all 16 rows at n = 16.
@@ -419,27 +405,33 @@ def gumbel_relax(logits: Tensor, delta: np.ndarray, tau: float) -> Tensor:
         raise ValueError(f"gumbel_relax: incompatible shapes {z.shape} and {np.shape(delta)}")
     inv_tau = 1.0 / tau
     off = _off_diagonal(n)
-    out = logistic((z + delta) * inv_tau) * off
+    with np.errstate(over="ignore"):  # +-inf saturates: logistic maps it to exactly 1 or 0
+        scaled = (z + delta) * inv_tau
+    out = logistic(scaled) * off
     return _make(out, (logits,), lambda g: (g * off * out * (1.0 - out) * inv_tau,))
 
 
-def classifier_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def classifier_head(
+    parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+) -> Tensor:
     """Two-layer classifier, ``relu(X @ w1 + b1) @ w2 + b2``, one logit per row.
 
-    ``x`` flattens row-major into rows of ``D = w1.shape[0]`` features:
-    its trailing axes that multiply to D make up one row and its leading
-    axes index the rows, which is also the output's shape. A subject's
-    stacked (2n, f) branch embeddings are one row and give a 0-d logit;
-    a (B, D) matrix gives B logits. The VJP keeps the row matrix, a view
-    of ``x``'s data, and the hidden layer after its ReLU.
+    ``X``, the ``parts`` joined along their first axis, flattens row-major
+    into rows of ``D = w1.shape[0]``: trailing axes that multiply to D
+    make a row, leading axes index the rows and shape the output. A
+    subject's branch outputs give a 0-d logit, one (B, D) part B logits.
+    Each part's gradient is a view, its slice of ``X``'s.
     """
-    xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
+    xs = [part.data for part in parts]
+    w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
+    if not (len(xs) == 1 or xs and all([x.ndim and x.shape[1:] == xs[0].shape[1:] for x in xs])):
+        raise ValueError(f"classifier_head: parts of incompatible shapes {[x.shape for x in xs]}")
+    xd = xs[0] if len(xs) == 1 else np.concatenate(xs)
     d, h = w1d.shape if w1d.ndim == 2 else (0, 0)
     axes = next((k for k in range(1, xd.ndim + 1) if math.prod(xd.shape[-k:]) == d), None)
     if axes is None or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
-        shapes = [t.shape for t in (x, w1, b1, w2, b2)]
+        shapes = [[x.shape for x in xs]] + [t.shape for t in (w1, b1, w2, b2)]
         raise ValueError(f"classifier_head: incompatible shapes {shapes}")
-    out_shape = xd.shape[:-axes]
     rows = xd.reshape(-1, d)
     hidden = rows @ w1d
     hidden += b1d
@@ -449,15 +441,15 @@ def classifier_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -
         g = g.reshape(-1, 1)
         g_hidden = g @ w2d.T
         g_hidden *= hidden > 0
-        return (
-            (g_hidden @ w1d.T).reshape(xd.shape) if x.requires_grad else None,
-            _Factors(rows, g_hidden),
-            g_hidden.sum(axis=0),
-            _Factors(hidden, g),
-            g.sum(axis=0),
-        )
+        gx = (g_hidden @ w1d.T).reshape(xd.shape) if any([p.requires_grad for p in parts]) else None
+        g_parts, stop = [], 0
+        for part, x in zip(parts, xs):  # plain slices: np.split takes five times as long
+            start, stop = stop, stop + len(x)
+            g_parts.append(gx[start:stop] if part.requires_grad else None)
+        weights = _Factors(rows, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
+        return (*g_parts, *weights)
 
-    return _make((hidden @ w2d + b2d).reshape(out_shape), (x, w1, b1, w2, b2), vjp)
+    return _make((hidden @ w2d + b2d).reshape(xd.shape[:-axes]), (*parts, w1, b1, w2, b2), vjp)
 
 
 def bce_value(logit: float, label) -> float:

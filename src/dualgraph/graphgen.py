@@ -14,6 +14,9 @@ diagonal; self-loops are added once during normalization in the model.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from dualgraph import autodiff as ad
@@ -59,6 +62,13 @@ def sample_gumbel_noise(rng: np.random.Generator, n: int) -> tuple:
     return rng.gumbel(size=(n, n)), rng.gumbel(size=(n, n))
 
 
+def check_temperature(tau) -> None:
+    """Reject a temperature that is not a positive finite number with a finite reciprocal."""
+    is_real = isinstance(tau, numbers.Real) and not isinstance(tau, bool)
+    if not (is_real and 0.0 < tau < np.inf and math.isfinite(1.0 / float(tau))):
+        raise ValueError(f"temperature and its reciprocal must be positive and finite, got {tau!r}")
+
+
 def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
     """Relaxed edge sample: sigmoid((logits + g1 - g2) / tau).
 
@@ -66,10 +76,9 @@ def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
     pass while tests freeze it; zero noise at tau=1 gives sigmoid(logits)
     exactly. The diagonal is forced to zero. Gradients flow to the
     logits only; the noise enters as a constant. ``ad.gumbel_relax``
-    rejects logits that are not square.
+    rejects logits that are not square, ``check_temperature`` a bad ``tau``.
     """
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"temperature must be positive and finite, got {tau}")
+    check_temperature(tau)
     g1, g2 = noise
     if np.shape(g1) != logits.shape or np.shape(g2) != logits.shape:
         shapes = f"{np.shape(g1)} and {np.shape(g2)}"

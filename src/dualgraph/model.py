@@ -3,9 +3,9 @@
 Each subject yields two graphs over the same correlation-row node
 features. Both run through their own two-layer graph convolution with
 symmetric degree normalization (self-loops added once here, which is
-why the adjacencies arrive with zero diagonals); the two branches' node
-embeddings are stacked and flattened in node order, and that vector
-feeds a two-layer classifier ending in a single logit.
+why the adjacencies arrive with zero diagonals); a two-layer classifier
+joins the two branches' node embeddings, flattens them in node order
+and ends in a single logit.
 
 Ablation modes rewire the forward pass: ``no_corr`` keeps only the
 sampled-graph branch, ``no_optim`` only the thresholded branch, and
@@ -28,7 +28,8 @@ import numpy as np
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor, logistic
-from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, harden
+from dualgraph.graphgen import build_filtered, check_temperature, edge_probabilities
+from dualgraph.graphgen import gumbel_sample, harden
 from dualgraph.preprocess import atomic_write
 
 MODES = ("full", "no_corr", "no_optim", "no_gconv")
@@ -47,19 +48,17 @@ def _is_number(value, kind=numbers.Real) -> bool:
 def check_config(config, counts: tuple = ()) -> None:
     """Reject bad values in the fields ModelConfig and TrainConfig share.
 
-    Those are the mode, a corr_threshold in (0, 1), a finite positive
-    temperature whose reciprocal is finite too, a non-negative integer
-    seed and the four layer widths, which like every field named in
-    ``counts`` must be positive integers. Raises ValueError naming the
-    first bad field.
+    Those are the mode, a corr_threshold in (0, 1), the temperature
+    (``check_temperature``), a non-negative integer seed and the four
+    layer widths, which like every field named in ``counts`` must be
+    positive integers. Raises ValueError naming the first bad field.
     """
     if config.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {config.mode!r}")
-    threshold, tau = config.corr_threshold, config.temperature
+    threshold = config.corr_threshold
     if not (_is_number(threshold) and 0.0 < threshold < 1.0):
         raise ValueError(f"corr_threshold must be in (0, 1), got {threshold!r}")
-    if not (_is_number(tau) and 0.0 < tau < np.inf and math.isfinite(1.0 / float(tau))):
-        raise ValueError(f"temperature and its reciprocal must be positive and finite, got {tau!r}")
+    check_temperature(config.temperature)
     for name in _WIDTHS + counts:
         value = getattr(config, name)
         if not (_is_number(value, numbers.Integral) and value > 0):
@@ -234,7 +233,7 @@ def forward(
     config = state.config
     series, corr = _check_inputs(series, corr, config)
 
-    # Branch outputs (n x f, thresholded first) stack, then flatten row-major.
+    # Branch outputs (n x f, thresholded first); the head joins and flattens them.
     branches = [Tensor(corr)] * 2 if config.mode == "no_gconv" else []
     if config.mode in ("full", "no_optim"):
         if graph is None:
@@ -248,9 +247,8 @@ def forward(
             optimal = gumbel_sample(logits, config.temperature, noise)
         norm_o = normalize_adjacency(optimal)
         branches.append(gcn_forward(corr, norm_o, state.optimal_gcn))
-    stacked = branches[0] if len(branches) == 1 else ad.concat(*branches)
     head = state.classifier
-    return ad.classifier_head(stacked, head.w1, head.b1, head.w2, head.b2)
+    return ad.classifier_head(branches, head.w1, head.b1, head.w2, head.b2)
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

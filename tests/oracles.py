@@ -7,13 +7,14 @@ than tautology. The exceptions are ``pair_logits_broadcast``, the edge
 scorer's forward as one array instead of blocks, ``fit``, a training
 loop built from ``train``'s own set-up and epoch pass, and the primitive
 ops and composite references at the end. The primitives (``add``, ``relu``,
-``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops built on ``ad._make`` that the
-model no longer runs; tests use them as probes, such as ``sum_all`` to
-reduce an op's output to a scalar loss. The composites chain them on
-purpose: they are the op-by-op forms that the fused layer ops and
-``ad.bce_mean`` must match bit for bit.
+``concat``, ``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops
+built on ``ad._make`` that the model no longer runs; tests use them as
+probes, such as ``sum_all`` to reduce an op's output to a scalar loss.
+The composites chain them on purpose: they are the op-by-op forms that
+the fused layer ops and ``ad.bce_mean`` must match bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -311,6 +312,20 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * mask,))
 
 
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Join along the first axis: (m, ...) and (k, ...) -> (m + k, ...)."""
+    if a.data.ndim == 0 or a.data.shape[1:] != b.data.shape[1:]:
+        raise ValueError(
+            f"concat: incompatible shapes {a.data.shape} and {b.data.shape}"
+        )
+    split = a.data.shape[0]
+    return _make(
+        np.concatenate([a.data, b.data]),
+        (a, b),
+        lambda g: (g[:split], g[split:]),
+    )
+
+
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
@@ -406,8 +421,9 @@ def gumbel_relax_composite(logits, delta, tau):
     return mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
 
 
-def classifier_head_composite(x, w1, b1, w2, b2):
-    """``ad.classifier_head`` as primitive ops: copy out the rows, affine, ReLU, affine."""
+def classifier_head_composite(parts, w1, b1, w2, b2):
+    """``ad.classifier_head`` as primitive ops: join the parts, copy out the rows, affine, ReLU, affine."""
+    x = functools.reduce(concat, parts)
     d = w1.shape[0]
     axes = next(k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d)
     rows = reshape(x, (x.size // d, d))

@@ -184,14 +184,15 @@ def test_criterion_1_gradient_integrity():
         delta = normal(4, 4)
         cases = [
             (lambda ts: sum_all(ad.matmul(ts[0], ts[1])), [normal(3, 4), normal(4, 2)]),
-            (lambda ts: sum_all(ad.concat(ts[0], ts[1])), [normal(2, 3), normal(1, 3)]),
             (lambda ts: sum_all(ad.pair_logits(*ts)),
              [normal(4, 3), normal(3), normal(6, 5), normal(5), normal(5, 1), normal(1)]),
             (lambda ts: sum_all(ad.adjacency_norm(ts[0])), [soft_adjacency()]),
             (lambda ts: sum_all(ad.graph_conv(*ts)), [soft_adjacency(), normal(4, 3), normal(3, 5)]),
             (lambda ts: sum_all(ad.gumbel_relax(ts[0], delta, 0.7)), [normal(4, 4)]),
-            (lambda ts: sum_all(ad.classifier_head(*ts)),
+            (lambda ts: sum_all(ad.classifier_head(ts[:1], *ts[1:])),
              [normal(6, 3), normal(18, 5), normal(5), normal(5, 1), normal(1)]),
+            (lambda ts: sum_all(ad.classifier_head(ts[:2], *ts[2:])),
+             [normal(2, 3), normal(4, 3), normal(18, 5), normal(5), normal(5, 1), normal(1)]),
             (lambda ts: sum_all(ad.bce_mean(ts, [1, 0, 1])),
              [np.array(0.4), np.array(-1.3), np.array(2.1)]),
         ]

@@ -16,6 +16,7 @@ from oracles import (
     LAYER_OP_COMPOSITES,
     add,
     bce_with_logits,
+    concat,
     finite_difference_gradient,
     logistic_masked,
     max_rel_error,
@@ -256,27 +257,29 @@ class TestSigmoid:
 
 
 class TestConcat:
+    """The oracle's join, which ``classifier_head_composite`` chains."""
+
     def test_vector_definition(self):
-        out = ad.concat(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0])))
+        out = concat(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0])))
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_split_round_trip(self):
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
-        joined = ad.concat(Tensor(a), Tensor(b)).data
+        joined = concat(Tensor(a), Tensor(b)).data
         np.testing.assert_array_equal(joined[:2], a)
         np.testing.assert_array_equal(joined[2:], b)
 
     def test_gradient_is_ones_on_both_inputs(self):
         a = Tensor(np.zeros((2, 2)), requires_grad=True)
         b = Tensor(np.zeros((3, 2)), requires_grad=True)
-        sum_all(ad.concat(a, b)).backward()
+        sum_all(concat(a, b)).backward()
         np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
         np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
 
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError, match="concat"):
-            ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
 def _pair_mlp(rng, n, d, h, b1_shift=0.0, b0_shift=0.0):
@@ -509,13 +512,25 @@ def _layer_run(op, arrays, grad_flags, extra, weights):
     return out.data, [t.grad for t in tensors]
 
 
-def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0):
-    """The fused op equals its primitive-op composite in every output and gradient bit."""
+def _head(parts=1, op=None):
+    """``classifier_head`` taking its first ``parts`` tensors as the parts: ``op(*tensors)``."""
+    op = op or ad.classifier_head
+    return lambda *ts: op(list(ts[:parts]), *ts[parts:])
+
+
+def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0, parts=1):
+    """The fused op equals its primitive-op composite in every output and gradient bit.
+
+    ``classifier_head`` takes its first ``parts`` arrays as its parts.
+    """
+    op, composite = getattr(ad, name), LAYER_OP_COMPOSITES[name]
+    if name == "classifier_head":
+        op, composite = _head(parts, op), _head(parts, composite)
     weights = np.random.default_rng(seed).standard_normal(
-        _layer_run(getattr(ad, name), arrays, [False] * len(arrays), extra, None)[0].shape
+        _layer_run(op, arrays, [False] * len(arrays), extra, None)[0].shape
     )
-    out, grads = _layer_run(getattr(ad, name), arrays, grad_flags, extra, weights)
-    ref_out, ref_grads = _layer_run(LAYER_OP_COMPOSITES[name], arrays, grad_flags, extra, weights)
+    out, grads = _layer_run(op, arrays, grad_flags, extra, weights)
+    ref_out, ref_grads = _layer_run(composite, arrays, grad_flags, extra, weights)
     assert out.shape == ref_out.shape
     np.testing.assert_array_equal(out, ref_out)
     for i, (grad, ref, wanted) in enumerate(zip(grads, ref_grads, grad_flags)):
@@ -578,13 +593,41 @@ class TestLayerOps:
         arrays = _head_arrays(np.random.default_rng(len(x_shape) + x_shape[0]), x_shape, 18)
         _assert_layer_matches_composite("classifier_head", arrays, [x_grad] + [True] * 4)
 
+    @pytest.mark.parametrize("part_grads", [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((4, 18), 1), ((2, 6, 3), 1)])
+    def test_two_part_classifier_head_equals_the_composite(self, x_shape, split, part_grads):
+        x, *head = _head_arrays(np.random.default_rng(x_shape[0] + split), x_shape, 18)
+        arrays = [x[:split], x[split:]] + head
+        _assert_layer_matches_composite(
+            "classifier_head", arrays, list(part_grads) + [True] * 4, parts=2
+        )
+
+    @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((4, 18), 3), ((2, 6, 3), 1)])
+    def test_two_parts_equal_one_part_of_their_join(self, x_shape, split):
+        # A subject's branch outputs give the bits of their joined array.
+        x, *head = _head_arrays(np.random.default_rng(11), x_shape, 18)
+        out_shape = x_shape[:-2] if x_shape == (6, 3) else x_shape[:1]
+        weights = np.random.default_rng(12).standard_normal(out_shape)
+
+        def run(parts):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in parts + head]
+            out = _head(len(parts))(*tensors)
+            _layer_loss(out, weights).backward()
+            return out.data, [t.grad for t in tensors]
+
+        (out, grads), (ref_out, ref_grads) = run([x[:split], x[split:]]), run([x])
+        _assert_same_bits(out, ref_out)
+        _assert_same_bits(np.concatenate(grads[:2]), ref_grads[0])
+        for grad, ref in zip(grads[2:], ref_grads[1:]):
+            _assert_same_bits(grad, ref)
+
     @pytest.mark.parametrize(
         "x_shape,out_shape", [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,))]
     )
     def test_classifier_head_gives_one_logit_per_row(self, x_shape, out_shape):
         rng = np.random.default_rng(3)
         x, w1, b1, w2, b2 = _head_arrays(rng, x_shape, 18)
-        out = ad.classifier_head(*[Tensor(a) for a in (x, w1, b1, w2, b2)]).data
+        out = ad.classifier_head([Tensor(x)], *[Tensor(a) for a in (w1, b1, w2, b2)]).data
         rows = x.reshape(-1, 18)
         expected = np.maximum(rows @ w1 + b1, 0.0) @ w2 + b2
         assert out.shape == out_shape
@@ -637,7 +680,14 @@ class TestLayerOps:
         rng = np.random.default_rng(8)
         arrays = _head_arrays(rng, x_shape, 18)
         weights = rng.standard_normal(x_shape[:-2] if x_shape == (6, 3) else x_shape[:1])
-        _check_gradients(lambda ts: _layer_loss(ad.classifier_head(*ts), weights), arrays)
+        _check_gradients(lambda ts: _layer_loss(_head()(*ts), weights), arrays)
+
+    @pytest.mark.parametrize("x_shape", [(6, 3), (3, 18)])
+    def test_two_part_classifier_head_gradients_match_finite_differences(self, x_shape):
+        rng = np.random.default_rng(8)
+        x, *head = _head_arrays(rng, x_shape, 18)
+        weights = rng.standard_normal(x_shape[:-2] if x_shape == (6, 3) else x_shape[:1])
+        _check_gradients(lambda ts: _layer_loss(_head(2)(*ts), weights), [x[:2], x[2:]] + head)
 
     def test_layer_weights_share_one_stacked_product(self, monkeypatch):
         # Three uses of each weight; backward stacks each weight's factors
@@ -654,7 +704,7 @@ class TestLayerOps:
         for _ in range(3):
             norm = ad.adjacency_norm(Tensor(_adjacency(rng, 2)))
             hidden = ad.graph_conv(norm, Tensor(rng.standard_normal((2, 6))), w)
-            term = ad.classifier_head(hidden, *head)
+            term = ad.classifier_head([hidden], *head)
             loss = term if loss is None else add(loss, term)
         loss.backward()
         assert stacked == [3, 3, 3]  # the graph_conv weight, then the head's w1 and w2
@@ -667,15 +717,24 @@ class TestLayerOps:
             ("graph_conv", [(3, 3), (2, 4), (4, 2)]),
             ("graph_conv", [(3, 3), (3, 4), (3, 2)]),
             ("graph_conv", [(3, 2), (3, 4), (4, 2)]),
-            ("classifier_head", [(6, 3), (17, 5), (5,), (5, 1), (1,)]),
-            ("classifier_head", [(6, 3), (18, 5), (4,), (5, 1), (1,)]),
-            ("classifier_head", [(6, 3), (18, 5), (5,), (5, 2), (1,)]),
-            ("classifier_head", [(6, 3), (18, 5), (5,), (5, 1), (2,)]),
+            ("classifier_head", [[(6, 3)], (17, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(6, 3)], (18, 5), (4,), (5, 1), (1,)]),
+            ("classifier_head", [[(6, 3)], (18, 5), (5,), (5, 2), (1,)]),
+            ("classifier_head", [[(6, 3)], (18, 5), (5,), (5, 1), (2,)]),
+            ("classifier_head", [[()], (1, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[], (18, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(2, 3), (4, 4)], (18, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(2, 3), (4, 3)], (17, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(), (18,)], (18, 5), (5,), (5, 1), (1,)]),
         ],
     )
     def test_shape_mismatch_rejected(self, name, shapes):
+        args = [
+            [Tensor(np.zeros(p)) for p in s] if isinstance(s, list) else Tensor(np.zeros(s))
+            for s in shapes
+        ]
         with pytest.raises(ValueError, match=r"incompatible shapes|must be square"):
-            getattr(ad, name)(*[Tensor(np.zeros(s)) for s in shapes])
+            getattr(ad, name)(*args)
 
     def test_gumbel_relax_rejects_mismatched_noise(self):
         with pytest.raises(ValueError, match="gumbel_relax"):
@@ -826,11 +885,11 @@ class TestBackwardContract:
         for adjacency, (w0, w1) in [(sampled, gcn[:2]), (Tensor(np.ones((n, n))), gcn[2:])]:
             norm = ad.adjacency_norm(adjacency)
             branches.append(ad.graph_conv(norm, ad.graph_conv(norm, features, w0), w1))
-        loss = bce_with_logits(ad.classifier_head(ad.concat(*branches), *head), 1)
+        loss = bce_with_logits(ad.classifier_head(branches, *head), 1)
         loss.backward()
         tape = ad._topo_order(loss)
         leaves = [node for node in tape if node._vjp is None]
-        assert len(tape) - len(leaves) == 11  # every op above but the constant branch's norm
+        assert len(tape) - len(leaves) == 10  # every op above but the constant branch's norm
         assert [id(p) for p in leaves] == [id(p) for p in tape if p.grad is not None]
         assert {id(p) for p in leaves} == {id(p) for p in scorer + gcn + head}
 
@@ -987,7 +1046,8 @@ class TestFactoredWeightGradients:
         tensors = [Tensor(0, requires_grad=i not in constant) for i in range(len(shapes))]
         for t, shape in zip(tensors, shapes):
             t.data = rng.uniform(0.5, 1.5, shape).view(Spy)  # every ReLU alive
-        sum_all(getattr(ad, name)(*tensors)).backward()
+        op = _head() if name == "classifier_head" else getattr(ad, name)
+        sum_all(op(*tensors)).backward()
         assert stacked == []
         assert not {shapes[i] for i in constant} & set(formed)
         assert [t.grad is None for t in tensors] == [i in constant for i in range(len(shapes))]
@@ -1047,22 +1107,23 @@ class TestEngineInvariants:
         pos_backup = pos.data.copy()
         mlp = [Tensor(x, requires_grad=True) for x in _pair_mlp(rng, 3, 3, 3)[1:]]
         head = [Tensor(x, requires_grad=True) for x in _head_arrays(rng, (3, 3), 9)[1:]]
-        params = mlp + head
+        joined_head = [Tensor(x, requires_grad=True) for x in _head_arrays(rng, (6, 3), 18)[1:]]
+        params = mlp + head + joined_head
         backups = [t.data.copy() for t in params]
         for out in [
             ad.matmul(ta, tb),
-            ad.concat(ta, tb),
             ad.pair_logits(ta, *mlp),
             ad.adjacency_norm(pos),
             ad.graph_conv(pos, ta, tb),
             ad.gumbel_relax(ta, b, 1.0),
-            ad.classifier_head(ta, *head),
-            ad.bce_mean([ad.classifier_head(tb, *head)], [1]),
+            ad.classifier_head([ta], *head),
+            ad.classifier_head([ta, tb], *joined_head),
+            ad.bce_mean([ad.classifier_head([tb], *head)], [1]),
         ]:
             out.data[...] = -999.0  # mutating outputs must not leak into inputs
         sum_all(ad.pair_logits(ta, *mlp)).backward()  # its VJP works in place
         hidden = ad.graph_conv(ad.adjacency_norm(pos), ta, tb)  # so do these
-        ad.bce_mean([ad.classifier_head(hidden, *head)], [0]).backward()
+        ad.bce_mean([ad.classifier_head([hidden, tb], *joined_head)], [0]).backward()
         np.testing.assert_array_equal(ta.data, a)
         np.testing.assert_array_equal(tb.data, b)
         np.testing.assert_array_equal(pos.data, pos_backup)
@@ -1081,7 +1142,7 @@ class TestEngineInvariants:
             and inspect.signature(fn).return_annotation in ("Tensor", Tensor)
         }
         assert ops == {
-            "matmul", "concat", "pair_logits", "adjacency_norm", "graph_conv", "gumbel_relax",
+            "matmul", "pair_logits", "adjacency_norm", "graph_conv", "gumbel_relax",
             "classifier_head", "bce_mean",
         }
         # ... and the engine ships only what the model runs: each op has a caller.

@@ -207,6 +207,17 @@ class TestTrainCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert not out.exists() and not list(tmp_path.rglob("*.tmp"))
 
+    def test_the_smallest_accepted_temperature_trains(self, workspace, tmp_path, capsys):
+        # (z + delta) / 1e-308 overflows to +-inf, which the relaxation
+        # saturates to exactly 1 or 0 without a RuntimeWarning.
+        config = tmp_path / "tiny-tau.json"
+        config.write_text(json.dumps(dict(CONFIG, gcn_out_dim=8, temperature=1e-308)))
+        out = tmp_path / "run" / "model.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--config", str(config), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_checkpoint(str(out)).config.temperature == 1e-308
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("where", ["init", "save"])
     def test_out_of_memory_exits_2_with_one_error_line(self, workspace, tmp_path, monkeypatch, capsys, where):
         # Raised in place of numpy's MemoryError for an oversized config

@@ -260,7 +260,8 @@ class TestGumbelSample:
     def test_rejects_bad_temperature(self):
         logits = Tensor(np.zeros((2, 2)))
         zero = np.zeros((2, 2))
-        for tau in (0.0, -1.0, float("nan"), float("inf")):
+        # 5e-324 is positive and finite, but its reciprocal overflows, as check_config rejects
+        for tau in (0.0, -1.0, float("nan"), float("inf"), 5e-324, np.float64(5e-324)):
             with pytest.raises(ValueError, match="temperature"):
                 gumbel_sample(logits, tau, (zero, zero))
 

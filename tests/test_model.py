@@ -433,10 +433,10 @@ class TestWeightGradientStacking:
         n, d, f, hc, batch = 6, 4, 8, 4, 3
         state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
         # Any product pair_logits' VJP forms from the gradient it receives
-        # is recorded; classifier_head flattens the stacked branches,
-        # concat's output, into its input row, classifier.w1's left operand.
+        # is recorded; classifier_head joins the branch outputs, graph_conv's,
+        # into its input row, classifier.w1's left operand.
         events = _spy_on_outputs(
-            monkeypatch, ["pair_logits", "concat"], gradients_of=["pair_logits"]
+            monkeypatch, ["pair_logits", "graph_conv"], gradients_of=["pair_logits"]
         )
         rng = np.random.default_rng(7)
         logits = [

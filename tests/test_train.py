@@ -53,6 +53,10 @@ def one_sided_cohort():
     return Dataset(name="one-sided", subjects=subjects)
 
 
+_TAPED_OPS = ["matmul", "pair_logits", "adjacency_norm", "graph_conv", "gumbel_relax",
+              "classifier_head", "bce_mean"]
+
+
 def _small_config(**overrides):
     base = dict(
         learning_rate=1e-2,
@@ -395,10 +399,10 @@ class TestTrainingLoop:
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
 
-    def test_a_training_step_tapes_ten_nodes_per_subject_and_one_loss(self, monkeypatch):
+    def test_a_training_step_tapes_nine_nodes_per_subject_and_one_loss(self, monkeypatch):
         # Per subject: the scorer's matmul and pair_logits, gumbel_relax,
-        # the sampled graph's adjacency_norm, two graph_convs per branch,
-        # concat and classifier_head. The batch adds one bce_mean.
+        # the sampled graph's adjacency_norm, two graph_convs per branch
+        # and classifier_head. The batch adds one bce_mean.
         tapes, backward = [], Tensor.backward
 
         def recording_backward(loss):
@@ -408,7 +412,30 @@ class TestTrainingLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
         fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
-        assert tapes == [10 * 4 + 1, 10 * 4 + 1, 10 * 2 + 1]
+        assert tapes == [9 * 4 + 1, 9 * 4 + 1, 9 * 2 + 1]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_an_evaluation_forward_tapes_seven_nodes(self, monkeypatch, cached):
+        # The scorer's matmul and pair_logits, two graph_convs per branch and
+        # classifier_head: the parameters require grad, so each op records a
+        # node. The hardened graph is a constant, so its adjacency_norm
+        # records none, and so is the thresholded graph, cached or not.
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, _, _ = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        nodes = []
+
+        def recorded(op):
+            def wrapped(*args):
+                out = op(*args)
+                nodes.append(out._vjp is not None)
+                return out
+
+            return wrapped
+
+        for name in _TAPED_OPS:
+            monkeypatch.setattr(ad, name, recorded(getattr(ad, name)))
+        train_module._predict_logits(state, ds, [0], inputs if cached else None)
+        assert sum(nodes) == 7
 
     def test_one_update_reaches_every_sampled_branch_weight(self):
         # At GCN output width 8 the sampled branch is alive at init, so
@@ -563,12 +590,10 @@ class TestThresholdedGraphCache:
 
             return wrapped
 
-        names = ["matmul", "concat", "pair_logits", "adjacency_norm", "graph_conv",
-                 "gumbel_relax", "classifier_head", "bce_mean"]
-        for name in names:
+        for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        assert len(outputs) == 10 * 4 + 1
+        assert len(outputs) == 9 * 4 + 1
         assert [name for name, out in outputs if out._vjp is None] == []
 
     def test_an_epoch_and_a_validation_pass_leave_the_cached_inputs_as_they_were(self):
