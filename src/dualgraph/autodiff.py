@@ -3,8 +3,8 @@
 Covers exactly the operations the dual-graph classifier runs: the
 matrix product behind the edge scorer's extractor, a numerically stable
 mean binary cross-entropy over a mini-batch (``bce_mean``, one node for
-the whole batch), and one op per model layer, so that a layer costs one
-tape node:
+the whole batch, taking the batch's logits as one (B,) tensor), and one
+op per model layer, so that a layer costs one tape node:
 
 - ``pair_logits``, the edge scorer from the extractor's product on (bias,
   ReLU, pair MLP), keeps the embedding and the pair MLP's two (n, h)
@@ -20,7 +20,11 @@ tape node:
   keeps nothing but its output;
 - ``classifier_head``, which joins the branch outputs and runs affine,
   ReLU, affine to one logit per row, keeps its input rows (a view of a
-  single part, the joined copy of several) and the hidden layer.
+  single part, the joined copy of several) and the hidden layer. Its
+  rows are the joined parts flattened row-major into rows of the head's
+  input width D: one subject's branch outputs make one row and a 0-d
+  logit, a mini-batch's make B rows and a (B,) vector, so training runs
+  the head as one (B × D) product each way.
 
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
@@ -417,10 +421,13 @@ def classifier_head(
     """Two-layer classifier, ``relu(X @ w1 + b1) @ w2 + b2``, one logit per row.
 
     ``X``, the ``parts`` joined along their first axis, flattens row-major
-    into rows of ``D = w1.shape[0]``: trailing axes that multiply to D
-    make a row, leading axes index the rows and shape the output. A
-    subject's branch outputs give a 0-d logit, one (B, D) part B logits.
-    Each part's gradient is a view, its slice of ``X``'s.
+    into rows of ``D = w1.shape[0]``. When trailing axes multiply to D,
+    they make a row, and the leading axes index the rows and shape the
+    output; otherwise the first axis must split evenly into rows, and the
+    output is one logit per row. A subject's branch outputs give a 0-d
+    logit, one (B, D) part B logits, and a mini-batch's branch outputs,
+    joined (2B·n, f), B logits in batch order. Each part's gradient is a
+    view, its slice of ``X``'s, and all B rows' come from one product.
     """
     xs = [part.data for part in parts]
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
@@ -429,9 +436,12 @@ def classifier_head(
     xd = xs[0] if len(xs) == 1 else np.concatenate(xs)
     d, h = w1d.shape if w1d.ndim == 2 else (0, 0)
     axes = next((k for k in range(1, xd.ndim + 1) if math.prod(xd.shape[-k:]) == d), None)
-    if axes is None or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
+    inner = math.prod(xd.shape[1:]) if xd.ndim else 0  # entries per first-axis index
+    splits = d and inner and d % inner == 0 and xd.shape[0] % (d // inner) == 0
+    if axes is None and not splits or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
         shapes = [[x.shape for x in xs]] + [t.shape for t in (w1, b1, w2, b2)]
         raise ValueError(f"classifier_head: incompatible shapes {shapes}")
+    out_shape = xd.shape[:-axes] if axes is not None else (xd.size // d,)
     rows = xd.reshape(-1, d)
     hidden = rows @ w1d
     hidden += b1d
@@ -449,7 +459,7 @@ def classifier_head(
         weights = _Factors(rows, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
         return (*g_parts, *weights)
 
-    return _make((hidden @ w2d + b2d).reshape(xd.shape[:-axes]), (*parts, w1, b1, w2, b2), vjp)
+    return _make((hidden @ w2d + b2d).reshape(out_shape), (*parts, w1, b1, w2, b2), vjp)
 
 
 def bce_value(logit: float, label) -> float:
@@ -461,30 +471,31 @@ def bce_value(logit: float, label) -> float:
     return max(logit, 0.0) - logit * label + float(np.log1p(np.exp(-abs(logit))))
 
 
-def bce_mean(logits: Sequence[Tensor], labels: Sequence) -> Tensor:
-    """Mean ``bce_value`` over a mini-batch of scalar logits, as one tape node.
+def bce_mean(logits: Tensor, labels: Sequence) -> Tensor:
+    """Mean ``bce_value`` over a mini-batch's logits, as one tape node.
 
-    The losses add in batch order, then the sum is multiplied by ``1 / B``.
-    Logit i's gradient is ``(g * (1 / B)) * (s(z_i) - y_i)``. Labels are 0 or 1.
+    ``logits`` holds one logit per label: a (B,) vector, such as
+    ``classifier_head``'s over a mini-batch, or for one label any
+    one-entry shape, such as a subject's 0-d logit. The losses add in
+    batch order, then the sum is multiplied by ``1 / B``. Logit i's
+    gradient is ``(g * (1 / B)) * (s(z_i) - y_i)``. Labels are 0 or 1.
     """
-    if not logits or len(labels) != len(logits):
-        raise ValueError(f"bce_mean needs one label per logit, got {len(labels)} for {len(logits)}")
-    total, residuals = 0.0, []  # 0.0 + loss is loss: no loss is -0.0
-    for logit, label in zip(logits, labels):
-        if logit.data.size != 1:
-            raise ValueError(f"bce_mean expects scalar logits, got {logit.shape}")
-        z, y = float(logit.data.reshape(())), float(label)
+    zs, count = logits.data, len(labels)
+    if not count or zs.shape != (count,) and not (count == 1 and zs.size == 1):
+        raise ValueError(
+            f"bce_mean needs one label per logit: a ({count},) vector, or a scalar for one "
+            f"label; got {count} labels for logits of shape {zs.shape}"
+        )
+    total, residuals = 0.0, np.empty(count)  # 0.0 + loss is loss: no loss is -0.0
+    for i, (z, label) in enumerate(zip(zs.reshape(-1).tolist(), labels)):
+        y = float(label)
         if y not in (0.0, 1.0):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
         total += bce_value(z, y)
-        residuals.append(logistic(z) - y)
-    inv_b = 1.0 / len(logits)
+        residuals[i] = logistic(z) - y
+    inv_b = 1.0 / count
 
     def vjp(g: np.ndarray) -> tuple:
-        g = g * inv_b
-        return tuple(
-            np.full(t.data.shape, g * r) if t.requires_grad else None
-            for t, r in zip(logits, residuals)
-        )
+        return ((g * inv_b * residuals).reshape(zs.shape),)
 
-    return _make(np.asarray(total * inv_b), logits, vjp)
+    return _make(np.asarray(total * inv_b), (logits,), vjp)

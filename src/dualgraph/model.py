@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import numbers
 import os
 import struct
@@ -220,15 +221,23 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 
 
 def forward(
-    series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None
-) -> Tensor:
-    """Scalar logit for one subject.
+    series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None, *, head=True
+) -> Tensor | list:
+    """Scalar logit for one subject, or with ``head=False`` the head's input.
 
     ``noise`` is a pair of standard-Gumbel matrices for the training
     path; ``None`` selects the deterministic evaluation path, where the
     sampled graph holds the edges with a non-negative scorer logit.
     ``graph`` is the subject's ``thresholded_graph``; without it the
     thresholded branch builds its own.
+
+    ``head=False`` returns the list of branch outputs that the head
+    would join (thresholded first) and tapes no head node, so training
+    can run one ``classifier_head`` over a whole mini-batch's. It is a
+    keyword rather than a separate per-subject ``embed`` function because
+    the benchmark (``perfbench``) counts training subjects by ``forward``
+    calls; once it counts them from the mini-batch index lists, ``embed``
+    can take its place.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
@@ -247,8 +256,9 @@ def forward(
             optimal = gumbel_sample(logits, config.temperature, noise)
         norm_o = normalize_adjacency(optimal)
         branches.append(gcn_forward(corr, norm_o, state.optimal_gcn))
-    head = state.classifier
-    return ad.classifier_head(branches, head.w1, head.b1, head.w2, head.b2)
+    if not head:
+        return branches
+    return ad.classifier_head(branches, *state.classifier.parameters())
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:
@@ -281,6 +291,30 @@ def save_checkpoint(state: ModelState, path: str) -> None:
             if tensor.data.shape != shape:
                 raise ValueError(f"parameter {name} has drifted to {tensor.data.shape}")
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))  # no bytes copy
+
+
+# A loaded parameter of at least this many bytes gets a mapping of its own.
+_OWN_MAPPING_BYTES = 1 << 22
+
+
+def _parameter_array(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array to read a checkpoint parameter into.
+
+    One of 4 MiB or more, like the head's first weight (24 MiB at paper
+    scale), gets a private anonymous mapping advised for huge pages.
+    Scoring reads that whole weight once per subject. From the heap it
+    may land on pages that the process's earlier work faulted in as 4 KiB
+    pages: after a paper-scale ``train`` in the same process, its one-row
+    product took 360-720 us there against 115-135 us on huge pages
+    (2-core host), with the same bits. Without huge-page advice (not
+    Linux) the heap serves.
+    """
+    nbytes = 8 * math.prod(shape)
+    if nbytes < _OWN_MAPPING_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(shape, dtype="<f8")
+    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype="<f8").reshape(shape)
 
 
 def load_checkpoint(path: str) -> ModelState:
@@ -319,7 +353,7 @@ def load_checkpoint(path: str) -> ModelState:
         for name, shape in expected:
             if fh.tell() + 8 * math.prod(shape) > size:  # checked before allocating
                 raise ValueError(f"{path}: truncated while reading {name}")
-            values = np.empty(shape, dtype="<f8")
+            values = _parameter_array(shape)
             if fh.readinto(values) != values.nbytes:
                 raise ValueError(f"{path}: truncated while reading {name}")
             if not np.isfinite(values).all():

@@ -163,6 +163,7 @@ class Adam:
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
         self._scratch = np.empty((2, self.CHUNK))
+        self._finite = np.empty(self.CHUNK, dtype=bool)
 
     def step(self) -> None:
         self.t += 1
@@ -196,6 +197,22 @@ class Adam:
                 flat_p[span] -= a  # p = p - lr * m_hat / (sqrt(v_hat) + eps)
             if not data.flags.c_contiguous:
                 data[...] = flat_p.reshape(data.shape)
+
+    def gradients_finite(self) -> bool:
+        """False when any parameter's gradient holds a NaN or an infinity.
+
+        Checked a ``CHUNK`` at a time into one preallocated flag buffer, so
+        the check allocates nothing the size of a parameter.
+        """
+        for p in self.params:
+            if p.grad is None:
+                continue
+            flat = p.grad.reshape(-1)
+            for start in range(0, flat.size, self.CHUNK):
+                piece = flat[start : start + self.CHUNK]
+                if not np.isfinite(piece, out=self._finite[: piece.size]).all():
+                    return False
+        return True
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -328,15 +345,20 @@ def _batch_update(
 ) -> float:
     """One Adam update on the batch's mean loss; returns that loss.
 
-    The batch's tape is freed when this returns, before the next batch
-    builds its own, so one tape at a time is alive.
+    Each subject's ``forward`` stops before the head; one
+    ``classifier_head`` call then scores the whole batch, so the head's
+    weight is read once per pass as a (B × D) product, not B times as a
+    one-row one. The batch's tape is freed when this returns, before the
+    next batch builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
-    logits = []
+    parts = []
     for idx in batch:
         corr, graph = inputs[idx]
         noise = sample_gumbel_noise(rng, dataset.n_rois)
-        logits.append(forward(dataset.subjects[idx].series, corr, state, noise=noise, graph=graph))
+        series = dataset.subjects[idx].series
+        parts += forward(series, corr, state, noise=noise, graph=graph, head=False)
+    logits = ad.classifier_head(parts, *state.classifier.parameters())
     mean_loss = ad.bce_mean(logits, [dataset.subjects[idx].label for idx in batch])
     value = float(mean_loss.data)
     if not np.isfinite(value):
@@ -344,9 +366,8 @@ def _batch_update(
     mean_loss.backward()
     # A finite loss can still have non-finite gradients; stop before
     # Adam writes them into the parameters.
-    for p in optimizer.params:
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise TrainingDiverged(f"non-finite gradient at {where}")
+    if not optimizer.gradients_finite():
+        raise TrainingDiverged(f"non-finite gradient at {where}")
     optimizer.step()
     return value
 

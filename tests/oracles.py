@@ -422,23 +422,39 @@ def gumbel_relax_composite(logits, delta, tau):
 
 
 def classifier_head_composite(parts, w1, b1, w2, b2):
-    """``ad.classifier_head`` as primitive ops: join the parts, copy out the rows, affine, ReLU, affine."""
+    """``ad.classifier_head`` as primitive ops: join the parts, copy out the rows, affine, ReLU, affine.
+
+    Trailing axes that make a row shape the output by the leading axes;
+    otherwise the output is one logit per row, as a mini-batch's is.
+    """
     x = functools.reduce(concat, parts)
     d = w1.shape[0]
-    axes = next(k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d)
+    axes = next((k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d), None)
     rows = reshape(x, (x.size // d, d))
     hidden = relu(add(ad.matmul(rows, w1), b1))
     logit = add(ad.matmul(hidden, w2), b2)
-    return reshape(logit, x.shape[:-axes])
+    return reshape(logit, x.shape[:-axes] if axes is not None else (x.size // d,))
+
+
+def entry(a: Tensor, index: int) -> Tensor:
+    """Entry ``index`` of ``a`` in row-major order, 0-d; its gradient is zero elsewhere."""
+    shape = a.data.shape
+
+    def vjp(g: np.ndarray) -> tuple:
+        grad = np.zeros(shape)
+        grad.reshape(-1)[index] = g
+        return (grad,)
+
+    return _make(a.data.reshape(-1)[index], (a,), vjp)
 
 
 def bce_mean_composite(logits, labels):
-    """``ad.bce_mean`` as primitive ops: one loss per logit, summed in order, scaled by 1/B."""
+    """``ad.bce_mean`` as primitive ops: one loss per logit entry, summed in order, scaled by 1/B."""
     total = None
-    for logit, label in zip(logits, labels):
-        loss = bce_with_logits(logit, label)
+    for index, label in enumerate(labels):
+        loss = bce_with_logits(entry(logits, index), label)
         total = loss if total is None else add(total, loss)
-    return scale(total, 1.0 / len(logits))
+    return scale(total, 1.0 / len(labels))
 
 
 LAYER_OP_COMPOSITES = {

@@ -144,7 +144,7 @@ def test_criterion_1_gradient_integrity():
         label = 1
 
         state = init_model(config)
-        loss = ad.bce_mean([forward(series, corr, state, noise=noise)], [label])
+        loss = ad.bce_mean(forward(series, corr, state, noise=noise), [label])
         loss.backward()
 
         def loss_value(arrays):
@@ -152,7 +152,7 @@ def test_criterion_1_gradient_integrity():
             for p, d in zip(trial.parameters(), arrays):
                 p.data = d
             out = forward(series, corr, trial, noise=noise)
-            return float(ad.bce_mean([out], [label]).data)
+            return float(ad.bce_mean(out, [label]).data)
 
         eps = 1e-5
         base = [p.data.copy() for p in state.parameters()]
@@ -193,8 +193,7 @@ def test_criterion_1_gradient_integrity():
              [normal(6, 3), normal(18, 5), normal(5), normal(5, 1), normal(1)]),
             (lambda ts: sum_all(ad.classifier_head(ts[:2], *ts[2:])),
              [normal(2, 3), normal(4, 3), normal(18, 5), normal(5), normal(5, 1), normal(1)]),
-            (lambda ts: sum_all(ad.bce_mean(ts, [1, 0, 1])),
-             [np.array(0.4), np.array(-1.3), np.array(2.1)]),
+            (lambda ts: sum_all(ad.bce_mean(ts[0], [1, 0, 1])), [np.array([0.4, -1.3, 2.1])]),
         ]
         for build, arrays in cases:
             tensors = [Tensor(a, requires_grad=True) for a in arrays]

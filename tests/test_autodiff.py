@@ -622,7 +622,8 @@ class TestLayerOps:
             _assert_same_bits(grad, ref)
 
     @pytest.mark.parametrize(
-        "x_shape,out_shape", [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,))]
+        "x_shape,out_shape",
+        [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,)), ((18, 3), (3,))],
     )
     def test_classifier_head_gives_one_logit_per_row(self, x_shape, out_shape):
         rng = np.random.default_rng(3)
@@ -633,26 +634,55 @@ class TestLayerOps:
         assert out.shape == out_shape
         np.testing.assert_allclose(out.reshape(-1), expected.reshape(-1), rtol=1e-13)
 
+    @pytest.mark.parametrize("part_grads", [True, False])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_mini_batch_classifier_head_equals_the_composite(self, batch, part_grads):
+        # A mini-batch's branch outputs, two (3, 3) parts per subject, give
+        # one row of D = 18 per subject.
+        x, *head = _head_arrays(np.random.default_rng(20 + batch), (6 * batch, 3), 18)
+        parts = np.split(x, 2 * batch)
+        flags = [part_grads or i % 2 == 0 for i in range(2 * batch)] + [True] * 4
+        _assert_layer_matches_composite("classifier_head", parts + head, flags, parts=2 * batch)
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_mini_batch_rows_are_the_subjects_in_batch_order(self, batch):
+        # Logit b is subject b's, scored alone from its own two parts; the
+        # batch's (B x D) product may differ from a one-row one in the last bits.
+        x, *head = _head_arrays(np.random.default_rng(30 + batch), (6 * batch, 3), 18)
+        parts = [Tensor(p) for p in np.split(x, 2 * batch)]
+        weights = [Tensor(a) for a in head]
+        out = ad.classifier_head(parts, *weights).data
+        alone = [ad.classifier_head(parts[2 * b : 2 * b + 2], *weights).data for b in range(batch)]
+        assert out.shape == (batch,) and all(a.shape == () for a in alone)
+        np.testing.assert_allclose(out, alone, rtol=1e-13, atol=0)
+
+    def test_mini_batch_classifier_head_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(10)
+        x, *head = _head_arrays(rng, (18, 3), 18)
+        weights = rng.standard_normal(3)
+        _check_gradients(lambda ts: _layer_loss(_head(6)(*ts), weights), np.split(x, 6) + head)
+
     @pytest.mark.parametrize("upstream", [None, 0.37])
-    @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_bce_mean_equals_the_composite(self, batch, upstream):
-        rng = np.random.default_rng(batch)
+    @pytest.mark.parametrize(
+        "batch,shape", [(1, ()), (1, (1,)), (1, (1, 1)), (3, (3,)), (16, (16,))]
+    )
+    def test_bce_mean_equals_the_composite(self, batch, shape, upstream):
+        # The composite takes each entry's loss and residual in batch order.
+        rng = np.random.default_rng(batch + len(shape))
         zs = rng.standard_normal(batch) * 10.0
         zs[: batch // 3] = [0.0, -0.0, 745.0, -1e308, 36.0][: batch // 3]
-        shapes = [[(), (1,), (1, 1)][i % 3] for i in range(batch)]
         labels = rng.integers(0, 2, batch).tolist()
 
         def run(op):
-            logits = [Tensor(np.full(shape, z), requires_grad=True) for z, shape in zip(zs, shapes)]
+            logits = Tensor(zs.reshape(shape), requires_grad=True)
             out = op(logits, labels)
             (out if upstream is None else _layer_loss(out, np.array(upstream))).backward()
-            return out.data, [t.grad for t in logits]
+            return out.data, logits.grad
 
-        (out, grads), (ref_out, ref_grads) = run(ad.bce_mean), run(LAYER_OP_COMPOSITES["bce_mean"])
+        (out, grad), (ref_out, ref_grad) = run(ad.bce_mean), run(LAYER_OP_COMPOSITES["bce_mean"])
         _assert_same_bits(out, ref_out)
-        for grad, ref, shape in zip(grads, ref_grads, shapes):
-            assert grad.shape == shape
-            _assert_same_bits(grad, ref)
+        assert grad.shape == shape
+        _assert_same_bits(grad, ref_grad)
 
     def test_adjacency_norm_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -726,6 +756,9 @@ class TestLayerOps:
             ("classifier_head", [[(2, 3), (4, 4)], (18, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(2, 3), (4, 3)], (17, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(), (18,)], (18, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(3, 3), (2, 3)], (6, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(4, 3)], (2, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(4, 3)], (0, 5), (5,), (5, 1), (1,)]),
         ],
     )
     def test_shape_mismatch_rejected(self, name, shapes):
@@ -806,33 +839,36 @@ class TestBceMean(TestBceWithLogits):
 
     @staticmethod
     def loss(logit, label):
-        return ad.bce_mean([logit], [label])
+        return ad.bce_mean(logit, [label])
 
-    @pytest.mark.parametrize("logits,labels", [([], []), ([0.1, 0.2], [1]), ([0.1], [1, 0])])
+    @pytest.mark.parametrize(
+        "logits,labels",
+        [([], []), ([0.1, 0.2], [1]), ([0.1], [1, 0]), (0.1, [1, 0]), ([[0.1], [0.2]], [1, 0])],
+    )
     def test_rejects_an_empty_batch_and_mismatched_lengths(self, logits, labels):
+        # One logit per label: a (B,) vector, or any one-entry shape for B = 1.
         with pytest.raises(ValueError, match="one label per logit"):
-            ad.bce_mean([Tensor(np.array(z)) for z in logits], labels)
+            ad.bce_mean(Tensor(np.array(logits)), labels)
 
     def test_batch_value_is_the_mean_and_gradients_are_residuals_over_b(self):
         zs, ys = [0.3, -2.0, 5.0, 0.0], [1, 0, 0, 1]
-        logits = [Tensor(np.array(z), requires_grad=True) for z in zs]
+        logits = Tensor(np.array(zs), requires_grad=True)
         loss = ad.bce_mean(logits, ys)
         loss.backward()
         expected = [ad.bce_value(z, y) for z, y in zip(zs, ys)]
         assert abs(float(loss.data) - sum(expected) / 4) < 1e-15
-        for t, z, y in zip(logits, zs, ys):
-            assert abs(float(t.grad) - (1.0 / (1.0 + np.exp(-z)) - y) / 4) < 1e-15
+        assert logits.grad.shape == (4,)
+        for grad, z, y in zip(logits.grad, zs, ys):
+            assert abs(grad - (1.0 / (1.0 + np.exp(-z)) - y) / 4) < 1e-15
 
     def test_batch_gradient(self):
-        _check_gradients(
-            lambda ts: ad.bce_mean(ts, [0, 1, 1]), [np.array(0.7), np.array([-1.2]), np.array(2.5)]
-        )
+        _check_gradients(lambda ts: ad.bce_mean(ts[0], [0, 1, 1]), [np.array([0.7, -1.2, 2.5])])
 
     def test_makes_one_tape_node_for_the_batch(self):
-        logits = [relu(Tensor(np.array(z), requires_grad=True)) for z in (0.5, 1.5, 2.5)]
+        logits = relu(Tensor(np.array([0.5, 1.5, 2.5]), requires_grad=True))
         loss = ad.bce_mean(logits, [0, 1, 0])
-        assert loss._parents == tuple(logits)
-        assert sum(node._vjp is not None for node in ad._topo_order(loss)) == 4
+        assert loss._parents == (logits,)
+        assert sum(node._vjp is not None for node in ad._topo_order(loss)) == 2
 
 
 class TestBackwardContract:
@@ -1118,12 +1154,12 @@ class TestEngineInvariants:
             ad.gumbel_relax(ta, b, 1.0),
             ad.classifier_head([ta], *head),
             ad.classifier_head([ta, tb], *joined_head),
-            ad.bce_mean([ad.classifier_head([tb], *head)], [1]),
+            ad.bce_mean(ad.classifier_head([tb], *head), [1]),
         ]:
             out.data[...] = -999.0  # mutating outputs must not leak into inputs
         sum_all(ad.pair_logits(ta, *mlp)).backward()  # its VJP works in place
         hidden = ad.graph_conv(ad.adjacency_norm(pos), ta, tb)  # so do these
-        ad.bce_mean([ad.classifier_head([hidden, tb], *joined_head)], [0]).backward()
+        ad.bce_mean(ad.classifier_head([hidden, tb], *joined_head), [0]).backward()
         np.testing.assert_array_equal(ta.data, a)
         np.testing.assert_array_equal(tb.data, b)
         np.testing.assert_array_equal(pos.data, pos_backup)

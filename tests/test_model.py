@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import struct
 import tracemalloc
 from pathlib import Path
@@ -303,12 +304,32 @@ class TestForward:
             state = init_model(config)
             logit = forward(series, corr, state, noise, graph=given)  # noise stays 4th
             if training:
-                ad.bce_mean([logit], [1]).backward()
+                ad.bce_mean(logit, [1]).backward()
             grads = [p.grad.tobytes() for p in state.parameters() if p.grad is not None]
             runs.append((logit.data.tobytes(), grads))
             if training and graph is not None:  # the thresholded branch does train
                 assert all(w.grad.any() for w in state.filtered_gcn.parameters())
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_without_the_head_it_returns_exactly_what_its_head_is_fed(
+        self, monkeypatch, mode, training
+    ):
+        series, corr = _toy_subject(seed=8)
+        state = init_model(_config(mode=mode, seed=21))
+        noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
+        fed, head = [], ad.classifier_head
+        monkeypatch.setattr(ad, "classifier_head", lambda parts, *w: fed.append(parts) or head(parts, *w))
+        logit = forward(series, corr, state, noise=noise)
+        branches = forward(series, corr, state, noise=noise, head=False)
+        assert len(fed) == 1  # no head node for the call without it
+        assert [(b.shape, b.requires_grad) for b in branches] == [
+            (p.shape, p.requires_grad) for p in fed[0]
+        ]
+        assert [b.data.tobytes() for b in branches] == [p.data.tobytes() for p in fed[0]]
+        scored = head(branches, *state.classifier.parameters())
+        assert scored.data.tobytes() == logit.data.tobytes()
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
@@ -439,10 +460,11 @@ class TestWeightGradientStacking:
             monkeypatch, ["pair_logits", "graph_conv"], gradients_of=["pair_logits"]
         )
         rng = np.random.default_rng(7)
-        logits = [
-            forward(*_toy_subject(seed=seed), state, noise=sample_gumbel_noise(rng, n))
-            for seed in range(batch)
-        ]
+        parts = []  # as a training step forms them: one head call for the batch
+        for seed in range(batch):
+            noise = sample_gumbel_noise(rng, n)
+            parts += forward(*_toy_subject(seed=seed), state, noise=noise, head=False)
+        logits = ad.classifier_head(parts, *state.classifier.parameters())
         ad.bce_mean(logits, [seed % 2 for seed in range(batch)]).backward()
 
         width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
@@ -450,7 +472,9 @@ class TestWeightGradientStacking:
         products = [shapes for kind, shapes in events if kind == "matmul"]
         assert not any(shape[0] == n * n for shapes in concats for shape in shapes)
         assert not any(shape[0] == n * n for shapes in products for shape in shapes)
-        assert concats.count([(1, width)] * batch) == 1
+        assert concats.count([(n, f)] * 2 * batch) == 1  # the batch's rows, joined once
+        assert not any((1, width) in shapes for shapes in concats)  # no per-subject row is stacked
+        assert products.count([(batch, width), (width, hc)]) == 1  # the head's forward
         assert products.count([(width, batch), (batch, hc)]) == 1  # classifier.w1
         assert products.count([(width, 1), (1, hc)]) == 0
         assert state.scorer.pair_w2.grad.shape == (d, 1)
@@ -484,7 +508,7 @@ class TestTapeMemory:
         state = init_model(config)
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
-        loss = ad.bce_mean([forward(series, corr, state, noise=noise)], [1])
+        loss = ad.bce_mean(forward(series, corr, state, noise=noise), [1])
         sizes = [x.size for x in _kept_arrays(loss)]
         assert n * n in sizes  # the tape does reach the (n, n) edge logits
         assert n * n * d not in sizes
@@ -496,7 +520,7 @@ class TestTapeMemory:
         state = init_model(_config(n_rois=n, gcn_hidden_dim=8, gcn_out_dim=8))
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
-        kept = _kept_arrays(ad.bce_mean([forward(series, corr, state, noise=noise)], [1]))
+        kept = _kept_arrays(ad.bce_mean(forward(series, corr, state, noise=noise), [1]))
 
         relaxed = gumbel_sample(edge_probabilities(series, state.scorer), 1.0, noise).data
         graphs = [build_filtered(corr, 0.6), relaxed]
@@ -520,13 +544,14 @@ class TestTapeMemory:
 
 
 def _batch_gradients(state, subjects, noises):
-    """Each subject's logit and every parameter's gradient of the batch's mean BCE."""
-    logits = [
-        forward(series, corr, state, noise=noise) for (series, corr), noise in zip(subjects, noises)
-    ]
-    ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(logits))]).backward()
+    """The batch's logits and every parameter's gradient of its mean BCE, formed as training does."""
+    parts = []
+    for (series, corr), noise in zip(subjects, noises):
+        parts += forward(series, corr, state, noise=noise, head=False)
+    logits = ad.classifier_head(parts, *state.classifier.parameters())
+    ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(subjects))]).backward()
     names = [name for name, _ in parameter_shapes(state.config)]
-    return [t.data for t in logits], dict(zip(names, (p.grad for p in state.parameters())))
+    return logits.data, dict(zip(names, (p.grad for p in state.parameters())))
 
 
 class TestLayerOpsEqualTheirComposites:
@@ -551,9 +576,8 @@ class TestLayerOpsEqualTheirComposites:
             monkeypatch.setattr(ad, name, composite)
         ref_logits, ref_grads = run()
 
-        for ours, ref in zip(logits, ref_logits):
-            assert ours.shape == ref.shape == ()
-            np.testing.assert_array_equal(ours, ref)
+        assert logits.shape == ref_logits.shape == (len(subjects),)
+        np.testing.assert_array_equal(logits, ref_logits)
         for name, grad in grads.items():
             if ref_grads[name] is None:
                 assert grad is None, name
@@ -708,6 +732,25 @@ class TestCheckpoint:
         for a, b in zip(state.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data)
             assert b.requires_grad
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice")
+    def test_a_parameter_of_4_mib_loads_into_a_mapping_of_its_own(self, tmp_path):
+        # classifier.w1 is (2 * 16 * 64) x 256 floats, 4 MiB; every other parameter is smaller.
+        state = init_model(_config(n_rois=16, gcn_out_dim=64, classifier_hidden_dim=256, seed=35))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        for name, a, b in zip(parameter_shapes(state.config), state.parameters(), loaded.parameters()):
+            owner = b.data
+            while isinstance(owner, np.ndarray) and owner.base is not None:
+                owner = owner.base
+            owner = owner.obj if isinstance(owner, memoryview) else owner
+            assert isinstance(owner, mmap.mmap) == (name[0] == "classifier.w1"), name
+            assert b.data.tobytes() == a.data.tobytes() and b.data.flags.writeable
+            assert b.data.dtype == np.float64 and b.data.flags.c_contiguous
+        assert loaded.classifier.w1.data.nbytes == 1 << 22
+        series, corr = _toy_subject(seed=3, n=16)
+        assert forward(series, corr, loaded).data.tobytes() == forward(series, corr, state).data.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         state = init_model(_config(seed=34))

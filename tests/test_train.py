@@ -1,5 +1,6 @@
 """Split, optimizer, metric, and training-protocol tests."""
 
+import copy
 import dataclasses
 import json
 import weakref
@@ -12,8 +13,8 @@ from dualgraph import autodiff as ad
 from dualgraph import model as model_module
 from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
-from dualgraph.graphgen import build_filtered
-from dualgraph.model import MODES, init_model, normalize_adjacency
+from dualgraph.graphgen import build_filtered, sample_gumbel_noise
+from dualgraph.model import MODES, forward, init_model, normalize_adjacency
 from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic, pearson_correlation
 from dualgraph.train import (
     Adam,
@@ -343,9 +344,9 @@ class TestTrainingLoop:
 
         def recording_forward(*args, **kwargs):
             for earlier in batches[:-1]:
-                assert all(ref() is None for ref in earlier)
-            out = real_forward(*args, **kwargs)
-            batches[-1].append(weakref.ref(out.data))
+                assert all(ref() is None for subject in earlier for ref in subject)
+            out = real_forward(*args, **kwargs)  # the subject's branch outputs
+            batches[-1].append([weakref.ref(branch.data) for branch in out])
             return out
 
         monkeypatch.setattr(Adam, "zero_grad", counting_zero_grad)
@@ -378,6 +379,60 @@ class TestTrainingLoop:
         for param, before in zip(state.parameters(), initial):
             np.testing.assert_array_equal(param.data, before)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_in_the_last_chunk_stops_before_the_update(self, monkeypatch, bad):
+        # classifier.w1 has 64 x 600 entries, more than one Adam chunk and
+        # not a multiple of it; the check reads every chunk.
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(classifier_hidden_dim=600))
+        w1 = state.classifier.w1
+        assert w1.size > Adam.CHUNK and w1.size % Adam.CHUNK
+        train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
+        before = [a.tobytes() for a in [p.data for p in optimizer.params] + optimizer.m + optimizer.v]
+        backward = Tensor.backward
+
+        def poisoned_backward(loss):
+            backward(loss)
+            w1.grad.reshape(-1)[-1] = bad
+
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient at batch 2"):
+            train_module._batch_update(state, ds, inputs, [4, 5, 6, 7], optimizer, rng, "batch 2")
+        after = [a.tobytes() for a in [p.data for p in optimizer.params] + optimizer.m + optimizer.v]
+        assert after == before and optimizer.t == 1
+
+    def test_a_mini_batch_of_one_subject_trains(self):
+        # Batch size 7 on 8 subjects leaves a last mini-batch of one, whose
+        # loss is that subject's own logit's BCE, bit for bit.
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        config = _small_config(batch_size=7, epochs=2, gcn_out_dim=8)
+        state, inputs, optimizer, rng = train_module._setup(ds, config)
+        corr, graph = inputs[5]
+        noise = sample_gumbel_noise(copy.deepcopy(rng), ds.n_rois)
+        logit = forward(ds.subjects[5].series, corr, state, noise=noise, graph=graph)
+        before = [p.data.copy() for p in state.parameters()]
+        loss = train_module._batch_update(state, ds, inputs, [5], optimizer, rng, "batch 2")
+        assert loss == ad.bce_value(float(logit.data), ds.subjects[5].label)
+        for param, old in zip(state.parameters(), before):
+            assert not np.array_equal(param.data, old)  # every parameter trained
+        _, losses = fit(ds, list(range(8)), config)
+        assert np.all(np.isfinite(losses))
+
+    def test_the_batched_head_scores_each_subject_in_its_own_row(self, monkeypatch):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        batch, noise_rng, alone = [3, 0, 6, 1], copy.deepcopy(rng), []
+        for idx in batch:
+            corr, graph = inputs[idx]
+            noise = sample_gumbel_noise(noise_rng, ds.n_rois)
+            alone.append(float(forward(ds.subjects[idx].series, corr, state, noise=noise, graph=graph).data))
+        scored, head = [], ad.classifier_head
+        monkeypatch.setattr(ad, "classifier_head", lambda *args: scored.append(head(*args)) or scored[-1])
+        train_module._batch_update(state, ds, inputs, batch, optimizer, rng, "batch 1")
+        assert len(scored) == 1 and scored[0].shape == (len(batch),)
+        # a (B x D) product may differ from a one-row one in the last bits
+        np.testing.assert_allclose(scored[0].data, alone, rtol=1e-12, atol=1e-15)
+
     def test_saturated_edge_logit_trains_with_finite_gradients(self, monkeypatch):
         # A scorer logit of 40 saturates sigmoid to exactly 1.0; relaxing
         # the logit itself keeps every gradient finite.
@@ -399,10 +454,10 @@ class TestTrainingLoop:
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
 
-    def test_a_training_step_tapes_nine_nodes_per_subject_and_one_loss(self, monkeypatch):
+    def test_a_training_step_tapes_eight_nodes_per_subject_and_two_per_batch(self, monkeypatch):
         # Per subject: the scorer's matmul and pair_logits, gumbel_relax,
-        # the sampled graph's adjacency_norm, two graph_convs per branch
-        # and classifier_head. The batch adds one bce_mean.
+        # the sampled graph's adjacency_norm and two graph_convs per
+        # branch. The batch adds one classifier_head and one bce_mean.
         tapes, backward = [], Tensor.backward
 
         def recording_backward(loss):
@@ -412,7 +467,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
         fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
-        assert tapes == [9 * 4 + 1, 9 * 4 + 1, 9 * 2 + 1]
+        assert tapes == [8 * 4 + 2, 8 * 4 + 2, 8 * 2 + 2]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_an_evaluation_forward_tapes_seven_nodes(self, monkeypatch, cached):
@@ -593,7 +648,8 @@ class TestThresholdedGraphCache:
         for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        assert len(outputs) == 9 * 4 + 1
+        assert len(outputs) == 8 * 4 + 2
+        assert [name for name, _ in outputs[-2:]] == ["classifier_head", "bce_mean"]
         assert [name for name, out in outputs if out._vjp is None] == []
 
     def test_an_epoch_and_a_validation_pass_leave_the_cached_inputs_as_they_were(self):
