@@ -23,8 +23,8 @@ op per model layer, so that a layer costs one tape node:
   single part, the joined copy of several) and the hidden layer. Its
   rows are the joined parts flattened row-major into rows of the head's
   input width D: one subject's branch outputs make one row and a 0-d
-  logit, a mini-batch's make B rows and a (B,) vector, so training runs
-  the head as one (B × D) product each way.
+  logit; a mini-batch's, with ``rows=B``, make B rows and a (B,) vector,
+  so training runs the head as one (B × D) product each way.
 
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
@@ -416,18 +416,19 @@ def gumbel_relax(logits: Tensor, delta: np.ndarray, tau: float) -> Tensor:
 
 
 def classifier_head(
-    parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+    parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, *, rows=None
 ) -> Tensor:
     """Two-layer classifier, ``relu(X @ w1 + b1) @ w2 + b2``, one logit per row.
 
     ``X``, the ``parts`` joined along their first axis, flattens row-major
-    into rows of ``D = w1.shape[0]``. When trailing axes multiply to D,
-    they make a row, and the leading axes index the rows and shape the
-    output; otherwise the first axis must split evenly into rows, and the
-    output is one logit per row. A subject's branch outputs give a 0-d
-    logit, one (B, D) part B logits, and a mini-batch's branch outputs,
-    joined (2B·n, f), B logits in batch order. Each part's gradient is a
-    view, its slice of ``X``'s, and all B rows' come from one product.
+    into rows of ``D = w1.shape[0]``: trailing axes that multiply to D
+    make a row, leading axes index the rows and shape the output. A
+    subject's branch outputs give a 0-d logit, one (B, D) part B logits.
+    With ``rows=B`` the caller states the row count instead: ``X`` must
+    hold B rows of D, each made of whole first-axis slices, and the
+    output is a (B,) vector, so a mini-batch's joined (2B·n, f) branch
+    outputs give its B logits in batch order. Each part's gradient is a
+    view, its slice of ``X``'s, and all rows' come from one product.
     """
     xs = [part.data for part in parts]
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
@@ -435,15 +436,17 @@ def classifier_head(
         raise ValueError(f"classifier_head: parts of incompatible shapes {[x.shape for x in xs]}")
     xd = xs[0] if len(xs) == 1 else np.concatenate(xs)
     d, h = w1d.shape if w1d.ndim == 2 else (0, 0)
-    axes = next((k for k in range(1, xd.ndim + 1) if math.prod(xd.shape[-k:]) == d), None)
-    inner = math.prod(xd.shape[1:]) if xd.ndim else 0  # entries per first-axis index
-    splits = d and inner and d % inner == 0 and xd.shape[0] % (d // inner) == 0
-    if axes is None and not splits or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
+    if rows is None:
+        axes = next((k for k in range(1, xd.ndim + 1) if math.prod(xd.shape[-k:]) == d), None)
+        out_shape = xd.shape[:-axes] if axes is not None else None
+    else:  # B rows of whole first-axis slices
+        fits = rows > 0 and xd.ndim and xd.shape[0] % rows == 0 and xd.size == rows * d
+        out_shape = (rows,) if fits else None
+    if out_shape is None or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
         shapes = [[x.shape for x in xs]] + [t.shape for t in (w1, b1, w2, b2)]
-        raise ValueError(f"classifier_head: incompatible shapes {shapes}")
-    out_shape = xd.shape[:-axes] if axes is not None else (xd.size // d,)
-    rows = xd.reshape(-1, d)
-    hidden = rows @ w1d
+        raise ValueError(f"classifier_head: incompatible shapes {shapes}, rows={rows}")
+    flat = xd.reshape(-1, d)
+    hidden = flat @ w1d
     hidden += b1d
     _relu_in_place(hidden)
 
@@ -456,7 +459,7 @@ def classifier_head(
         for part, x in zip(parts, xs):  # plain slices: np.split takes five times as long
             start, stop = stop, stop + len(x)
             g_parts.append(gx[start:stop] if part.requires_grad else None)
-        weights = _Factors(rows, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
+        weights = _Factors(flat, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
         return (*g_parts, *weights)
 
     return _make((hidden @ w2d + b2d).reshape(out_shape), (*parts, w1, b1, w2, b2), vjp)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import numbers
 import os
 import struct
@@ -293,30 +292,6 @@ def save_checkpoint(state: ModelState, path: str) -> None:
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))  # no bytes copy
 
 
-# A loaded parameter of at least this many bytes gets a mapping of its own.
-_OWN_MAPPING_BYTES = 1 << 22
-
-
-def _parameter_array(shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array to read a checkpoint parameter into.
-
-    One of 4 MiB or more, like the head's first weight (24 MiB at paper
-    scale), gets a private anonymous mapping advised for huge pages.
-    Scoring reads that whole weight once per subject. From the heap it
-    may land on pages that the process's earlier work faulted in as 4 KiB
-    pages: after a paper-scale ``train`` in the same process, its one-row
-    product took 360-720 us there against 115-135 us on huge pages
-    (2-core host), with the same bits. Without huge-page advice (not
-    Linux) the heap serves.
-    """
-    nbytes = 8 * math.prod(shape)
-    if nbytes < _OWN_MAPPING_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty(shape, dtype="<f8")
-    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    block.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(block, dtype="<f8").reshape(shape)
-
-
 def load_checkpoint(path: str) -> ModelState:
     """Read a checkpoint, rejecting version or dimension mismatches.
 
@@ -353,7 +328,7 @@ def load_checkpoint(path: str) -> ModelState:
         for name, shape in expected:
             if fh.tell() + 8 * math.prod(shape) > size:  # checked before allocating
                 raise ValueError(f"{path}: truncated while reading {name}")
-            values = _parameter_array(shape)
+            values = np.empty(shape, dtype="<f8")
             if fh.readinto(values) != values.nbytes:
                 raise ValueError(f"{path}: truncated while reading {name}")
             if not np.isfinite(values).all():

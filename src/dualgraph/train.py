@@ -163,7 +163,6 @@ class Adam:
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
         self._scratch = np.empty((2, self.CHUNK))
-        self._finite = np.empty(self.CHUNK, dtype=bool)
 
     def step(self) -> None:
         self.t += 1
@@ -197,22 +196,6 @@ class Adam:
                 flat_p[span] -= a  # p = p - lr * m_hat / (sqrt(v_hat) + eps)
             if not data.flags.c_contiguous:
                 data[...] = flat_p.reshape(data.shape)
-
-    def gradients_finite(self) -> bool:
-        """False when any parameter's gradient holds a NaN or an infinity.
-
-        Checked a ``CHUNK`` at a time into one preallocated flag buffer, so
-        the check allocates nothing the size of a parameter.
-        """
-        for p in self.params:
-            if p.grad is None:
-                continue
-            flat = p.grad.reshape(-1)
-            for start in range(0, flat.size, self.CHUNK):
-                piece = flat[start : start + self.CHUNK]
-                if not np.isfinite(piece, out=self._finite[: piece.size]).all():
-                    return False
-        return True
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -358,7 +341,7 @@ def _batch_update(
         noise = sample_gumbel_noise(rng, dataset.n_rois)
         series = dataset.subjects[idx].series
         parts += forward(series, corr, state, noise=noise, graph=graph, head=False)
-    logits = ad.classifier_head(parts, *state.classifier.parameters())
+    logits = ad.classifier_head(parts, *state.classifier.parameters(), rows=len(batch))
     mean_loss = ad.bce_mean(logits, [dataset.subjects[idx].label for idx in batch])
     value = float(mean_loss.data)
     if not np.isfinite(value):
@@ -366,8 +349,9 @@ def _batch_update(
     mean_loss.backward()
     # A finite loss can still have non-finite gradients; stop before
     # Adam writes them into the parameters.
-    if not optimizer.gradients_finite():
-        raise TrainingDiverged(f"non-finite gradient at {where}")
+    for p in optimizer.params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingDiverged(f"non-finite gradient at {where}")
     optimizer.step()
     return value
 

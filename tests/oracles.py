@@ -421,19 +421,19 @@ def gumbel_relax_composite(logits, delta, tau):
     return mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
 
 
-def classifier_head_composite(parts, w1, b1, w2, b2):
+def classifier_head_composite(parts, w1, b1, w2, b2, *, rows=None):
     """``ad.classifier_head`` as primitive ops: join the parts, copy out the rows, affine, ReLU, affine.
 
     Trailing axes that make a row shape the output by the leading axes;
-    otherwise the output is one logit per row, as a mini-batch's is.
+    with ``rows=B`` the output is one logit per row, as a mini-batch's is.
     """
     x = functools.reduce(concat, parts)
     d = w1.shape[0]
     axes = next((k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d), None)
-    rows = reshape(x, (x.size // d, d))
-    hidden = relu(add(ad.matmul(rows, w1), b1))
+    flat = reshape(x, (x.size // d, d))
+    hidden = relu(add(ad.matmul(flat, w1), b1))
     logit = add(ad.matmul(hidden, w2), b2)
-    return reshape(logit, x.shape[:-axes] if axes is not None else (x.size // d,))
+    return reshape(logit, x.shape[:-axes] if rows is None else (rows,))
 
 
 def entry(a: Tensor, index: int) -> Tensor:

@@ -512,20 +512,51 @@ def _layer_run(op, arrays, grad_flags, extra, weights):
     return out.data, [t.grad for t in tensors]
 
 
-def _head(parts=1, op=None):
+def _head(parts=1, op=None, rows=None):
     """``classifier_head`` taking its first ``parts`` tensors as the parts: ``op(*tensors)``."""
     op = op or ad.classifier_head
-    return lambda *ts: op(list(ts[:parts]), *ts[parts:])
+    return lambda *ts: op(list(ts[:parts]), *ts[parts:], rows=rows)
 
 
-def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0, parts=1):
+def _assert_one_logit_per_row(x_shape, out_shape, rows=None):
+    """``classifier_head`` on one part, D = 18: ``out_shape`` holds one logit per row."""
+    x, w1, b1, w2, b2 = _head_arrays(np.random.default_rng(3), x_shape, 18)
+    out = ad.classifier_head([Tensor(x)], *[Tensor(a) for a in (w1, b1, w2, b2)], rows=rows).data
+    expected = np.maximum(x.reshape(-1, 18) @ w1 + b1, 0.0) @ w2 + b2
+    assert out.shape == out_shape
+    np.testing.assert_allclose(out.reshape(-1), expected.reshape(-1), rtol=1e-13)
+
+
+def _assert_bce_mean_matches_composite(batch, shape, upstream):
+    """``bce_mean`` on ``batch`` logits of ``shape`` equals its composite in every bit.
+
+    The composite takes each entry's loss and residual in batch order.
+    """
+    rng = np.random.default_rng(batch + len(shape))
+    zs = rng.standard_normal(batch) * 10.0
+    zs[: batch // 3] = [0.0, -0.0, 745.0, -1e308, 36.0][: batch // 3]
+    labels = rng.integers(0, 2, batch).tolist()
+
+    def run(op):
+        logits = Tensor(zs.reshape(shape), requires_grad=True)
+        out = op(logits, labels)
+        (out if upstream is None else _layer_loss(out, np.array(upstream))).backward()
+        return out.data, logits.grad
+
+    (out, grad), (ref_out, ref_grad) = run(ad.bce_mean), run(LAYER_OP_COMPOSITES["bce_mean"])
+    _assert_same_bits(out, ref_out)
+    assert grad.shape == shape
+    _assert_same_bits(grad, ref_grad)
+
+
+def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0, parts=1, rows=None):
     """The fused op equals its primitive-op composite in every output and gradient bit.
 
-    ``classifier_head`` takes its first ``parts`` arrays as its parts.
+    ``classifier_head`` takes its first ``parts`` arrays as its parts, and ``rows``.
     """
     op, composite = getattr(ad, name), LAYER_OP_COMPOSITES[name]
     if name == "classifier_head":
-        op, composite = _head(parts, op), _head(parts, composite)
+        op, composite = _head(parts, op, rows), _head(parts, composite, rows)
     weights = np.random.default_rng(seed).standard_normal(
         _layer_run(op, arrays, [False] * len(arrays), extra, None)[0].shape
     )
@@ -622,17 +653,16 @@ class TestLayerOps:
             _assert_same_bits(grad, ref)
 
     @pytest.mark.parametrize(
-        "x_shape,out_shape",
-        [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,)), ((18, 3), (3,))],
+        "x_shape,out_shape", [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,))]
     )
     def test_classifier_head_gives_one_logit_per_row(self, x_shape, out_shape):
-        rng = np.random.default_rng(3)
-        x, w1, b1, w2, b2 = _head_arrays(rng, x_shape, 18)
-        out = ad.classifier_head([Tensor(x)], *[Tensor(a) for a in (w1, b1, w2, b2)]).data
-        rows = x.reshape(-1, 18)
-        expected = np.maximum(rows @ w1 + b1, 0.0) @ w2 + b2
-        assert out.shape == out_shape
-        np.testing.assert_allclose(out.reshape(-1), expected.reshape(-1), rtol=1e-13)
+        _assert_one_logit_per_row(x_shape, out_shape)
+
+    @pytest.mark.parametrize(
+        "x_shape,rows", [((6, 3), 1), ((18, 3), 3), ((2, 6, 3), 2), ((4, 18), 4)]
+    )
+    def test_stated_rows_give_one_logit_per_row(self, x_shape, rows):
+        _assert_one_logit_per_row(x_shape, (rows,), rows)
 
     @pytest.mark.parametrize("part_grads", [True, False])
     @pytest.mark.parametrize("batch", [1, 2, 3])
@@ -642,7 +672,9 @@ class TestLayerOps:
         x, *head = _head_arrays(np.random.default_rng(20 + batch), (6 * batch, 3), 18)
         parts = np.split(x, 2 * batch)
         flags = [part_grads or i % 2 == 0 for i in range(2 * batch)] + [True] * 4
-        _assert_layer_matches_composite("classifier_head", parts + head, flags, parts=2 * batch)
+        _assert_layer_matches_composite(
+            "classifier_head", parts + head, flags, parts=2 * batch, rows=batch
+        )
 
     @pytest.mark.parametrize("batch", [2, 3])
     def test_mini_batch_rows_are_the_subjects_in_batch_order(self, batch):
@@ -651,7 +683,7 @@ class TestLayerOps:
         x, *head = _head_arrays(np.random.default_rng(30 + batch), (6 * batch, 3), 18)
         parts = [Tensor(p) for p in np.split(x, 2 * batch)]
         weights = [Tensor(a) for a in head]
-        out = ad.classifier_head(parts, *weights).data
+        out = ad.classifier_head(parts, *weights, rows=batch).data
         alone = [ad.classifier_head(parts[2 * b : 2 * b + 2], *weights).data for b in range(batch)]
         assert out.shape == (batch,) and all(a.shape == () for a in alone)
         np.testing.assert_allclose(out, alone, rtol=1e-13, atol=0)
@@ -660,29 +692,18 @@ class TestLayerOps:
         rng = np.random.default_rng(10)
         x, *head = _head_arrays(rng, (18, 3), 18)
         weights = rng.standard_normal(3)
-        _check_gradients(lambda ts: _layer_loss(_head(6)(*ts), weights), np.split(x, 6) + head)
+        loss = lambda ts: _layer_loss(_head(6, rows=3)(*ts), weights)  # noqa: E731
+        _check_gradients(loss, np.split(x, 6) + head)
 
     @pytest.mark.parametrize("upstream", [None, 0.37])
-    @pytest.mark.parametrize(
-        "batch,shape", [(1, ()), (1, (1,)), (1, (1, 1)), (3, (3,)), (16, (16,))]
-    )
-    def test_bce_mean_equals_the_composite(self, batch, shape, upstream):
-        # The composite takes each entry's loss and residual in batch order.
-        rng = np.random.default_rng(batch + len(shape))
-        zs = rng.standard_normal(batch) * 10.0
-        zs[: batch // 3] = [0.0, -0.0, 745.0, -1e308, 36.0][: batch // 3]
-        labels = rng.integers(0, 2, batch).tolist()
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_bce_mean_equals_the_composite(self, batch, upstream):
+        _assert_bce_mean_matches_composite(batch, (batch,), upstream)
 
-        def run(op):
-            logits = Tensor(zs.reshape(shape), requires_grad=True)
-            out = op(logits, labels)
-            (out if upstream is None else _layer_loss(out, np.array(upstream))).backward()
-            return out.data, logits.grad
-
-        (out, grad), (ref_out, ref_grad) = run(ad.bce_mean), run(LAYER_OP_COMPOSITES["bce_mean"])
-        _assert_same_bits(out, ref_out)
-        assert grad.shape == shape
-        _assert_same_bits(grad, ref_grad)
+    @pytest.mark.parametrize("upstream", [None, 0.37])
+    @pytest.mark.parametrize("shape", [(), (1, 1)])
+    def test_one_label_takes_any_one_entry_logit(self, shape, upstream):
+        _assert_bce_mean_matches_composite(1, shape, upstream)
 
     def test_adjacency_norm_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -758,6 +779,7 @@ class TestLayerOps:
             ("classifier_head", [[(), (18,)], (18, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(3, 3), (2, 3)], (6, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(4, 3)], (2, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(4, 3)], (6, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(4, 3)], (0, 5), (5,), (5, 1), (1,)]),
         ],
     )
@@ -768,6 +790,22 @@ class TestLayerOps:
         ]
         with pytest.raises(ValueError, match=r"incompatible shapes|must be square"):
             getattr(ad, name)(*args)
+
+    @pytest.mark.parametrize(
+        "parts,d,rows",
+        [
+            ([(4, 3)], 6, 1),  # too many entries for one row
+            ([(3, 3), (2, 3)], 6, 2),  # half a subject short
+            ([(4, 3)], 4, 3),  # a row would split a first-axis slice
+            ([(4, 3)], 12, 0),
+            ([(4, 3)], 0, 2),
+            ([()], 1, 1),
+        ],
+    )
+    def test_stated_rows_must_fit_the_parts(self, parts, d, rows):
+        head = [Tensor(np.zeros(s)) for s in [(d, 5), (5,), (5, 1), (1,)]]
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            ad.classifier_head([Tensor(np.zeros(p)) for p in parts], *head, rows=rows)
 
     def test_gumbel_relax_rejects_mismatched_noise(self):
         with pytest.raises(ValueError, match="gumbel_relax"):

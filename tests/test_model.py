@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import mmap
 import struct
 import tracemalloc
 from pathlib import Path
@@ -464,7 +463,7 @@ class TestWeightGradientStacking:
         for seed in range(batch):
             noise = sample_gumbel_noise(rng, n)
             parts += forward(*_toy_subject(seed=seed), state, noise=noise, head=False)
-        logits = ad.classifier_head(parts, *state.classifier.parameters())
+        logits = ad.classifier_head(parts, *state.classifier.parameters(), rows=batch)
         ad.bce_mean(logits, [seed % 2 for seed in range(batch)]).backward()
 
         width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
@@ -548,7 +547,7 @@ def _batch_gradients(state, subjects, noises):
     parts = []
     for (series, corr), noise in zip(subjects, noises):
         parts += forward(series, corr, state, noise=noise, head=False)
-    logits = ad.classifier_head(parts, *state.classifier.parameters())
+    logits = ad.classifier_head(parts, *state.classifier.parameters(), rows=len(subjects))
     ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(subjects))]).backward()
     names = [name for name, _ in parameter_shapes(state.config)]
     return logits.data, dict(zip(names, (p.grad for p in state.parameters())))
@@ -732,25 +731,6 @@ class TestCheckpoint:
         for a, b in zip(state.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data)
             assert b.requires_grad
-
-    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice")
-    def test_a_parameter_of_4_mib_loads_into_a_mapping_of_its_own(self, tmp_path):
-        # classifier.w1 is (2 * 16 * 64) x 256 floats, 4 MiB; every other parameter is smaller.
-        state = init_model(_config(n_rois=16, gcn_out_dim=64, classifier_hidden_dim=256, seed=35))
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        for name, a, b in zip(parameter_shapes(state.config), state.parameters(), loaded.parameters()):
-            owner = b.data
-            while isinstance(owner, np.ndarray) and owner.base is not None:
-                owner = owner.base
-            owner = owner.obj if isinstance(owner, memoryview) else owner
-            assert isinstance(owner, mmap.mmap) == (name[0] == "classifier.w1"), name
-            assert b.data.tobytes() == a.data.tobytes() and b.data.flags.writeable
-            assert b.data.dtype == np.float64 and b.data.flags.c_contiguous
-        assert loaded.classifier.w1.data.nbytes == 1 << 22
-        series, corr = _toy_subject(seed=3, n=16)
-        assert forward(series, corr, loaded).data.tobytes() == forward(series, corr, state).data.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         state = init_model(_config(seed=34))

@@ -382,7 +382,7 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_entry_in_the_last_chunk_stops_before_the_update(self, monkeypatch, bad):
         # classifier.w1 has 64 x 600 entries, more than one Adam chunk and
-        # not a multiple of it; the check reads every chunk.
+        # not a multiple of it; the check reads the whole gradient.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, optimizer, rng = train_module._setup(ds, _small_config(classifier_hidden_dim=600))
         w1 = state.classifier.w1
@@ -427,7 +427,11 @@ class TestTrainingLoop:
             noise = sample_gumbel_noise(noise_rng, ds.n_rois)
             alone.append(float(forward(ds.subjects[idx].series, corr, state, noise=noise, graph=graph).data))
         scored, head = [], ad.classifier_head
-        monkeypatch.setattr(ad, "classifier_head", lambda *args: scored.append(head(*args)) or scored[-1])
+        def spied(*args, **kwargs):
+            scored.append(head(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(ad, "classifier_head", spied)
         train_module._batch_update(state, ds, inputs, batch, optimizer, rng, "batch 1")
         assert len(scored) == 1 and scored[0].shape == (len(batch),)
         # a (B x D) product may differ from a one-row one in the last bits
@@ -480,8 +484,8 @@ class TestTrainingLoop:
         nodes = []
 
         def recorded(op):
-            def wrapped(*args):
-                out = op(*args)
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
                 nodes.append(out._vjp is not None)
                 return out
 
@@ -638,8 +642,8 @@ class TestThresholdedGraphCache:
         outputs = []
 
         def recorded(name, op):
-            def wrapped(*args):
-                out = op(*args)
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
                 outputs.append((name, out))
                 return out
 
