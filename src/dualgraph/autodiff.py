@@ -10,8 +10,10 @@ op per model layer, so that a layer costs one tape node:
   ReLU, pair MLP), keeps the embedding and the pair MLP's two (n, h)
   halves; its forward builds the pairs' hidden layer a block of rows at
   a time, about 400 KB that stay in L2, never the whole (n*n, h) array,
-  and its VJP recomputes the pair ReLU mask from the halves and forms no
-  (n*n, h) product;
+  and its VJP rebuilds the pair ReLU mask as one (n*n, h) array of 0.0
+  and 1.0 in the forward's pair layout and takes the upstream gradient's
+  masked sums from it with batched GEMVs, never forming the gradient
+  times the mask;
 - ``adjacency_norm``, ``D^-1/2 (A + I) D^-1/2``, keeps ``A + I``, the
   scaling and the degrees;
 - ``graph_conv``, ``relu((A @ X) @ W)``, keeps ``A @ X`` and reads the
@@ -294,7 +296,8 @@ def pair_logits(
     besides ``E``), and the VJP recomputes only the ReLU mask from them.
     It reads ``w1`` and ``w2`` from the live parameter arrays, which is
     sound because the optimizer steps only after ``backward`` returns.
-    The upstream gradient's masked row and column sums ``s`` and ``t``
+    The upstream gradient's masked row and column sums ``s`` and ``t``,
+    each n GEMVs of a row or column of ``g`` with the mask's (n, h) slice,
     give every gradient: ``s * w2`` and ``t * w2`` for ``L`` and ``R``,
     and ``sum(L * s) + sum(R * t)`` for ``w2``, which is
     ``sum(relu(L[i] + R[j]) * g[i, j])`` added in another order.
@@ -309,12 +312,21 @@ def pair_logits(
     n = pd.shape[0]
     embed = _relu_in_place(pd + b0d)
     left, right = embed @ w1d[:d] + b1d, embed @ w1d[d:]
+    flat_right = right.reshape(1, n * h)
 
     def vjp(g: np.ndarray) -> tuple:
-        # L > -R is L + R > 0 in every bit, without the (n, n, h) sum
-        q = g[:, :, None] * (left[:, None] > -right[None])
-        ones = np.ones((1, n))  # a product sums q faster than q.sum
-        s, t = (ones @ q)[:, 0], (ones @ q.reshape(n, n * h)).reshape(n, h)
+        # The pair ReLU mask as 0.0/1.0 in the forward's layout (row i holds
+        # L[i] + R[j] for every j), from the forward's own sums. Batched
+        # (1, n) @ (n, h) GEMVs give s[i] = g[i] @ mask[i] and
+        # t[j] = g[:, j] @ mask[:, j] with no (n, n, h) product. g's columns
+        # go in contiguous: numpy hands a strided vector to its own loop,
+        # which sums in another order than BLAS.
+        m = np.repeat(left, n, axis=0).reshape(n, n * h)
+        m += flat_right
+        np.greater(m, 0.0, out=m)
+        m3 = m.reshape(n, n, h)
+        s = np.matmul(g[:, None, :], m3)[:, 0]
+        t = np.matmul(np.ascontiguousarray(g.T)[:, None, :], m3.transpose(1, 0, 2))[:, 0]
         g_left, g_right = s * w2d[:, 0], t * w2d[:, 0]
         gw2 = ((left * s).sum(axis=0) + (right * t).sum(axis=0)).reshape(h, 1)
         gp = (g_left @ w1d[:d].T + g_right @ w1d[d:].T) * (embed > 0)
@@ -331,7 +343,6 @@ def pair_logits(
     # within the budget stays on one thread.)
     out = np.empty(n * n)
     rows = max(16, _PAIR_BLOCK_FLOATS // max(1, n * h) // 16 * 16)
-    flat_right = right.reshape(1, n * h)
     for i in range(0, n, rows):
         block = np.repeat(left[i : i + rows], n, axis=0)
         pairs = block.reshape(-1, n * h)

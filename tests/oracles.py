@@ -4,7 +4,10 @@ Everything here is deliberately dumb: explicit loops, textbook
 formulas, and scalar math. None of it touches the autodiff engine or
 the library's own vectorized paths, so agreement is evidence rather
 than tautology. The exceptions are ``pair_logits_broadcast``, the edge
-scorer's forward as one array instead of blocks, ``fit``, a training
+scorer's forward as one array instead of blocks, and
+``pair_logits_vjp_broadcast``, its backward from one broadcast mask;
+``load_dataset_rows``, the loader with every subject file parsed one row
+at a time; ``fit``, a training
 loop built from ``train``'s own set-up and epoch pass, and the primitive
 ops and composite references at the end. The primitives (``add``, ``relu``,
 ``concat``, ``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops
@@ -16,6 +19,7 @@ the fused layer ops and ``ad.bce_mean`` must match bit for bit.
 
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from dualgraph import autodiff as ad
 from dualgraph import train
 from dualgraph.autodiff import Tensor, _make, bce_value, logistic
 from dualgraph.model import parameter_shapes
+from dualgraph.preprocess import BoldMatrix, Dataset, _check_subject_id
 
 
 def finite_difference_gradient(f, arrays, index, eps=1e-5):
@@ -191,6 +196,30 @@ def pair_logits_broadcast(product, bias, w1, b1, w2, b2):
     return (np.where(pre > 0, pre, 0.0) @ w2 + b2).reshape(n, n)
 
 
+def pair_logits_vjp_broadcast(product, bias, w1, b1, w2, b2, g):
+    """``ad.pair_logits``' six gradients with the masked sums from one (n, n, h) broadcast.
+
+    The form the op's VJP took before it built the pair ReLU mask in the
+    forward's pair layout: ``L > -R`` as a broadcast bool mask, the float
+    product ``q = g * mask``, and ``q``'s row and column sums as products
+    with a row of ones. The rest is the op's own arithmetic, so the op
+    must return the same bits, non-finite and signed-zero entries too.
+    """
+    n, d = product.shape
+    h = b1.size
+    embed = np.where(product + bias > 0, product + bias, 0.0)
+    left, right = embed @ w1[:d] + b1, embed @ w1[d:]
+    q = g[:, :, None] * (left[:, None] > -right[None])
+    ones = np.ones((1, n))
+    s, t = (ones @ q)[:, 0], (ones @ q.reshape(n, n * h)).reshape(n, h)
+    g_left, g_right = s * w2[:, 0], t * w2[:, 0]
+    gw2 = ((left * s).sum(axis=0) + (right * t).sum(axis=0)).reshape(h, 1)
+    gp = (g_left @ w1[:d].T + g_right @ w1[d:].T) * (embed > 0)
+    gw1 = np.concatenate((embed.T @ g_left, embed.T @ g_right))
+    gb2 = g.reshape(n * n, 1).sum(axis=0)
+    return [gp, gp.sum(axis=0), gw1, g_left.sum(axis=0), gw2, gb2]
+
+
 def pair_logits_chained(product, bias, w1, b1, w2, b2, g):
     """``ad.pair_logits`` as the chain it replaced: the taped ``add`` and ``relu``, then the MLP.
 
@@ -203,6 +232,71 @@ def pair_logits_chained(product, bias, w1, b1, w2, b2, g):
     logits, grads = pair_logits_unfused(embed.data, w1, b1, w2, b2, g)
     sum_all(mul(embed, Tensor(grads[0]))).backward()
     return logits, [p.grad, b0.grad] + grads[1:]
+
+
+def _read_lines_text_mode(path, kind):
+    if not os.path.isfile(path):
+        raise ValueError(f"missing {kind} file: {path}")
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
+def load_dataset_rows(directory):
+    """``load_dataset`` with every subject file parsed one row at a time.
+
+    The loader as it was before subject files could take numpy's C reader:
+    each file read in text mode, split at LF, one trailing CR dropped per
+    line, empty lines skipped, each other line one ``np.array`` of its
+    comma-separated fields. Its arrays and its error messages are the
+    reference for both of ``load_dataset``'s parse paths.
+    """
+    labels_path = os.path.join(directory, "labels.csv")
+    lines = _read_lines_text_mode(labels_path, "labels")
+    if not lines or lines[0] != "subject_id,label":
+        raise ValueError(f"{labels_path}: expected header 'subject_id,label'")
+    entries = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{labels_path}: row {lineno}: expected 2 fields")
+        subject_id, label_text = parts
+        _check_subject_id(subject_id, f"{labels_path}: row {lineno}")
+        if label_text not in ("0", "1"):
+            raise ValueError(
+                f"{labels_path}: row {lineno}: label must be 0 or 1, got {label_text!r}"
+            )
+        entries.append((subject_id, int(label_text)))
+    if not entries:
+        raise ValueError(f"{labels_path}: no subjects listed")
+    if len({sid for sid, _ in entries}) != len(entries):
+        raise ValueError(f"{labels_path}: duplicate subject ids")
+
+    subjects = []
+    for subject_id, label in sorted(entries):
+        path = os.path.join(directory, f"{subject_id}.csv")
+        rows = []
+        for lineno, line in enumerate(_read_lines_text_mode(path, "subject"), start=1):
+            if not line:
+                continue
+            try:
+                row = np.array(line.split(","), dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {lineno}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}: row {lineno}: has {len(row)} columns, expected {len(rows[0])}"
+                )
+            rows.append(row)
+        if not rows:
+            raise ValueError(f"{path}: empty subject file")
+        subjects.append(BoldMatrix(subject_id, np.array(rows), label))
+    return Dataset(name=os.path.basename(os.path.abspath(directory)), subjects=subjects)
 
 
 def harden_double_loop(logits):

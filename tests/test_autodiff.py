@@ -23,6 +23,7 @@ from oracles import (
     mul,
     pair_logits_broadcast,
     pair_logits_chained,
+    pair_logits_vjp_broadcast,
     power,
     relu,
     reshape,
@@ -417,6 +418,43 @@ class TestPairLogits:
         sum_all(mul(out, Tensor(g))).backward()
         expected = pair_logits_chained(*arrays, g)[1][4]
         assert np.all(np.abs(w2.grad - expected) <= _pair_magnitude_bounds(arrays, g)[4])
+
+    @pytest.mark.parametrize("h", [4, 32])
+    @pytest.mark.parametrize("n", [1, 2, 7, 96, 150])
+    def test_vjp_is_the_broadcast_mask_form_bit_for_bit(self, n, h):
+        # Small integers make some L[i] + R[j] exactly 0, where the mask is
+        # off. Signed zeros fill a quarter of g; a few NaNs and infinities
+        # go into g, into b1 (so into L) and into the product (so into E, L
+        # and R), leaving most gradient entries finite. Every bit matches
+        # but a NaN's sign and payload, which depend on the order a sum
+        # meets two NaNs. The widths are multiples of 4, as the model's
+        # extractor_dim is (32 by default, 8 in the tests): OpenBLAS's GEMV
+        # sums a matrix's last (rows mod 4) rows in another order, and t
+        # takes n matrices of h rows where the broadcast form takes one of
+        # n*h rows. Other widths are held to the bounds of the tests above.
+        rng = np.random.default_rng(1000 * n + h)
+        d = 3
+        product = rng.integers(-2, 3, (n, d)).astype(float)
+        w1, b1 = rng.integers(-2, 3, (2 * d, h)).astype(float), rng.integers(-2, 3, h).astype(float)
+        arrays = [product, rng.integers(-1, 2, d).astype(float), w1, b1]
+        arrays += [rng.standard_normal((h, 1)), rng.standard_normal(1)]
+        g = rng.standard_normal((n, n))
+        zeros = rng.choice(g.size, size=g.size // 4, replace=False)
+        g.reshape(-1)[zeros] = np.resize([0.0, -0.0], zeros.size)
+        for array, values in [(g, [np.nan, np.inf]), (b1, [np.nan, np.inf, -np.inf]),
+                              (product, [np.inf, -np.inf, -0.0])]:
+            flat = array.reshape(-1)
+            flat[rng.choice(flat.size, size=min(flat.size, len(values)), replace=False)] = values[: flat.size]
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = ad.pair_logits(*[Tensor(a, requires_grad=True) for a in arrays])
+            grads = out._vjp(g)
+            expected = pair_logits_vjp_broadcast(*arrays, g)
+        for grad, want in zip(grads, expected):
+            assert grad.shape == want.shape
+            assert np.array_equal(grad, want, equal_nan=True)
+            assert np.array_equal(np.signbit(grad) | np.isnan(grad), np.signbit(want) | np.isnan(want))
+        if n > 2:  # the specials reach the gradients without swamping them
+            assert np.isnan(grads[0]).any() and np.isfinite(grads[0]).any()
 
     @pytest.mark.parametrize("rows", [5, 16, 32, None])
     @pytest.mark.parametrize("h", [1, 32])

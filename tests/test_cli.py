@@ -103,6 +103,29 @@ class TestTrainCommand:
             second = (rerun.parent / name).read_bytes()
             assert first == second, f"{name} differs between identical runs"
 
+    def test_seed_flag_trains_as_the_seed_in_the_config_does(self, workspace, tmp_path):
+        (tmp_path / "seed7.json").write_text(json.dumps({**CONFIG, "seed": 7}))
+        runs = {}
+        for name, config, flags in [("flag", workspace["config"], ["--seed", "7"]),
+                                    ("file", tmp_path / "seed7.json", [])]:
+            out = tmp_path / name / "model.ckpt"
+            code = main(["train", "--data", str(workspace["data"]), "--config", str(config),
+                         "--out", str(out), *flags])
+            assert code == 0
+            runs[name] = [(out.parent / f).read_bytes()
+                          for f in ("model.ckpt", "model.log.csv", "model.metrics.json")]
+        assert runs["flag"] == runs["file"]
+        assert runs["flag"][0] != workspace["ckpt"].read_bytes()  # seed 1's run differs
+
+    def test_a_config_holding_a_json_array_exits_2(self, workspace, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text(json.dumps([CONFIG]))
+        out = tmp_path / "out" / "x.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert f"{config}: expected a JSON object" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_missing_data_flag_exits_2_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", "c.json", "--out", "m.ckpt"])
@@ -383,6 +406,28 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
         assert code == 2
         assert "not a plain file name" in capsys.readouterr().err
+
+    def test_eval_on_a_labels_file_listing_an_id_twice_exits_2(self, tmp_path, capsys, workspace):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        with open(data / "labels.csv", "a") as fh:
+            fh.write("s0003,1\n")
+        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
+        assert code == 2
+        assert f"{data / 'labels.csv'}: duplicate subject ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])  # numpy's C reader, then the row parser
+    @pytest.mark.parametrize("value", [b"nan", b"inf", b"1e999"])
+    def test_eval_on_a_non_finite_value_exits_2(self, tmp_path, capsys, workspace, value, ending):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        subject = data / "s0004.csv"
+        rows = subject.read_bytes().split(b"\n")[:-1]
+        rows[2] = rows[2].replace(b",", b"," + value + b",", 1).rsplit(b",", 1)[0]
+        subject.write_bytes(b"".join(row + ending for row in rows))
+        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
+        assert code == 2
+        assert "error: subject s0004: series has non-finite values" in capsys.readouterr().err
 
     def test_eval_on_a_labels_line_holding_a_form_feed_exits_2(self, tmp_path, capsys, workspace):
         # A form feed does not end a line: this is one row of three fields.

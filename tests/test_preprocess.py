@@ -3,10 +3,11 @@
 import pathlib
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualgraph import preprocess as preprocess_module
@@ -20,7 +21,7 @@ from dualgraph.preprocess import (
     save_dataset,
 )
 
-from oracles import pearson_textbook, stump_best_accuracy
+from oracles import load_dataset_rows, pearson_textbook, stump_best_accuracy
 
 
 class TestPearsonCorrelation:
@@ -313,6 +314,96 @@ class TestLoaderFuzz:
             except ValueError:
                 return
         assert all(np.isfinite(s.series).all() for s in dataset.subjects)
+
+
+# Subject-file text for the parse-path property: numbers and the words
+# float() reads, with the bytes each reader treats as whitespace or as a
+# line break in one and not the other.
+PARSE_ODD = [" ", "\t", "\r", "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f",
+             "\x85", "\xa0", "\u2028", "#"]
+PARSE_TOKENS = list("0123456789,.eE+-\n") + PARSE_ODD + ["nan", "inf", "1e999", "1_0"]
+PARSE_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "1_0", "-0", "-0.0", ".5", "5.", "1e-320", ""]),
+)
+PARSE_FIELD = st.tuples(
+    st.sampled_from([""] + PARSE_ODD), PARSE_NUMBER, st.sampled_from([""] + PARSE_ODD)
+).map("".join)
+PARSE_ROW = st.tuples(
+    st.lists(PARSE_FIELD, min_size=3, max_size=4).map(",".join),
+    st.sampled_from(["\n", "\n", "\n", "\r\n", "\n\n", " \n", "\n\t"]),
+).map("".join)
+SUBJECT_TEXT = st.one_of(
+    st.lists(st.sampled_from(PARSE_TOKENS), max_size=40).map("".join),
+    st.lists(PARSE_ROW, max_size=4).map("".join),
+)
+
+
+def _load_or_message(load, directory):
+    try:
+        return load(directory)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestParsePaths:
+    @given(text=SUBJECT_TEXT)
+    @example(text="")
+    @example(text="\n\n")
+    @example(text=" \n")
+    @example(text="1\x1c,2,3\n4,5,6\n")
+    @example(text="1,2,3\r\n-0,5,6\r\n")
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_both_parse_paths_give_the_row_parsers_arrays_or_message(self, tmp_path, text):
+        """``load_dataset`` returns the row parser's bits or raises its exact message, silently."""
+        files = {
+            "labels.csv": b"subject_id,label\ns1,0\ns2,1\n",
+            "s1.csv": text.encode("utf-8"),
+            "s2.csv": b"7,8,9\n1,0,2\n",
+        }
+        with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+            for name, data in files.items():
+                (pathlib.Path(directory) / name).write_bytes(data)
+            expected = _load_or_message(load_dataset_rows, directory)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = _load_or_message(load_dataset, directory)
+        assert [str(w.message) for w in caught] == []
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert not isinstance(got, str), got
+        key = lambda s: (s.subject_id, s.label, s.series.shape, s.series.tobytes())  # noqa: E731
+        assert [key(s) for s in got.subjects] == [key(s) for s in expected.subjects]
+
+    def test_plain_ascii_lf_files_take_the_c_reader_and_no_other_file_does(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(kwargs)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        lf = tmp_path / "lf"
+        save_dataset(generate_synthetic(4, 8, 32, seed=1), str(lf))
+        load_dataset(str(lf))
+        assert len(calls) == 4  # every subject file, and not labels.csv
+        calls.clear()
+        for name, edit in [("crlf", lambda b: b.replace(b"\n", b"\r\n")),
+                           ("nbsp", lambda b: b.replace(b",", b"\xc2\xa0,")),
+                           ("vtab", lambda b: b.replace(b",", b"\x0b,"))]:
+            other = tmp_path / name
+            other.mkdir()
+            for f in lf.iterdir():
+                data = f.read_bytes()
+                (other / f.name).write_bytes(data if f.name == "labels.csv" else edit(data))
+            key = lambda s: (s.subject_id, s.series.tobytes())  # noqa: E731
+            assert list(map(key, load_dataset(str(other)).subjects)) == list(
+                map(key, load_dataset_rows(str(lf)).subjects)
+            ), name
+        assert calls == []
 
 
 class TestBoldMatrixValidation:

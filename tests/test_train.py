@@ -516,6 +516,23 @@ class TestTrainingLoop:
         assert list(log[0]) == ["epoch", "train_loss", "val_f1", "val_loss"]
         assert [row["epoch"] for row in log] == list(range(1, len(log) + 1))
 
+    def test_patience_stops_the_run_and_keeps_the_first_epoch(self, monkeypatch):
+        # At learning rate 0 every epoch scores alike, so epoch 1 stays the
+        # best and epochs 2 and 3 stall; a patience of 2 ends the run there.
+        ds = generate_synthetic(12, 8, 32, seed=7)
+        passes = []
+        epoch_pass = train_module._epoch_pass
+
+        def counting_pass(*args):
+            passes.append(args[-1])
+            return epoch_pass(*args)
+
+        monkeypatch.setattr(train_module, "_epoch_pass", counting_pass)
+        state, _, log = train_model(ds, _small_config(learning_rate=0.0, epochs=10, patience=2))
+        assert [row["epoch"] for row in log] == [1, 2, 3] and passes == [1, 2, 3]
+        for trained, init in zip(state.parameters(), init_model(state.config).parameters()):
+            assert trained.data.tobytes() == init.data.tobytes()
+
     def test_single_class_test_split_fails_before_training(self, monkeypatch):
         ds = one_sided_cohort()
         assert set(ds.labels[split(ds, seed=0).test]) == {0}
