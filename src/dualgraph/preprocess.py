@@ -194,10 +194,10 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
                     fh.write(line + "\n")
 
 
-# Bytes a subject file may hold to be parsed by numpy's C reader: printable
-# ASCII, TAB and LF. Python's float(), behind the row parser, strips more
-# whitespace than the C reader's float parser (\x1c-\x1f, NEL, U+2028 and
-# others), and a CR or any other control byte changes how a line splits.
+# The bytes of a subject file numpy's C reader may parse: printable ASCII,
+# TAB and LF. Python's float(), behind the row parser, strips more
+# whitespace than the C reader (\x1c-\x1f, NEL, U+2028 and others), and a
+# CR or any other control byte changes how a line splits.
 _PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
@@ -223,11 +223,21 @@ def _split_lines(path: str, data: bytes) -> list:
     return [line.removesuffix("\r") for line in text.split("\n")]
 
 
-def _parse_rows(path: str, data: bytes) -> np.ndarray:
-    """A subject file's (N, T) values, parsed one row at a time.
+def _read_subject(path: str) -> np.ndarray:
+    """A subject file's (N, T) values.
 
-    Empty lines are skipped; an error names the file and its 1-based line.
+    A file of ``_PLAIN_TEXT`` bytes with a non-empty line goes to
+    ``np.loadtxt``, which gives the row parser's bits in less time. Every
+    other file (CRLF, non-ASCII, other control bytes, empty lines only)
+    and every file ``np.loadtxt`` rejects goes to the row parser, one
+    ``np.array`` per non-empty line, so what loads and every error, named
+    by its 1-based line, stay the row parser's. An empty-lines-only file
+    never reaches ``np.loadtxt``, which would warn and return no rows.
     """
+    data = _read_bytes(path, "subject")
+    if data.strip(b"\n") and not data.translate(None, _PLAIN_TEXT):
+        with contextlib.suppress(ValueError):
+            return np.loadtxt(io.BytesIO(data), delimiter=",", ndmin=2, comments=None)
     rows = []
     for lineno, line in enumerate(_split_lines(path, data), start=1):
         if not line:
@@ -247,31 +257,12 @@ def _parse_rows(path: str, data: bytes) -> np.ndarray:
     return np.array(rows)
 
 
-def _read_subject(path: str) -> np.ndarray:
-    """A subject file's (N, T) values: numpy's C reader where it agrees, else the row parser.
-
-    A file of printable ASCII, TAB and LF with at least one non-empty line
-    goes to ``np.loadtxt``, which parses it to the row parser's bits in
-    less time. Every other file (CRLF, non-ASCII, other control
-    bytes, blank lines only) and every file ``np.loadtxt`` rejects goes
-    to the row parser, so what loads and every error message, with its
-    1-based row, stay the row parser's. A blank-only file never reaches
-    ``np.loadtxt``, which would warn and return no rows.
-    """
-    data = _read_bytes(path, "subject")
-    if data.strip(b"\n") and not data.translate(None, _PLAIN_TEXT):
-        with contextlib.suppress(ValueError):
-            return np.loadtxt(io.BytesIO(data), delimiter=",", ndmin=2, comments=None)
-    return _parse_rows(path, data)
-
-
 def load_dataset(directory: str) -> Dataset:
     """Load a dataset directory, subjects ordered by subject_id.
 
-    ``labels.csv`` is read line by line. Each subject file goes through
-    ``_read_subject``: numpy's C reader for the plain-ASCII LF files that
-    ``save_dataset`` and ``dualgraph synth`` write, the row parser for
-    every other file and for every error.
+    Subject files that ``save_dataset`` and ``dualgraph synth`` write take
+    numpy's C reader; any other file, and any error, the row parser (see
+    ``_read_subject``).
     """
     labels_path = os.path.join(directory, "labels.csv")
     lines = _split_lines(labels_path, _read_bytes(labels_path, "labels"))

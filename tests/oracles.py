@@ -4,12 +4,12 @@ Everything here is deliberately dumb: explicit loops, textbook
 formulas, and scalar math. None of it touches the autodiff engine or
 the library's own vectorized paths, so agreement is evidence rather
 than tautology. The exceptions are ``pair_logits_broadcast``, the edge
-scorer's forward as one array instead of blocks, and
+scorer's forward as one array instead of blocks;
 ``pair_logits_vjp_broadcast``, its backward from one broadcast mask;
 ``load_dataset_rows``, the loader with every subject file parsed one row
-at a time; ``fit``, a training
-loop built from ``train``'s own set-up and epoch pass, and the primitive
-ops and composite references at the end. The primitives (``add``, ``relu``,
+at a time; ``fit``, a training loop built from ``train``'s own set-up
+and epoch pass; and the primitive ops and composite references at the
+end. The primitives (``add``, ``relu``,
 ``concat``, ``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops
 built on ``ad._make`` that the model no longer runs; tests use them as
 probes, such as ``sum_all`` to reduce an op's output to a scalar loss.

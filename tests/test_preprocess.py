@@ -382,13 +382,15 @@ class TestParsePaths:
         loadtxt = np.loadtxt
 
         def counting_loadtxt(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append(args)
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
         lf = tmp_path / "lf"
         save_dataset(generate_synthetic(4, 8, 32, seed=1), str(lf))
-        load_dataset(str(lf))
+        key = lambda s: (s.subject_id, s.series.tobytes())  # noqa: E731
+        expected = list(map(key, load_dataset_rows(str(lf)).subjects))
+        assert list(map(key, load_dataset(str(lf)).subjects)) == expected
         assert len(calls) == 4  # every subject file, and not labels.csv
         calls.clear()
         for name, edit in [("crlf", lambda b: b.replace(b"\n", b"\r\n")),
@@ -399,10 +401,7 @@ class TestParsePaths:
             for f in lf.iterdir():
                 data = f.read_bytes()
                 (other / f.name).write_bytes(data if f.name == "labels.csv" else edit(data))
-            key = lambda s: (s.subject_id, s.series.tobytes())  # noqa: E731
-            assert list(map(key, load_dataset(str(other)).subjects)) == list(
-                map(key, load_dataset_rows(str(lf)).subjects)
-            ), name
+            assert list(map(key, load_dataset(str(other)).subjects)) == expected, name
         assert calls == []
 
 
