@@ -202,8 +202,10 @@ def pair_logits_vjp_broadcast(product, bias, w1, b1, w2, b2, g):
     The form the op's VJP took before it built the pair ReLU mask in the
     forward's pair layout: ``L > -R`` as a broadcast bool mask, the float
     product ``q = g * mask``, and ``q``'s row and column sums as products
-    with a row of ones. The rest is the op's own arithmetic, so the op
-    must return the same bits, non-finite and signed-zero entries too.
+    with a row of ones. The rest is the op's own arithmetic, so at
+    widths h that are multiples of 4 the op must return the same bits,
+    non-finite and signed-zero entries too, but for a NaN's sign and
+    payload.
     """
     n, d = product.shape
     h = b1.size
