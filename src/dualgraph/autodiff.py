@@ -15,26 +15,35 @@ op per model layer, so that a layer costs one tape node:
   masked sums from it with batched GEMVs, never forming the gradient
   times the mask;
 - ``adjacency_norm``, ``D^-1/2 (A + I) D^-1/2``, keeps ``A + I``, the
-  scaling and the degrees;
+  scaling and the degrees; given a mini-batch's B graphs as parts, it
+  normalizes their (B, n, n) stack and hands each part its slice of the
+  gradient as a view;
 - ``graph_conv``, ``relu((A @ X) @ W)``, keeps ``A @ X`` and reads the
-  ReLU mask off its output, so no pre-activation stays alive;
+  ReLU mask off its output, so no pre-activation stays alive; ``A`` and
+  ``X`` may carry a leading batch axis of B graphs;
 - ``gumbel_relax``, ``sigmoid((z + delta) / tau)`` with a zero diagonal,
   keeps nothing but its output;
-- ``classifier_head``, which joins the branch outputs and runs affine,
-  ReLU, affine to one logit per row, keeps its input rows (a view of a
-  single part, the joined copy of several) and the hidden layer. Its
-  rows are the joined parts flattened row-major into rows of the head's
-  input width D: one subject's branch outputs make one row and a 0-d
-  logit; a mini-batch's, with ``rows=B``, make B rows and a (B,) vector,
-  so training runs the head as one (B × D) product each way.
+- ``classifier_head``, which joins the branch outputs on their node axis
+  and runs affine, ReLU, affine to one logit per row, keeps its input
+  rows (a view of a single part, the joined copy of several) and the
+  hidden layer. Its rows are the joined parts flattened row-major into
+  rows of the head's input width D: one subject's branch outputs make
+  one row and a 0-d logit; a mini-batch's, with ``rows=B``, make B rows
+  and a (B,) vector, so training runs the head as one (B × D) product
+  each way.
 
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
 the same order and on operands of the same layout, so its outputs and
 gradients match that chain in every bit, except ``pair_logits``'
-gradients: summed in another order, they differ in the last bits. A VJP
-that needs a weight reads the live parameter array, which is sound
-because the optimizer steps only after ``backward`` returns.
+gradients: summed in another order, they differ in the last bits. On a
+stack of B graphs, ``adjacency_norm`` and ``graph_conv`` run each
+graph's products as its own 2-D call does, in one numpy call per
+product, so a stacked call gives each graph the bits of a 2-D call; a
+weight's gradient over the stack is the one product of its stacked
+factors described below. A VJP that needs a weight reads the live
+parameter array, which is sound because the optimizer steps only after
+``backward`` returns.
 
 Gradients accumulate into ``Tensor.grad`` on leaves only, the tensors
 with no VJP such as parameters; each ``backward()`` call adds one full
@@ -234,7 +243,7 @@ def _relu_in_place(x: np.ndarray) -> np.ndarray:
     return np.add(np.fmax(x, _zeros(x.shape), out=x), 0.0, out=x)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _zeros(shape: tuple) -> np.ndarray:
     out = np.zeros(shape)
     out.flags.writeable = False
@@ -352,54 +361,80 @@ def pair_logits(
     return _make(out.reshape(n, n), (product, b0, w1, b1, w2, b2), vjp)
 
 
-def adjacency_norm(adjacency: Tensor) -> Tensor:
+def adjacency_norm(adjacency) -> Tensor:
     """``D^-1/2 (A + I) D^-1/2`` with D the row sums of ``A + I``: (n, n) -> (n, n).
 
     Entry (i, j) is ``(A + I)[i, j] * d_i^-1/2 * d_j^-1/2``; the scaling
     is the outer product of the column ``d^-1/2`` with its transpose.
-    The VJP keeps ``A + I``, the scaling and the degree vectors.
+    The VJP keeps ``A + I``, the scaling and the degree vectors. Given a
+    sequence of B (n, n) parts, a mini-batch's sampled graphs, it stacks
+    them and normalizes each: (B, n, n), one tape node, and each part's
+    gradient is a view, its slice of the stack's. Every product is then
+    the same per-graph product, so each graph keeps its bits.
     """
-    a = adjacency.data
-    n = a.shape[0] if a.ndim else 0
-    if a.shape != (n, n):
+    if isinstance(adjacency, Tensor):
+        parts, a = None, adjacency.data
+    else:
+        parts = list(adjacency)
+        shapes = [part.shape for part in parts]
+        if not parts or shapes.count(shapes[0]) != len(parts):
+            raise ValueError(f"adjacency parts of incompatible shapes {shapes}")
+        a = np.stack([part.data for part in parts])
+    n = a.shape[-1] if a.ndim else 0
+    if a.ndim != (2 if parts is None else 3) or a.shape[-2:] != (n, n):
         raise ValueError(f"adjacency must be square, got {a.shape}")
     with_loops = a + _eye(n)
-    degree = with_loops.sum(axis=1, keepdims=True)
+    degree = with_loops.sum(axis=-1, keepdims=True)
     inv_sqrt = degree**-0.5
-    inv_sqrt_t = inv_sqrt.T.copy()
+    inv_sqrt_t = inv_sqrt.swapaxes(-1, -2).copy()  # .T of each (n, 1) column
     scaling = inv_sqrt @ inv_sqrt_t
 
     def vjp(g: np.ndarray) -> tuple:
         g_scaling = g * with_loops
-        g_inv_sqrt = g_scaling @ inv_sqrt_t.T + (inv_sqrt.T @ g_scaling).T
+        row = inv_sqrt.swapaxes(-1, -2)  # a view, not inv_sqrt_t: the layout keeps the bits
+        g_inv_sqrt = g_scaling @ inv_sqrt_t.swapaxes(-1, -2) + (row @ g_scaling).swapaxes(-1, -2)
         g_degree = g_inv_sqrt * -0.5 * degree**-1.5
-        return (g * scaling + np.repeat(g_degree, n, axis=1),)
+        grad = g * scaling + np.repeat(g_degree, n, axis=-1)
+        return (grad,) if parts is None else tuple(grad)
 
-    return _make(with_loops * scaling, (adjacency,), vjp)
+    return _make(with_loops * scaling, (adjacency,) if parts is None else parts, vjp)
 
 
 def graph_conv(adjacency: Tensor, features: Tensor, weight: Tensor) -> Tensor:
     """One graph convolution layer, ``relu((A @ X) @ W)``: (n, n), (n, k), (k, m) -> (n, m).
 
-    The VJP keeps ``A @ X`` for the weight gradient and reads the ReLU
-    mask off the output, so no pre-activation stays on the tape.
+    ``A`` and ``X`` may carry a leading batch axis, (B, n, n) and
+    (B, n, k), for a mini-batch's graphs. Each product by ``A``, ``X`` or
+    ``W`` then runs B per-graph products in one call, the very ones B
+    2-D calls run, so every graph keeps its bits (one (B·n, m) product by
+    ``W.T`` would differ from B (n, m) ones in the last bits); the
+    weight's gradient is one factor pair, the (B·n, k) rows of ``A @ X``
+    and of the output's gradient. The VJP keeps ``A @ X`` for the weight
+    gradient and reads the ReLU mask off the output, so no
+    pre-activation stays on the tape.
     """
     ad, xd, wd = adjacency.data, features.data, weight.data
-    n = ad.shape[0] if ad.ndim else 0
-    if ad.shape != (n, n) or xd.ndim != 2 or xd.shape[0] != n or wd.shape[:1] != xd.shape[1:]:
+    n = ad.shape[-1] if ad.ndim else 0
+    if (
+        ad.ndim not in (2, 3)
+        or ad.shape[-2:] != (n, n)
+        or xd.shape[:-1] != ad.shape[:-1]
+        or wd.ndim != 2
+        or wd.shape[0] != xd.shape[-1]
+    ):
         raise ValueError(f"graph_conv: incompatible shapes {ad.shape}, {xd.shape}, {wd.shape}")
     ax = ad @ xd
     out = _relu_in_place(ax @ wd)
 
     def vjp(g: np.ndarray) -> tuple:
         g = g * (out > 0)
-        gw = _Factors(ax, g)
+        gw = _Factors(ax.reshape(-1, wd.shape[0]), g.reshape(-1, wd.shape[1]))
         if not (adjacency.requires_grad or features.requires_grad):
             return None, None, gw
         g_ax = g @ wd.T
         return (
-            g_ax @ xd.T if adjacency.requires_grad else None,
-            ad.T @ g_ax if features.requires_grad else None,
+            g_ax @ xd.swapaxes(-1, -2) if adjacency.requires_grad else None,
+            ad.swapaxes(-1, -2) @ g_ax if features.requires_grad else None,
             gw,
         )
 
@@ -431,21 +466,25 @@ def classifier_head(
 ) -> Tensor:
     """Two-layer classifier, ``relu(X @ w1 + b1) @ w2 + b2``, one logit per row.
 
-    ``X``, the ``parts`` joined along their first axis, flattens row-major
-    into rows of ``D = w1.shape[0]``: trailing axes that multiply to D
-    make a row, leading axes index the rows and shape the output. A
-    subject's branch outputs give a 0-d logit, one (B, D) part B logits.
-    With ``rows=B`` the caller states the row count instead: ``X`` must
-    hold B rows of D, each made of whole first-axis slices, and the
-    output is a (B,) vector, so a mini-batch's joined (2B·n, f) branch
-    outputs give its B logits in batch order. Each part's gradient is a
-    view, its slice of ``X``'s, and all rows' come from one product.
+    ``X``, the ``parts`` joined along their node axis (-2), flattens
+    row-major into rows of ``D = w1.shape[0]``: trailing axes that
+    multiply to D make a row, leading axes index the rows and shape the
+    output. A subject's (n, f) branch outputs give a 0-d logit, one
+    (B, D) part B logits. With ``rows=B`` the caller states the row count
+    instead: ``X`` must hold B rows of D, each made of whole first-axis
+    slices, and the output is a (B,) vector, so a mini-batch's branch
+    outputs give its B logits in batch order, whether they come as
+    (n, f) parts subject by subject or as one (B, n, f) part per branch.
+    Each part's gradient is a view, its slice of ``X``'s, and all rows'
+    come from one product.
     """
     xs = [part.data for part in parts]
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
-    if not (len(xs) == 1 or xs and all([x.ndim and x.shape[1:] == xs[0].shape[1:] for x in xs])):
-        raise ValueError(f"classifier_head: parts of incompatible shapes {[x.shape for x in xs]}")
-    xd = xs[0] if len(xs) == 1 else np.concatenate(xs)
+    try:  # parts must agree on every axis but the node axis
+        xd = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-2)
+    except (IndexError, ValueError):  # no parts, 0-d or 1-d ones, other shapes
+        shapes = [x.shape for x in xs]
+        raise ValueError(f"classifier_head: parts of incompatible shapes {shapes}") from None
     d, h = w1d.shape if w1d.ndim == 2 else (0, 0)
     if rows is None:
         axes = next((k for k in range(1, xd.ndim + 1) if math.prod(xd.shape[-k:]) == d), None)
@@ -466,10 +505,13 @@ def classifier_head(
         g_hidden = g @ w2d.T
         g_hidden *= hidden > 0
         gx = (g_hidden @ w1d.T).reshape(xd.shape) if any([p.requires_grad for p in parts]) else None
-        g_parts, stop = [], 0
-        for part, x in zip(parts, xs):  # plain slices: np.split takes five times as long
-            start, stop = stop, stop + len(x)
-            g_parts.append(gx[start:stop] if part.requires_grad else None)
+        if len(xs) == 1:
+            g_parts = [gx]
+        else:  # plain slices on the node axis: np.split takes five times as long
+            g_parts, stop = [], 0
+            for part, x in zip(parts, xs):
+                start, stop = stop, stop + x.shape[-2]
+                g_parts.append(gx[..., start:stop, :] if part.requires_grad else None)
         weights = _Factors(flat, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
         return (*g_parts, *weights)
 

@@ -172,19 +172,25 @@ def normalize_adjacency(adjacency) -> Tensor:
     roots of row sums i and j. Row sums stay >= 1 thanks to the added
     self-loops, so this never divides by zero. Accepts a constant array
     or a gradient-carrying tensor; gradients flow through both the
-    entries and the degrees.
+    entries and the degrees. A list of B such (n, n) adjacencies, a
+    mini-batch's sampled graphs, gives their (B, n, n) stack in one op.
     """
-    if not isinstance(adjacency, Tensor):
-        adjacency = Tensor(adjacency)
-    if (adjacency.data < 0).any():
-        raise ValueError("adjacency entries must be non-negative")
-    return ad.adjacency_norm(adjacency)
+    if isinstance(adjacency, list):
+        parts = [a if isinstance(a, Tensor) else Tensor(a) for a in adjacency]
+    else:
+        parts = [adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)]
+    for part in parts:
+        if (part.data < 0).any():
+            raise ValueError("adjacency entries must be non-negative")
+    return ad.adjacency_norm(parts if isinstance(adjacency, list) else parts[0])
 
 
 def gcn_forward(features, norm_adjacency: Tensor, stack: ParamGroup) -> Tensor:
     """Two-layer graph convolution: ReLU(A (ReLU(A X W0)) W1).
 
     ``stack`` is a GCN parameter group (``w0``, ``w1``; no biases).
+    ``features`` and ``norm_adjacency`` are one subject's, (n, k) and
+    (n, n), or a mini-batch's stacks of them, (B, n, k) and (B, n, n).
     Each ``ad.graph_conv`` call checks its shapes (ValueError).
     """
     if not isinstance(features, Tensor):
@@ -221,8 +227,8 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 
 def forward(
     series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None, *, head=True
-) -> Tensor | list:
-    """Scalar logit for one subject, or with ``head=False`` the head's input.
+) -> Tensor | tuple:
+    """Scalar logit for one subject, or with ``head=False`` its graph-layer inputs.
 
     ``noise`` is a pair of standard-Gumbel matrices for the training
     path; ``None`` selects the deterministic evaluation path, where the
@@ -230,34 +236,81 @@ def forward(
     ``graph`` is the subject's ``thresholded_graph``; without it the
     thresholded branch builds its own.
 
-    ``head=False`` returns the list of branch outputs that the head
-    would join (thresholded first) and tapes no head node, so training
-    can run one ``classifier_head`` over a whole mini-batch's. It is a
-    keyword rather than a separate per-subject ``embed`` function because
-    the benchmark (``perfbench``) counts training subjects by ``forward``
-    calls; once it counts them from the mini-batch index lists, ``embed``
-    can take its place.
+    ``head=False`` stops after the edge scorer and the Gumbel relaxation
+    and returns ``(corr, graph, sampled)``: the correlations, the
+    thresholded graph and the relaxed (or hardened) sampled graph, None
+    for a branch the mode lacks. ``batch_logits`` then runs a whole
+    mini-batch's normalization, GCNs and head. It is a keyword rather
+    than a separate per-subject function because the benchmark
+    (``perfbench``) counts training subjects by ``forward`` calls that
+    carry noise; once it counts them from the mini-batch index lists,
+    such a function can take its place. With the head, one subject runs
+    every layer as its own 2-D op call, as evaluation always does.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
-
-    # Branch outputs (n x f, thresholded first); the head joins and flattens them.
-    branches = [Tensor(corr)] * 2 if config.mode == "no_gconv" else []
-    if config.mode in ("full", "no_optim"):
-        if graph is None:
-            graph = thresholded_graph(corr, config)
-        branches.append(gcn_forward(corr, graph, state.filtered_gcn))
+    if config.mode in ("full", "no_optim") and graph is None:
+        graph = thresholded_graph(corr, config)
+    sampled = None
     if config.mode in ("full", "no_corr"):
         logits = edge_probabilities(series, state.scorer)
         if noise is None:
-            optimal = Tensor(harden(logits.data))
+            sampled = Tensor(harden(logits.data))
         else:
-            optimal = gumbel_sample(logits, config.temperature, noise)
-        norm_o = normalize_adjacency(optimal)
-        branches.append(gcn_forward(corr, norm_o, state.optimal_gcn))
+            sampled = gumbel_sample(logits, config.temperature, noise)
     if not head:
-        return branches
-    return ad.classifier_head(branches, *state.classifier.parameters())
+        return corr, graph, sampled
+    return ad.classifier_head(_branches(corr, graph, sampled, state), *state.classifier.parameters())
+
+
+def _branches(corr, graph, sampled, state: ModelState) -> list:
+    """The branch outputs the head joins, thresholded first.
+
+    Each input is one subject's, or a mini-batch's stacked on a leading
+    axis, with ``sampled`` then the list of its B sampled graphs; a
+    missing branch's input is None. ``no_gconv`` puts the correlations
+    in both slots.
+    """
+    if state.config.mode == "no_gconv":
+        return [Tensor(corr)] * 2
+    branches = []
+    if graph is not None:
+        branches.append(gcn_forward(corr, graph, state.filtered_gcn))
+    if sampled is not None:
+        branches.append(gcn_forward(corr, normalize_adjacency(sampled), state.optimal_gcn))
+    return branches
+
+
+# Floats in one (B, n, max(n, gcn_hidden_dim, gcn_out_dim)) layer stack up
+# to which a mini-batch runs each graph layer once on stacks: 400 KB, which
+# stays in L2, as ``autodiff._PAIR_BLOCK_FLOATS``. The acceptance geometry
+# (16 ROIs, widths 64/32, batches of 16: 16,384 floats) stacks; paper scale
+# (96 ROIs, widths 256: 393,216) runs per subject, where stacking made a
+# step slower on a 2-core Haswell host (5-19% in 3 of 4 in-process runs).
+_STACK_FLOATS = 50_000
+
+
+def batch_logits(inputs: list, state: ModelState) -> Tensor:
+    """The (B,) logits of a mini-batch, from each subject's ``forward(..., head=False)``.
+
+    Up to ``_STACK_FLOATS`` it stacks the subjects' graphs and features
+    and runs the sampled graphs' normalization and each GCN layer as one
+    op call on (B, n, ·) stacks; above it each subject runs them as 2-D
+    calls. Either way one ``classifier_head`` call scores the batch as a
+    (B × D) product, and every op is a tape node. The two paths give the
+    same bits: a stacked op runs the per-subject products, and each
+    weight's gradient is the product of the same stacked factors.
+    """
+    config = state.config
+    width = max(config.n_rois, config.gcn_hidden_dim, config.gcn_out_dim)
+    if len(inputs) * config.n_rois * width > _STACK_FLOATS:
+        parts = [branch for subject in inputs for branch in _branches(*subject, state)]
+    else:
+        corrs, graphs, sampled = zip(*inputs)
+        graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
+        sampled = None if sampled[0] is None else list(sampled)
+        parts = _branches(np.stack(corrs), graph, sampled, state)
+    return ad.classifier_head(parts, *state.classifier.parameters(), rows=len(inputs))
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

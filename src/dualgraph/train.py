@@ -19,12 +19,12 @@ import numpy as np
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import bce_value, logistic
-from dualgraph.graphgen import sample_gumbel_noise
 from dualgraph.model import (
     MODES,
     ModelConfig,
     ModelState,
     _is_number,
+    batch_logits,
     check_config,
     forward,
     init_model,
@@ -328,20 +328,22 @@ def _batch_update(
 ) -> float:
     """One Adam update on the batch's mean loss; returns that loss.
 
-    Each subject's ``forward`` stops before the head; one
-    ``classifier_head`` call then scores the whole batch, so the head's
-    weight is read once per pass as a (B × D) product, not B times as a
-    one-row one. The batch's tape is freed when this returns, before the
-    next batch builds its own, so one tape at a time is alive.
+    Each subject's ``forward`` runs its edge scorer and Gumbel relaxation
+    and stops there, with noise from one draw for the whole batch (the
+    same numbers as one pair of draws per subject in turn);
+    ``batch_logits`` then runs the rest, the head as one (B × D) product.
+    The batch's tape is freed when this returns, before the next batch
+    builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
-    parts = []
-    for idx in batch:
-        corr, graph = inputs[idx]
-        noise = sample_gumbel_noise(rng, dataset.n_rois)
-        series = dataset.subjects[idx].series
-        parts += forward(series, corr, state, noise=noise, graph=graph, head=False)
-    logits = ad.classifier_head(parts, *state.classifier.parameters(), rows=len(batch))
+    n = dataset.n_rois
+    # One noise draw for the batch, freed with the comprehension before the head and backward
+    subjects = [
+        forward(dataset.subjects[idx].series, inputs[idx][0], state, noise=tuple(noise),
+                graph=inputs[idx][1], head=False)
+        for idx, noise in zip(batch, rng.gumbel(size=(len(batch), 2, n, n)))
+    ]
+    logits = batch_logits(subjects, state)
     mean_loss = ad.bce_mean(logits, [dataset.subjects[idx].label for idx in batch])
     value = float(mean_loss.data)
     if not np.isfinite(value):

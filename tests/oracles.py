@@ -408,18 +408,18 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * mask,))
 
 
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Join along the first axis: (m, ...) and (k, ...) -> (m + k, ...)."""
-    if a.data.ndim == 0 or a.data.shape[1:] != b.data.shape[1:]:
-        raise ValueError(
-            f"concat: incompatible shapes {a.data.shape} and {b.data.shape}"
-        )
-    split = a.data.shape[0]
-    return _make(
-        np.concatenate([a.data, b.data]),
-        (a, b),
-        lambda g: (g[:split], g[split:]),
-    )
+def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
+    """Join along ``axis``, the first by default: (m, ...) and (k, ...) -> (m + k, ...)."""
+    if a.data.ndim == 0 or a.data.ndim != b.data.ndim:
+        raise ValueError(f"concat: incompatible shapes {a.data.shape} and {b.data.shape}")
+    try:
+        joined = np.concatenate([a.data, b.data], axis=axis)
+    except ValueError:
+        raise ValueError(f"concat: incompatible shapes {a.data.shape} and {b.data.shape}") from None
+    lead = (slice(None),) * (axis % a.data.ndim)
+    split = a.data.shape[axis]
+    first, second = lead + (slice(None, split),), lead + (slice(split, None),)
+    return _make(joined, (a, b), lambda g: (g[first], g[second]))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -518,12 +518,12 @@ def gumbel_relax_composite(logits, delta, tau):
 
 
 def classifier_head_composite(parts, w1, b1, w2, b2, *, rows=None):
-    """``ad.classifier_head`` as primitive ops: join the parts, copy out the rows, affine, ReLU, affine.
+    """``ad.classifier_head`` as primitive ops: join on the node axis, copy out the rows, affine, ReLU, affine.
 
     Trailing axes that make a row shape the output by the leading axes;
     with ``rows=B`` the output is one logit per row, as a mini-batch's is.
     """
-    x = functools.reduce(concat, parts)
+    x = functools.reduce(lambda a, b: concat(a, b, axis=-2), parts)
     d = w1.shape[0]
     axes = next((k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d), None)
     flat = reshape(x, (x.size // d, d))

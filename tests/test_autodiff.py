@@ -666,7 +666,7 @@ class TestLayerOps:
     @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((4, 18), 1), ((2, 6, 3), 1)])
     def test_two_part_classifier_head_equals_the_composite(self, x_shape, split, part_grads):
         x, *head = _head_arrays(np.random.default_rng(x_shape[0] + split), x_shape, 18)
-        arrays = [x[:split], x[split:]] + head
+        arrays = np.split(x, [split], axis=-2) + head  # the parts join on the node axis
         _assert_layer_matches_composite(
             "classifier_head", arrays, list(part_grads) + [True] * 4, parts=2
         )
@@ -684,9 +684,9 @@ class TestLayerOps:
             _layer_loss(out, weights).backward()
             return out.data, [t.grad for t in tensors]
 
-        (out, grads), (ref_out, ref_grads) = run([x[:split], x[split:]]), run([x])
+        (out, grads), (ref_out, ref_grads) = run(np.split(x, [split], axis=-2)), run([x])
         _assert_same_bits(out, ref_out)
-        _assert_same_bits(np.concatenate(grads[:2]), ref_grads[0])
+        _assert_same_bits(np.concatenate(grads[:2], axis=-2), ref_grads[0])
         for grad, ref in zip(grads[2:], ref_grads[1:]):
             _assert_same_bits(grad, ref)
 
@@ -819,6 +819,16 @@ class TestLayerOps:
             ("classifier_head", [[(4, 3)], (2, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(4, 3)], (6, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(4, 3)], (0, 5), (5,), (5, 1), (1,)]),
+            ("adjacency_norm", [[(3, 3), (2, 2)]]),
+            ("adjacency_norm", [[(2, 3), (2, 3)]]),
+            ("adjacency_norm", [[]]),
+            ("adjacency_norm", [(2, 3, 3)]),
+            ("graph_conv", [(2, 3, 3), (3, 3, 4), (4, 2)]),
+            ("graph_conv", [(2, 3, 3), (3, 4), (4, 2)]),
+            ("graph_conv", [(3, 3), (2, 3, 4), (4, 2)]),
+            ("graph_conv", [(2, 2, 3, 3), (2, 2, 3, 4), (4, 2)]),
+            ("classifier_head", [[(2, 3, 3), (2, 3, 4)], (18, 5), (5,), (5, 1), (1,)]),
+            ("classifier_head", [[(2, 3, 3), (3, 3, 3)], (18, 5), (5,), (5, 1), (1,)]),
         ],
     )
     def test_shape_mismatch_rejected(self, name, shapes):
@@ -848,6 +858,114 @@ class TestLayerOps:
     def test_gumbel_relax_rejects_mismatched_noise(self):
         with pytest.raises(ValueError, match="gumbel_relax"):
             ad.gumbel_relax(Tensor(np.zeros((3, 3))), np.zeros((3, 2)), 1.0)
+
+
+def _assert_close(ours, ref, what=""):
+    """Equal to 1e-12 of the reference's largest magnitude."""
+    scale = float(np.abs(ref).max()) if np.size(ref) else 0.0
+    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=what)
+
+
+def _single_subject_calls(composite, per_subject, shared, flags, weights):
+    """``composite`` once per subject on its slice of each per-subject array, one loss for all.
+
+    The loss is ``sum_b _layer_loss(out_b, weights[b])``. Returns the
+    outputs stacked over subjects and the gradients: each per-subject
+    input's stacked, each shared input's summed over the B calls.
+    """
+    count = len(per_subject)
+    shared_ts = [Tensor(a.copy(), requires_grad=f) for a, f in zip(shared, flags[count:])]
+    subjects, outs, loss = [], [], None
+    for b, weight in enumerate(weights):
+        ts = [Tensor(a[b].copy(), requires_grad=f) for a, f in zip(per_subject, flags)]
+        out = composite(*ts, *shared_ts)
+        term = _layer_loss(out, weight)
+        loss = term if loss is None else add(loss, term)
+        subjects.append(ts)
+        outs.append(out.data)
+    if loss.requires_grad:
+        loss.backward()
+    grads = [np.stack([ts[i].grad for ts in subjects]) if f else None for i, f in enumerate(flags[:count])]
+    return np.stack(outs), grads + [t.grad for t in shared_ts]
+
+
+def _assert_matches_single_calls(ours, ref, flags):
+    (out, grads), (ref_out, ref_grads) = ours, ref
+    assert out.shape == ref_out.shape
+    _assert_close(out, ref_out)
+    for i, (grad, ref_grad, wanted) in enumerate(zip(grads, ref_grads, flags)):
+        if not wanted:
+            assert grad is None and ref_grad is None, i
+            continue
+        assert np.any(grad != 0), i
+        _assert_close(grad, ref_grad, f"input {i}")
+
+
+class TestStackedLayerOps:
+    """A mini-batch's layer ops on (B, n, ·) stacks against B single-subject calls of their composites."""
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    @pytest.mark.parametrize("batch,n", [(1, 5), (3, 2), (4, 7)])
+    def test_multi_part_adjacency_norm_equals_single_subject_composites(self, batch, n, requires_grad):
+        rng = np.random.default_rng(batch * 10 + n)
+        graphs = np.stack([_adjacency(rng, n, soft=b % 2 == 0) for b in range(batch)])
+        weights = rng.standard_normal((batch, n, n))
+        flags = [requires_grad] * batch
+        op = lambda *parts: ad.adjacency_norm(parts)  # noqa: E731
+        out, grads = _layer_run(op, list(graphs), flags, (), weights)
+        composite = LAYER_OP_COMPOSITES["adjacency_norm"]
+        ref_out, ref_grads = _single_subject_calls(composite, [graphs], [], [requires_grad], weights)
+        stacked = [np.stack(grads) if requires_grad else None]
+        _assert_matches_single_calls((out, stacked), (ref_out, ref_grads), [requires_grad])
+        if requires_grad:  # each part's gradient is a view, its slice of one array
+            assert all(g.base is not None and g.base is grads[0].base for g in grads)
+
+    @pytest.mark.parametrize("flags", _FLAGS_3[1:])
+    @pytest.mark.parametrize("batch,n,k,m", [(1, 4, 4, 8), (3, 5, 3, 8), (4, 6, 9, 12)])
+    def test_stacked_graph_conv_equals_single_subject_composites(self, batch, n, k, m, flags):
+        rng = np.random.default_rng(batch * n * k * m)
+        norm = ad.adjacency_norm([Tensor(_adjacency(rng, n, soft=True)) for _ in range(batch)]).data
+        features, weight = rng.standard_normal((batch, n, k)), rng.standard_normal((k, m))
+        weights = rng.standard_normal((batch, n, m))
+        ours = _layer_run(ad.graph_conv, [norm, features, weight], flags, (), weights)
+        composite = LAYER_OP_COMPOSITES["graph_conv"]
+        ref = _single_subject_calls(composite, [norm, features], [weight], flags, weights)
+        _assert_matches_single_calls(ours, ref, flags)
+
+    @pytest.mark.parametrize("part_grads", [(True, True), (False, True), (False, False)])
+    @pytest.mark.parametrize("batch,n,f", [(1, 3, 8), (3, 4, 8), (5, 2, 9)])
+    def test_stacked_classifier_head_equals_single_subject_composites(self, batch, n, f, part_grads):
+        # The two branches' (B, n, f) outputs join on the node axis: row b
+        # is subject b's two (n, f) outputs, thresholded first.
+        rng = np.random.default_rng(batch * n * f)
+        thresholded, sampled = rng.standard_normal((2, batch, n, f))
+        head = _head_arrays(rng, (1,), 2 * n * f)[1:]
+        weights = rng.standard_normal(batch)
+        flags = list(part_grads) + [True] * 4
+        ours = _layer_run(_head(2, rows=batch), [thresholded, sampled] + head, flags, (), weights)
+        composite = _head(2, LAYER_OP_COMPOSITES["classifier_head"])
+        ref = _single_subject_calls(composite, [thresholded, sampled], head, flags, weights)
+        _assert_matches_single_calls(ours, ref, flags)
+
+    def test_multi_part_adjacency_norm_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(16)
+        weights = rng.standard_normal((3, 4, 4))
+        parts = [_adjacency(rng, 4, soft=True) for _ in range(3)]
+        _check_gradients(lambda ts: _layer_loss(ad.adjacency_norm(ts), weights), parts)
+
+    def test_stacked_graph_conv_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(17)
+        norm = np.stack([_adjacency(rng, 4, soft=True) for _ in range(2)])
+        arrays = [norm, rng.standard_normal((2, 4, 3)), rng.standard_normal((3, 8))]
+        weights = rng.standard_normal((2, 4, 8))
+        _check_gradients(lambda ts: _layer_loss(ad.graph_conv(*ts), weights), arrays)
+
+    def test_stacked_classifier_head_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(18)
+        parts = list(rng.standard_normal((2, 3, 2, 8)))  # two branches, B = 3, n = 2, f = 8
+        head = _head_arrays(rng, (1,), 2 * 2 * 8)[1:]
+        weights = rng.standard_normal(3)
+        _check_gradients(lambda ts: _layer_loss(_head(2, rows=3)(*ts), weights), parts + head)
 
 
 class TestBceWithLogits:

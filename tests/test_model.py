@@ -13,12 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualgraph import autodiff as ad
+from dualgraph import model as model_module
 from dualgraph.autodiff import Tensor
-from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, sample_gumbel_noise
+from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, harden
+from dualgraph.graphgen import sample_gumbel_noise
 from dualgraph.model import (
     MODES,
     ModelConfig,
     ParamGroup,
+    batch_logits,
     classifier_input_dim,
     forward,
     gcn_forward,
@@ -312,23 +315,29 @@ class TestForward:
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("mode", MODES)
-    def test_without_the_head_it_returns_exactly_what_its_head_is_fed(
+    def test_without_the_head_it_returns_the_inputs_batch_logits_scores(
         self, monkeypatch, mode, training
     ):
         series, corr = _toy_subject(seed=8)
         state = init_model(_config(mode=mode, seed=21))
         noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
-        fed, head = [], ad.classifier_head
-        monkeypatch.setattr(ad, "classifier_head", lambda parts, *w: fed.append(parts) or head(parts, *w))
+        heads, head = [], ad.classifier_head
+        monkeypatch.setattr(ad, "classifier_head", lambda *a, **k: heads.append(a) or head(*a, **k))
         logit = forward(series, corr, state, noise=noise)
-        branches = forward(series, corr, state, noise=noise, head=False)
-        assert len(fed) == 1  # no head node for the call without it
-        assert [(b.shape, b.requires_grad) for b in branches] == [
-            (p.shape, p.requires_grad) for p in fed[0]
-        ]
-        assert [b.data.tobytes() for b in branches] == [p.data.tobytes() for p in fed[0]]
-        scored = head(branches, *state.classifier.parameters())
-        assert scored.data.tobytes() == logit.data.tobytes()
+        given, graph, sampled = forward(series, corr, state, noise=noise, head=False)
+        assert len(heads) == 1  # no head node for the call without it
+        assert given.tobytes() == corr.tobytes()
+        expected = thresholded_graph(corr, state.config)
+        assert (graph is None) == (expected is None)
+        assert graph is None or graph.data.tobytes() == expected.data.tobytes()
+        if mode in ("full", "no_corr"):
+            logits = edge_probabilities(series, state.scorer)
+            relaxed = gumbel_sample(logits, 1.0, noise).data if training else harden(logits.data)
+            assert sampled.data.tobytes() == relaxed.tobytes() and sampled.requires_grad == training
+        else:
+            assert sampled is None
+        scored = batch_logits([(given, graph, sampled)], state)
+        assert scored.shape == (1,) and scored.data.tobytes() == logit.data.reshape(1).tobytes()
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
@@ -450,6 +459,13 @@ def _spy_on_outputs(monkeypatch, names, gradients_of=()):
 
 class TestWeightGradientStacking:
     def test_the_head_weight_is_one_stacked_product(self, monkeypatch):
+        for stacked in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_STACK_FLOATS", 10**9 if stacked else 0)
+                self._assert_one_head_product(patch, stacked)
+
+    @staticmethod
+    def _assert_one_head_product(monkeypatch, stacked):
         n, d, f, hc, batch = 6, 4, 8, 4, 3
         state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
         # Any product pair_logits' VJP forms from the gradient it receives
@@ -459,11 +475,11 @@ class TestWeightGradientStacking:
             monkeypatch, ["pair_logits", "graph_conv"], gradients_of=["pair_logits"]
         )
         rng = np.random.default_rng(7)
-        parts = []  # as a training step forms them: one head call for the batch
+        subjects = []  # as a training step forms them: one head call for the batch
         for seed in range(batch):
             noise = sample_gumbel_noise(rng, n)
-            parts += forward(*_toy_subject(seed=seed), state, noise=noise, head=False)
-        logits = ad.classifier_head(parts, *state.classifier.parameters(), rows=batch)
+            subjects.append(forward(*_toy_subject(seed=seed), state, noise=noise, head=False))
+        logits = batch_logits(subjects, state)
         ad.bce_mean(logits, [seed % 2 for seed in range(batch)]).backward()
 
         width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
@@ -471,8 +487,8 @@ class TestWeightGradientStacking:
         products = [shapes for kind, shapes in events if kind == "matmul"]
         assert not any(shape[0] == n * n for shapes in concats for shape in shapes)
         assert not any(shape[0] == n * n for shapes in products for shape in shapes)
-        assert concats.count([(n, f)] * 2 * batch) == 1  # the batch's rows, joined once
-        assert not any((1, width) in shapes for shapes in concats)  # no per-subject row is stacked
+        branches = [(batch, n, f)] * 2 if stacked else [(n, f)] * 2 * batch
+        assert concats == [branches]  # the batch's rows, joined once
         assert products.count([(batch, width), (width, hc)]) == 1  # the head's forward
         assert products.count([(width, batch), (batch, hc)]) == 1  # classifier.w1
         assert products.count([(width, 1), (1, hc)]) == 0
@@ -544,15 +560,24 @@ class TestTapeMemory:
 
 def _batch_gradients(state, subjects, noises):
     """The batch's logits and every parameter's gradient of its mean BCE, formed as training does."""
-    parts = []
-    for (series, corr), noise in zip(subjects, noises):
-        parts += forward(series, corr, state, noise=noise, head=False)
-    logits = ad.classifier_head(parts, *state.classifier.parameters(), rows=len(subjects))
+    inputs = [forward(*subject, state, noise=nz, head=False) for subject, nz in zip(subjects, noises)]
+    logits = batch_logits(inputs, state)
     ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(subjects))]).backward()
     names = [name for name, _ in parameter_shapes(state.config)]
     return logits.data, dict(zip(names, (p.grad for p in state.parameters())))
 
 
+@pytest.fixture
+def per_subject(monkeypatch):
+    """Every mini-batch runs its graph layers subject by subject, as 2-D op calls.
+
+    The composites are 2-D, so they run that path only; the stacked ops
+    are held to B calls of them in ``test_autodiff.py``.
+    """
+    monkeypatch.setattr(model_module, "_STACK_FLOATS", 0)
+
+
+@pytest.mark.usefixtures("per_subject")
 class TestLayerOpsEqualTheirComposites:
     """The fused layer ops and ``bce_mean`` change no bit of the model's logits, gradients or training."""
 

@@ -345,8 +345,8 @@ class TestTrainingLoop:
         def recording_forward(*args, **kwargs):
             for earlier in batches[:-1]:
                 assert all(ref() is None for subject in earlier for ref in subject)
-            out = real_forward(*args, **kwargs)  # the subject's branch outputs
-            batches[-1].append([weakref.ref(branch.data) for branch in out])
+            out = real_forward(*args, **kwargs)  # the subject's graph-layer inputs
+            batches[-1].append([weakref.ref(out[2].data)])  # its relaxed sampled graph
             return out
 
         monkeypatch.setattr(Adam, "zero_grad", counting_zero_grad)
@@ -458,10 +458,13 @@ class TestTrainingLoop:
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
 
-    def test_a_training_step_tapes_eight_nodes_per_subject_and_two_per_batch(self, monkeypatch):
-        # Per subject: the scorer's matmul and pair_logits, gumbel_relax,
-        # the sampled graph's adjacency_norm and two graph_convs per
-        # branch. The batch adds one classifier_head and one bce_mean.
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_a_training_step_tapes_one_node_per_op_call(self, monkeypatch, stacked):
+        # Per subject: the scorer's matmul and pair_logits and gumbel_relax.
+        # Stacked, the batch adds the sampled graphs' adjacency_norm, two
+        # graph_convs per branch, one classifier_head and one bce_mean; per
+        # subject, each subject runs the first five itself.
+        monkeypatch.setattr(model_module, "_STACK_FLOATS", 10**9 if stacked else 0)
         tapes, backward = [], Tensor.backward
 
         def recording_backward(loss):
@@ -471,7 +474,8 @@ class TestTrainingLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
         fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
-        assert tapes == [8 * 4 + 2, 8 * 4 + 2, 8 * 2 + 2]
+        per_subject, per_batch = (3, 7) if stacked else (8, 2)
+        assert tapes == [per_subject * b + per_batch for b in (4, 4, 2)]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_an_evaluation_forward_tapes_seven_nodes(self, monkeypatch, cached):
@@ -651,7 +655,8 @@ class TestThresholdedGraphCache:
         calls, adjacency_norm = [], ad.adjacency_norm
         monkeypatch.setattr(ad, "adjacency_norm", lambda a: calls.append(a) or adjacency_norm(a))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        assert len(calls) == 4 * per_subject
+        graphs = [graph for call in calls for graph in (call if isinstance(call, list) else [call])]
+        assert len(graphs) == 4 * per_subject and all(graph.requires_grad for graph in graphs)
 
     def test_every_op_a_training_step_calls_is_a_tape_node(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=6)
@@ -669,7 +674,7 @@ class TestThresholdedGraphCache:
         for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        assert len(outputs) == 8 * 4 + 2
+        assert len(outputs) == 3 * 4 + 7  # 8 ROIs and widths 8 stack the batch
         assert [name for name, _ in outputs[-2:]] == ["classifier_head", "bce_mean"]
         assert [name for name, out in outputs if out._vjp is None] == []
 
@@ -684,6 +689,88 @@ class TestThresholdedGraphCache:
         train_module._predict_logits(state, ds, list(range(10)), inputs)
         assert not np.array_equal(state.classifier.w1.data, head)  # the epoch did train
         assert [(corr.tobytes(), graph.data.tobytes()) for corr, graph in inputs] == before
+
+
+class TestMiniBatchPaths:
+    """A mini-batch's graph layers, stacked or per subject, and what the benchmark counts."""
+
+    @pytest.mark.parametrize("batch,n", [(1, 1), (1, 8), (2, 3), (5, 16), (16, 16), (3, 96)])
+    def test_one_noise_draw_per_batch_equals_a_pair_of_draws_per_subject(self, batch, n):
+        rng = np.random.default_rng(batch * 1000 + n)
+        per_subject = copy.deepcopy(rng)
+        draws = rng.gumbel(size=(batch, 2, n, n))
+        for g1, g2 in draws:
+            e1, e2 = sample_gumbel_noise(per_subject, n)
+            assert g1.tobytes() == e1.tobytes() and g2.tobytes() == e2.tobytes()
+        assert rng.random() == per_subject.random()  # both streams end in the same place
+
+    @pytest.mark.parametrize("batch", [[3, 0, 6, 1], [5]])
+    def test_a_batch_update_hands_each_subject_its_own_noise_pair(self, monkeypatch, batch):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        per_subject, seen, real_forward = copy.deepcopy(rng), [], train_module.forward
+
+        def recording_forward(*args, **kwargs):
+            seen.append(kwargs["noise"])
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "forward", recording_forward)
+        train_module._batch_update(state, ds, inputs, batch, optimizer, rng, "batch 1")
+        assert len(seen) == len(batch)
+        for noise in seen:
+            expected = sample_gumbel_noise(per_subject, ds.n_rois)
+            assert [g.tobytes() for g in noise] == [g.tobytes() for g in expected]
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_forward_and_the_edge_scorer_run_once_per_subject(self, monkeypatch, stacked):
+        # The benchmark counts training subjects as forward calls with
+        # noise, times each forward(noise=None) as one scored subject and
+        # expects n * n scored pairs per edge_probabilities call.
+        monkeypatch.setattr(model_module, "_STACK_FLOATS", 10**9 if stacked else 0)
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        calls, real_forward, real_edges = [], train_module.forward, model_module.edge_probabilities
+
+        def recording_forward(*args, **kwargs):
+            noise = kwargs["noise"] if "noise" in kwargs else (args[3] if len(args) > 3 else None)
+            calls.append(("forward", noise is not None))
+            return real_forward(*args, **kwargs)
+
+        def recording_edges(*args, **kwargs):
+            out = real_edges(*args, **kwargs)
+            calls.append(("edges", out.shape))
+            return out
+
+        monkeypatch.setattr(train_module, "forward", recording_forward)
+        monkeypatch.setattr(model_module, "edge_probabilities", recording_edges)
+        train_module._batch_update(state, ds, inputs, [0, 1, 2, 3, 4], optimizer, rng, "batch 1")
+        assert calls == [("forward", True), ("edges", (8, 8))] * 5
+        calls.clear()
+        evaluate(state, ds, list(range(8)))
+        assert calls == [("forward", False), ("edges", (8, 8))] * 8
+
+    @pytest.mark.parametrize("batch", [[3, 0, 6, 1], [5]])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_stacked_and_per_subject_paths_give_the_same_bits(self, monkeypatch, mode, batch):
+        # A stacked op runs the per-subject products, and each weight's
+        # gradient is one product of the same stacked factors, so the
+        # logits and every gradient keep their bits. A one-subject last
+        # mini-batch stacks too.
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        config = _small_config(mode=mode, gcn_out_dim=8)
+        runs, scored = [], []
+        spy = lambda *args: scored.append(model_module.batch_logits(*args)) or scored[-1]  # noqa: E731
+        monkeypatch.setattr(train_module, "batch_logits", spy)
+        for floats in (10**9, 0):
+            monkeypatch.setattr(model_module, "_STACK_FLOATS", floats)
+            state, inputs, optimizer, rng = train_module._setup(ds, config)
+            loss = train_module._batch_update(state, ds, inputs, batch, optimizer, rng, "batch 1")
+            grads = [None if p.grad is None else p.grad.tobytes() for p in state.parameters()]
+            runs.append((scored[-1].shape, scored[-1].data.tobytes(), loss, grads))
+            if mode != "no_gconv":  # a graph layer's weights do train
+                gcn_weights = state.filtered_gcn.parameters() + state.optimal_gcn.parameters()
+                assert any(p.grad is not None and p.grad.any() for p in gcn_weights)
+        assert runs[0] == runs[1] and runs[0][0] == (len(batch),)
 
 
 class TestPaperScaleGeometry:
