@@ -3,8 +3,9 @@
 The thresholded graph keeps correlation pairs above a cutoff and is a
 fixed, undirected input. The sampled graph is learned: a per-node signal
 embedding feeds a pair MLP producing one edge logit ``z`` per ordered
-pair (edge probability ``sigmoid(z)``), two tape nodes in all: the
-extractor's product, then ``ad.pair_logits`` for the rest. During
+pair (edge probability ``sigmoid(z)``), two tape nodes in all, for one
+subject or a whole training mini-batch: the extractor's product, then
+``ad.pair_logits`` for the rest. During
 training a logistic-Gumbel relaxation of those logits,
 ``sigmoid((z + g1 - g2) / tau)``, gives a differentiable soft
 adjacency; at evaluation time the graph is the noise-free limit of that
@@ -45,21 +46,22 @@ def edge_probabilities(series: np.ndarray, scorer) -> Tensor:
     ``pair_w2``, ``pair_b2``) ending in one logit. Entry (i, j) is the
     logit of the directed pair (node i's embedding first), so the matrix
     is generally asymmetric; ``sigmoid`` of it is the edge probability.
-    ``ad.pair_logits`` takes the product ``series @ extract_w`` and does
-    everything after it, the bias and ReLU included. Differentiable
-    with respect to all scorer parameters. The function returns logits
-    in spite of its name, which the benchmark's per-layer timing span
-    ``graphgen.edge_probabilities`` fixes. A series whose length is not
-    the scorer's input width is rejected by ``ad.matmul``.
+    ``series`` is one subject's (n, T) signals, giving (n, n) logits, or a
+    mini-batch's (B, n, T) stack, giving (B, n, n): the extractor then
+    multiplies the (B·n, T) rows of the stack in one product, and
+    ``ad.pair_logits`` pairs the nodes within each subject. That op takes
+    the product and does everything after it, the bias and ReLU included.
+    Differentiable with respect to all scorer parameters. The function
+    returns logits in spite of its name, which the benchmark's per-layer
+    timing span ``graphgen.edge_probabilities`` fixes. A series whose
+    length is not the scorer's input width is rejected by ``ad.matmul``.
     """
-    product = ad.matmul(Tensor(series), scorer.extract_w)
+    series = np.asarray(series, dtype=np.float64)
+    batch = len(series) if series.ndim == 3 else None
+    rows = series.reshape(-1, series.shape[-1]) if batch is not None else series
+    product = ad.matmul(Tensor(rows), scorer.extract_w)
     w1, b1, w2, b2 = scorer.pair_w1, scorer.pair_b1, scorer.pair_w2, scorer.pair_b2
-    return ad.pair_logits(product, scorer.extract_b, w1, b1, w2, b2)
-
-
-def sample_gumbel_noise(rng: np.random.Generator, n: int) -> tuple:
-    """Two independent n-by-n standard Gumbel draws for one forward pass."""
-    return rng.gumbel(size=(n, n)), rng.gumbel(size=(n, n))
+    return ad.pair_logits(product, scorer.extract_b, w1, b1, w2, b2, batch=batch)
 
 
 def check_temperature(tau) -> None:
@@ -69,20 +71,29 @@ def check_temperature(tau) -> None:
         raise ValueError(f"temperature and its reciprocal must be positive and finite, got {tau!r}")
 
 
+def check_noise(noise, shape: tuple) -> None:
+    """Reject a noise pair whose two draws do not both have the logits' ``shape``."""
+    g1, g2 = noise
+    if np.shape(g1) != shape or np.shape(g2) != shape:
+        shapes = f"{np.shape(g1)} and {np.shape(g2)}"
+        raise ValueError(f"noise shapes {shapes} do not match logits {shape}")
+
+
 def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
     """Relaxed edge sample: sigmoid((logits + g1 - g2) / tau).
 
     The noise pair is injected explicitly so training can resample per
     pass while tests freeze it; zero noise at tau=1 gives sigmoid(logits)
     exactly. The diagonal is forced to zero. Gradients flow to the
-    logits only; the noise enters as a constant. ``ad.gumbel_relax``
-    rejects logits that are not square, ``check_temperature`` a bad ``tau``.
+    logits only; the noise enters as a constant. One subject's (n, n)
+    logits take a pair of (n, n) draws, a mini-batch's (B, n, n) a pair of
+    (B, n, n) stacks. ``ad.gumbel_relax`` rejects logits that are not
+    square, ``check_noise`` draws of another shape and
+    ``check_temperature`` a bad ``tau``.
     """
     check_temperature(tau)
+    check_noise(noise, logits.shape)
     g1, g2 = noise
-    if np.shape(g1) != logits.shape or np.shape(g2) != logits.shape:
-        shapes = f"{np.shape(g1)} and {np.shape(g2)}"
-        raise ValueError(f"noise shapes {shapes} do not match logits {logits.shape}")
     delta = np.asarray(g1, dtype=np.float64) - np.asarray(g2, dtype=np.float64)
     return ad.gumbel_relax(logits, delta, tau)
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor, logistic
-from dualgraph.graphgen import build_filtered, check_temperature, edge_probabilities
-from dualgraph.graphgen import gumbel_sample, harden
+from dualgraph.graphgen import build_filtered, check_noise, check_temperature
+from dualgraph.graphgen import edge_probabilities, gumbel_sample, harden
 from dualgraph.preprocess import atomic_write
 
 MODES = ("full", "no_corr", "no_optim", "no_gconv")
@@ -171,18 +171,15 @@ def normalize_adjacency(adjacency) -> Tensor:
     Adds the identity, then scales entry (i, j) by the inverse square
     roots of row sums i and j. Row sums stay >= 1 thanks to the added
     self-loops, so this never divides by zero. Accepts a constant array
-    or a gradient-carrying tensor; gradients flow through both the
-    entries and the degrees. A list of B such (n, n) adjacencies, a
-    mini-batch's sampled graphs, gives their (B, n, n) stack in one op.
+    or a gradient-carrying tensor, one subject's (n, n) or a mini-batch's
+    (B, n, n) stack; gradients flow through both the entries and the
+    degrees.
     """
-    if isinstance(adjacency, list):
-        parts = [a if isinstance(a, Tensor) else Tensor(a) for a in adjacency]
-    else:
-        parts = [adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)]
-    for part in parts:
-        if (part.data < 0).any():
-            raise ValueError("adjacency entries must be non-negative")
-    return ad.adjacency_norm(parts if isinstance(adjacency, list) else parts[0])
+    if not isinstance(adjacency, Tensor):
+        adjacency = Tensor(adjacency)
+    if (adjacency.data < 0).any():
+        raise ValueError("adjacency entries must be non-negative")
+    return ad.adjacency_norm(adjacency)
 
 
 def gcn_forward(features, norm_adjacency: Tensor, stack: ParamGroup) -> Tensor:
@@ -228,29 +225,32 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 def forward(
     series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None, *, head=True
 ) -> Tensor | tuple:
-    """Scalar logit for one subject, or with ``head=False`` its graph-layer inputs.
+    """Scalar logit for one subject, or with ``head=False`` its checked inputs.
 
-    ``noise`` is a pair of standard-Gumbel matrices for the training
-    path; ``None`` selects the deterministic evaluation path, where the
-    sampled graph holds the edges with a non-negative scorer logit.
-    ``graph`` is the subject's ``thresholded_graph``; without it the
-    thresholded branch builds its own.
+    ``noise`` is a pair of standard-Gumbel (n, n) matrices for the
+    training path; ``None`` selects the deterministic evaluation path,
+    where the sampled graph holds the edges with a non-negative scorer
+    logit. ``graph`` is the subject's ``thresholded_graph``; without it
+    the thresholded branch builds its own. With the head, one subject
+    runs every layer as its own 2-D op call, as evaluation always does.
 
-    ``head=False`` stops after the edge scorer and the Gumbel relaxation
-    and returns ``(corr, graph, sampled)``: the correlations, the
-    thresholded graph and the relaxed (or hardened) sampled graph, None
-    for a branch the mode lacks. ``batch_logits`` then runs a whole
-    mini-batch's normalization, GCNs and head. It is a keyword rather
-    than a separate per-subject function because the benchmark
-    (``perfbench``) counts training subjects by ``forward`` calls that
-    carry noise; once it counts them from the mini-batch index lists,
-    such a function can take its place. With the head, one subject runs
-    every layer as its own 2-D op call, as evaluation always does.
+    ``head=False`` checks the subject's inputs and the shape of its noise
+    pair and returns ``(series, corr, graph)``: the signals and
+    correlations as float64 arrays and the thresholded graph, None in a
+    mode without that branch. ``batch_logits`` then runs a whole
+    mini-batch through every layer. It is a keyword rather than a
+    separate per-subject check because the benchmark (``perfbench``)
+    counts training subjects by ``forward`` calls that carry noise; once
+    it counts them from the mini-batch index lists, the keyword can go.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
     if config.mode in ("full", "no_optim") and graph is None:
         graph = thresholded_graph(corr, config)
+    if not head:
+        if noise is not None:
+            check_noise(noise, (config.n_rois, config.n_rois))
+        return series, corr, graph
     sampled = None
     if config.mode in ("full", "no_corr"):
         logits = edge_probabilities(series, state.scorer)
@@ -258,8 +258,6 @@ def forward(
             sampled = Tensor(harden(logits.data))
         else:
             sampled = gumbel_sample(logits, config.temperature, noise)
-    if not head:
-        return corr, graph, sampled
     return ad.classifier_head(_branches(corr, graph, sampled, state), *state.classifier.parameters())
 
 
@@ -267,9 +265,8 @@ def _branches(corr, graph, sampled, state: ModelState) -> list:
     """The branch outputs the head joins, thresholded first.
 
     Each input is one subject's, or a mini-batch's stacked on a leading
-    axis, with ``sampled`` then the list of its B sampled graphs; a
-    missing branch's input is None. ``no_gconv`` puts the correlations
-    in both slots.
+    axis; a missing branch's input is None. ``no_gconv`` puts the
+    correlations in both slots.
     """
     if state.config.mode == "no_gconv":
         return [Tensor(corr)] * 2
@@ -281,35 +278,29 @@ def _branches(corr, graph, sampled, state: ModelState) -> list:
     return branches
 
 
-# Floats in one (B, n, max(n, gcn_hidden_dim, gcn_out_dim)) layer stack up
-# to which a mini-batch runs each graph layer once on stacks: 400 KB, which
-# stays in L2, as ``autodiff._PAIR_BLOCK_FLOATS``. The acceptance geometry
-# (16 ROIs, widths 64/32, batches of 16: 16,384 floats) stacks; paper scale
-# (96 ROIs, widths 256: 393,216) runs per subject, where stacking made a
-# step slower on a 2-core Haswell host (5-19% in 3 of 4 in-process runs).
-_STACK_FLOATS = 50_000
+def batch_logits(inputs: list, state: ModelState, noise: np.ndarray) -> Tensor:
+    """The (B,) logits of a training mini-batch, every layer one op call on (B, n, ·) stacks.
 
-
-def batch_logits(inputs: list, state: ModelState) -> Tensor:
-    """The (B,) logits of a mini-batch, from each subject's ``forward(..., head=False)``.
-
-    Up to ``_STACK_FLOATS`` it stacks the subjects' graphs and features
-    and runs the sampled graphs' normalization and each GCN layer as one
-    op call on (B, n, ·) stacks; above it each subject runs them as 2-D
-    calls. Either way one ``classifier_head`` call scores the batch as a
-    (B × D) product, and every op is a tape node. The two paths give the
-    same bits: a stacked op runs the per-subject products, and each
-    weight's gradient is the product of the same stacked factors.
+    ``inputs`` holds each subject's ``forward(..., head=False)`` result
+    and ``noise`` the batch's (B, 2, n, n) standard-Gumbel draw, subject
+    b's pair in ``noise[b]``. The extractor multiplies the (B·n, T) rows
+    of the stacked signals in one product; the pair scorer, the Gumbel
+    relaxation, the sampled graphs' normalization and each GCN layer take
+    the (B, n, ·) stacks, and one ``classifier_head`` call scores the
+    batch as a (B × D) product. Every op is a tape node, ten in all in
+    ``full`` mode. Each stacked op runs the per-subject products, so a
+    subject's graphs and branch outputs have the bits of its own 2-D
+    calls, and each weight's gradient is the one product of its stacked
+    factors or the subjects' contributions added in batch order.
     """
     config = state.config
-    width = max(config.n_rois, config.gcn_hidden_dim, config.gcn_out_dim)
-    if len(inputs) * config.n_rois * width > _STACK_FLOATS:
-        parts = [branch for subject in inputs for branch in _branches(*subject, state)]
-    else:
-        corrs, graphs, sampled = zip(*inputs)
-        graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
-        sampled = None if sampled[0] is None else list(sampled)
-        parts = _branches(np.stack(corrs), graph, sampled, state)
+    series, corrs, graphs = zip(*inputs)
+    sampled = None
+    if config.mode in ("full", "no_corr"):
+        logits = edge_probabilities(np.stack(series), state.scorer)
+        sampled = gumbel_sample(logits, config.temperature, (noise[:, 0], noise[:, 1]))
+    graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
+    parts = _branches(np.stack(corrs), graph, sampled, state)
     return ad.classifier_head(parts, *state.classifier.parameters(), rows=len(inputs))
 
 

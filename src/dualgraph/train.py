@@ -328,22 +328,23 @@ def _batch_update(
 ) -> float:
     """One Adam update on the batch's mean loss; returns that loss.
 
-    Each subject's ``forward`` runs its edge scorer and Gumbel relaxation
-    and stops there, with noise from one draw for the whole batch (the
-    same numbers as one pair of draws per subject in turn);
-    ``batch_logits`` then runs the rest, the head as one (B × D) product.
-    The batch's tape is freed when this returns, before the next batch
-    builds its own, so one tape at a time is alive.
+    One noise draw serves the whole batch (the same numbers as one pair
+    of draws per subject in turn). Each subject's ``forward`` checks its
+    inputs and its noise pair, and ``batch_logits`` runs the batch
+    through every layer, each one op call. The draw is freed once the
+    logits stand, and the batch's tape when this returns, before the next
+    batch builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
     n = dataset.n_rois
-    # One noise draw for the batch, freed with the comprehension before the head and backward
+    noise = rng.gumbel(size=(len(batch), 2, n, n))
     subjects = [
-        forward(dataset.subjects[idx].series, inputs[idx][0], state, noise=tuple(noise),
+        forward(dataset.subjects[idx].series, inputs[idx][0], state, noise=tuple(pair),
                 graph=inputs[idx][1], head=False)
-        for idx, noise in zip(batch, rng.gumbel(size=(len(batch), 2, n, n)))
+        for idx, pair in zip(batch, noise)
     ]
-    logits = batch_logits(subjects, state)
+    logits = batch_logits(subjects, state, noise)
+    del noise
     mean_loss = ad.bce_mean(logits, [dataset.subjects[idx].label for idx in batch])
     value = float(mean_loss.data)
     if not np.isfinite(value):

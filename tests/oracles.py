@@ -109,6 +109,15 @@ def _stable_logistic(z):
     return e / (1.0 + e)
 
 
+def sample_gumbel_noise(rng, n):
+    """Two independent n-by-n standard Gumbel draws, one subject's noise pair.
+
+    Training draws a mini-batch's noise as one (B, 2, n, n) array; B calls
+    of this in turn give the same numbers.
+    """
+    return rng.gumbel(size=(n, n)), rng.gumbel(size=(n, n))
+
+
 def gumbel_elementwise_oracle(logits, tau, g1, g2):
     """Scalar-math evaluation of the relaxed sample, zero diagonal."""
     n = logits.shape[0]
@@ -497,6 +506,46 @@ def bce_with_logits(logit: Tensor, label) -> Tensor:
     return _make(np.asarray(bce_value(z, y)), (logit,), vjp)
 
 
+def select(a: Tensor, index: int) -> Tensor:
+    """Entry ``index`` of ``a``'s first axis, one graph of a stack; its gradient is zero elsewhere."""
+    shape = a.data.shape
+
+    def vjp(g: np.ndarray) -> tuple:
+        grad = np.zeros(shape)
+        grad[index] = g
+        return (grad,)
+
+    return _make(a.data[index].copy(), (a,), vjp)
+
+
+def stack(parts) -> Tensor:
+    """The parts stacked on a new first axis; part b's gradient is slice b of the stack's."""
+    return _make(np.stack([p.data for p in parts]), tuple(parts), lambda g: tuple(g))
+
+
+def per_graph(composite):
+    """``composite`` on a stack of B graphs as B 2-D calls, their outputs stacked.
+
+    The first argument decides: with three axes, every argument of three
+    axes, tensor or array, is split along the first and the rest are
+    shared; otherwise the call is the composite's own.
+    """
+
+    @functools.wraps(composite)
+    def batched(*args):
+        if args[0].data.ndim != 3:
+            return composite(*args)
+
+        def graph(arg, b):
+            if isinstance(arg, Tensor) and arg.data.ndim == 3:
+                return select(arg, b)
+            return arg[b] if isinstance(arg, np.ndarray) and arg.ndim == 3 else arg
+
+        return stack([composite(*(graph(arg, b) for arg in args)) for b in range(len(args[0].data))])
+
+    return batched
+
+
 def adjacency_norm_composite(adjacency):
     """``ad.adjacency_norm`` as primitive ops: add I, row sums, power, outer product."""
     n = adjacency.shape[0]
@@ -544,6 +593,30 @@ def entry(a: Tensor, index: int) -> Tensor:
     return _make(a.data.reshape(-1)[index], (a,), vjp)
 
 
+def bce_mean_loop(logits, labels):
+    """``ad.bce_mean`` as it was, one ``bce_value`` and one ``logistic`` call per logit.
+
+    The loss adds in batch order as it goes, and each label is checked
+    as it comes; the op must give the same bits and errors.
+    """
+    zs, count = logits.data, len(labels)
+    if not count or zs.shape != (count,) and not (count == 1 and zs.size == 1):
+        raise ValueError(
+            f"bce_mean needs one label per logit: a ({count},) vector, or a scalar for one "
+            f"label; got {count} labels for logits of shape {zs.shape}"
+        )
+    total, residuals = 0.0, np.empty(count)
+    for i, (z, label) in enumerate(zip(zs.reshape(-1).tolist(), labels)):
+        y = float(label)
+        if y not in (0.0, 1.0):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        total += bce_value(z, y)
+        residuals[i] = logistic(z) - y
+    inv_b = 1.0 / count
+    vjp = lambda g: ((g * inv_b * residuals).reshape(zs.shape),)  # noqa: E731
+    return _make(np.asarray(total * inv_b), (logits,), vjp)
+
+
 def bce_mean_composite(logits, labels):
     """``ad.bce_mean`` as primitive ops: one loss per logit entry, summed in order, scaled by 1/B."""
     total = None
@@ -553,10 +626,12 @@ def bce_mean_composite(logits, labels):
     return scale(total, 1.0 / len(labels))
 
 
+# The graph layers' composites are 2-D; ``per_graph`` runs a mini-batch's
+# (B, n, ·) stacks through them one graph at a time.
 LAYER_OP_COMPOSITES = {
-    "adjacency_norm": adjacency_norm_composite,
-    "graph_conv": graph_conv_composite,
-    "gumbel_relax": gumbel_relax_composite,
+    "adjacency_norm": per_graph(adjacency_norm_composite),
+    "graph_conv": per_graph(graph_conv_composite),
+    "gumbel_relax": per_graph(gumbel_relax_composite),
     "classifier_head": classifier_head_composite,
     "bce_mean": bce_mean_composite,
 }

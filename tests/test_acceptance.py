@@ -17,7 +17,7 @@ import pytest
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor, logistic
 from dualgraph.cli import main
-from dualgraph.graphgen import build_filtered, gumbel_sample, sample_gumbel_noise
+from dualgraph.graphgen import build_filtered, gumbel_sample
 from dualgraph.model import ModelConfig, forward, init_model, normalize_adjacency
 from dualgraph.preprocess import generate_synthetic, load_dataset, pearson_correlation, planted_blocks
 from dualgraph.train import TrainConfig, roc_auc, run_ablation
@@ -30,6 +30,7 @@ from oracles import (
     max_rel_error,
     normalize_dense_oracle,
     pearson_textbook,
+    sample_gumbel_noise,
     stump_best_accuracy,
     sum_all,
     threshold_double_loop,

@@ -15,6 +15,7 @@ from dualgraph.autodiff import Tensor
 from oracles import (
     LAYER_OP_COMPOSITES,
     add,
+    bce_mean_loop,
     bce_with_logits,
     concat,
     finite_difference_gradient,
@@ -169,6 +170,21 @@ class TestZeroOperand:
             assert zeros.tobytes() == bytes(zeros.nbytes)  # +0.0 everywhere
         with pytest.raises(ValueError, match="read-only"):
             np.fmax(x, 1.0, out=cached[(5, 7)])
+
+
+    def test_a_stack_takes_the_zero_of_its_last_two_axes(self, monkeypatch):
+        # One (n, m) zero serves every graph of a (B, n, m) stack.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 5, 7))
+        flat = x.reshape(-1)
+        flat[::4] = np.resize(_SPECIAL_FLOATS, flat[::4].size)
+        shapes, zeros = [], ad._zeros
+        monkeypatch.setattr(ad, "_zeros", lambda shape: shapes.append(shape) or zeros(shape))
+        with np.errstate(invalid="ignore"):
+            out = ad._relu_in_place(x.copy())
+        assert shapes == [(5, 7)]
+        expected = np.where(x > 0, x, 0.0)
+        assert out.tobytes() == expected.tobytes()
 
 
 _LOGISTIC_SPECIALS = _SPECIAL_FLOATS + [
@@ -500,7 +516,7 @@ class TestPairLogits:
         w2 = Tensor(arrays[4])
         w2.data, products = _product_spy(w2.data)
         ad.pair_logits(*map(Tensor, arrays[:4]), w2, Tensor(arrays[5]))
-        assert products == [[(rows * n, h), (h, 1)] for rows in blocks]
+        assert products == [[(1, rows * n, h), (h, 1)] for rows in blocks]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -534,6 +550,123 @@ class TestPairLogits:
     def test_shape_mismatch_rejected(self, shapes):
         with pytest.raises(ValueError, match="pair_logits"):
             ad.pair_logits(*[Tensor(np.zeros(s)) for s in shapes])
+
+    @pytest.mark.parametrize("rows,batch", [(5, 2), (4, 0), (4, -2), (4, 8), (4, 2.0)])
+    def test_a_batch_that_does_not_divide_the_rows_is_rejected(self, rows, batch):
+        shapes = [(rows, 1), (1,), (2, 2), (2,), (2, 1), (1,)]
+        with pytest.raises(ValueError, match="pair_logits"):
+            ad.pair_logits(*[Tensor(np.zeros(s)) for s in shapes], batch=batch)
+
+
+def _in_turn(arrays):
+    """``arrays[0] + arrays[1] + ...``, one addition at a time, as B VJPs add into a leaf."""
+    total = arrays[0]
+    for array in arrays[1:]:
+        total = total + array
+    return total
+
+
+def _assert_bits(ours, expected, what):
+    assert np.shape(ours) == np.shape(expected), what
+    assert np.asarray(ours).tobytes() == np.asarray(expected).tobytes(), what
+
+
+# Budgets of _PAIR_BLOCK_FLOATS: one subject in blocks of 16 rows (1), the
+# default, or k whole subjects per block (k * n * n * h for k = 1, 2, 3).
+_BUDGETS = st.sampled_from([1, None, ("subjects", 1), ("subjects", 2), ("subjects", 3)])
+
+
+class TestBatchedScorerOps:
+    """A mini-batch's pair scorer and relaxation against B single-subject 2-D calls, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 96])
+    @given(
+        d=st.sampled_from([1, 3, 8]),
+        h=st.sampled_from([1, 4, 5, 32]),
+        budget=_BUDGETS,
+        b1_shift=st.sampled_from([-1.0, 0.0, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_batched_pair_logits_is_b_single_subject_calls(self, n, batch, d, h, budget, b1_shift, seed):
+        # Logits and the product's gradient are the subjects' own, stacked;
+        # each weight's gradient is their contributions added in batch
+        # order, as the VJPs of B 2-D calls add them into the leaf.
+        rng = np.random.default_rng(seed)
+        arrays = _pair_mlp(rng, batch * n, d, h, b1_shift)
+        g = rng.standard_normal((batch, n, n))
+        if isinstance(budget, tuple):
+            budget = budget[1] * n * n * h
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(ad, "_PAIR_BLOCK_FLOATS", budget)
+            weights = [Tensor(a, requires_grad=True) for a in arrays[1:]]
+            out = ad.pair_logits(Tensor(arrays[0], requires_grad=True), *weights, batch=batch)
+            grads = out._vjp(g)
+            singles = [
+                ad.pair_logits(Tensor(arrays[0][b * n : (b + 1) * n], requires_grad=True), *weights)
+                for b in range(batch)
+            ]
+            single_grads = [single._vjp(g[b]) for b, single in enumerate(singles)]
+        _assert_bits(out.data, np.stack([single.data for single in singles]), "logits")
+        _assert_bits(grads[0], np.concatenate([sg[0] for sg in single_grads]), "product")
+        for k in range(1, 6):
+            _assert_bits(grads[k], _in_turn([sg[k] for sg in single_grads]), f"weight {k}")
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 96])
+    @given(tau=st.sampled_from([1e-308, 0.5, 1.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_batched_gumbel_relax_is_b_single_subject_calls(self, n, batch, tau, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((batch, n, n)) * 10.0 ** rng.integers(-3, 4, (batch, n, n))
+        delta = rng.gumbel(size=(batch, n, n)) - rng.gumbel(size=(batch, n, n))
+        g = rng.standard_normal((batch, n, n))
+        with np.errstate(over="ignore"):
+            out = ad.gumbel_relax(Tensor(logits, requires_grad=True), delta, tau)
+            singles = [ad.gumbel_relax(Tensor(logits[b], requires_grad=True), delta[b], tau) for b in range(batch)]
+        _assert_bits(out.data, np.stack([single.data for single in singles]), "relaxed")
+        _assert_bits(out._vjp(g)[0], np.stack([s._vjp(g[b])[0] for b, s in enumerate(singles)]), "grad")
+
+    @pytest.mark.parametrize("batch", [1, 2, 9, 16, 39])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (32,), (1, 1), (2, 1), (64, 32)])
+    def test_batch_sums_add_the_subjects_in_turn(self, batch, shape):
+        rng = np.random.default_rng(batch * 100 + len(shape))
+        parts = rng.standard_normal((batch, *shape)) * 10.0 ** rng.integers(-8, 9, (batch, *shape))
+        _assert_bits(ad._in_batch_order(parts), _in_turn(list(parts)), shape)
+
+    def test_batched_pair_logits_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(29)
+        arrays = _pair_mlp(rng, 2 * 4, 3, 5)
+        weights = rng.standard_normal((2, 4, 4))
+        _check_gradients(lambda ts: _layer_loss(ad.pair_logits(*ts, batch=2), weights), arrays)
+
+    def test_batched_gumbel_relax_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(31)
+        delta, weights = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
+        _check_gradients(
+            lambda ts: _layer_loss(ad.gumbel_relax(ts[0], delta, 0.7), weights),
+            [rng.standard_normal((3, 4, 4))],
+        )
+
+    @pytest.mark.parametrize(
+        "n,h,batch,budget,blocks",
+        [
+            (16, 32, 16, None, [6, 6, 4]),  # 8,192 floats a subject: 6 fit the budget
+            (96, 32, 2, None, [1] * 12),  # one subject at a time, in 16-row blocks
+            (7, 4, 5, 2 * 7 * 7 * 4, [2, 2, 1]),
+        ],
+    )
+    def test_a_block_holds_whole_subjects_when_one_fits(self, monkeypatch, n, h, batch, budget, blocks):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", budget)
+        arrays = _pair_mlp(np.random.default_rng(n), batch * n, 2, h)
+        w2 = Tensor(arrays[4])
+        w2.data, products = _product_spy(w2.data)
+        ad.pair_logits(*map(Tensor, arrays[:4]), w2, Tensor(arrays[5]), batch=batch)
+        rows = n if n * n * h <= ad._PAIR_BLOCK_FLOATS else 16
+        assert products == [[(k, rows * n, h), (h, 1)] for k in blocks]
 
 
 def _layer_loss(out, weights):
@@ -819,10 +952,8 @@ class TestLayerOps:
             ("classifier_head", [[(4, 3)], (2, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(4, 3)], (6, 5), (5,), (5, 1), (1,)]),
             ("classifier_head", [[(4, 3)], (0, 5), (5,), (5, 1), (1,)]),
-            ("adjacency_norm", [[(3, 3), (2, 2)]]),
-            ("adjacency_norm", [[(2, 3), (2, 3)]]),
-            ("adjacency_norm", [[]]),
-            ("adjacency_norm", [(2, 3, 3)]),
+            ("adjacency_norm", [(2, 3, 2)]),
+            ("adjacency_norm", [(2, 2, 3, 3)]),
             ("graph_conv", [(2, 3, 3), (3, 3, 4), (4, 2)]),
             ("graph_conv", [(2, 3, 3), (3, 4), (4, 2)]),
             ("graph_conv", [(3, 3), (2, 3, 4), (4, 2)]),
@@ -855,9 +986,14 @@ class TestLayerOps:
         with pytest.raises(ValueError, match="incompatible shapes"):
             ad.classifier_head([Tensor(np.zeros(p)) for p in parts], *head, rows=rows)
 
-    def test_gumbel_relax_rejects_mismatched_noise(self):
+    @pytest.mark.parametrize(
+        "logits,delta",
+        [((3, 3), (3, 2)), ((2, 3, 3), (3, 3)), ((3, 3), (2, 3, 3)), ((2, 3, 3), (3, 3, 3)),
+         ((2, 3, 2), (2, 3, 2)), ((2, 2, 3, 3), (2, 2, 3, 3)), ((3,), (3,))],
+    )
+    def test_gumbel_relax_rejects_mismatched_noise(self, logits, delta):
         with pytest.raises(ValueError, match="gumbel_relax"):
-            ad.gumbel_relax(Tensor(np.zeros((3, 3))), np.zeros((3, 2)), 1.0)
+            ad.gumbel_relax(Tensor(np.zeros(logits)), np.zeros(delta), 1.0)
 
 
 def _assert_close(ours, ref, what=""):
@@ -906,25 +1042,20 @@ class TestStackedLayerOps:
 
     @pytest.mark.parametrize("requires_grad", [False, True])
     @pytest.mark.parametrize("batch,n", [(1, 5), (3, 2), (4, 7)])
-    def test_multi_part_adjacency_norm_equals_single_subject_composites(self, batch, n, requires_grad):
+    def test_stacked_adjacency_norm_equals_single_subject_composites(self, batch, n, requires_grad):
         rng = np.random.default_rng(batch * 10 + n)
         graphs = np.stack([_adjacency(rng, n, soft=b % 2 == 0) for b in range(batch)])
         weights = rng.standard_normal((batch, n, n))
-        flags = [requires_grad] * batch
-        op = lambda *parts: ad.adjacency_norm(parts)  # noqa: E731
-        out, grads = _layer_run(op, list(graphs), flags, (), weights)
+        ours = _layer_run(ad.adjacency_norm, [graphs], [requires_grad], (), weights)
         composite = LAYER_OP_COMPOSITES["adjacency_norm"]
-        ref_out, ref_grads = _single_subject_calls(composite, [graphs], [], [requires_grad], weights)
-        stacked = [np.stack(grads) if requires_grad else None]
-        _assert_matches_single_calls((out, stacked), (ref_out, ref_grads), [requires_grad])
-        if requires_grad:  # each part's gradient is a view, its slice of one array
-            assert all(g.base is not None and g.base is grads[0].base for g in grads)
+        ref = _single_subject_calls(composite, [graphs], [], [requires_grad], weights)
+        _assert_matches_single_calls(ours, ref, [requires_grad])
 
     @pytest.mark.parametrize("flags", _FLAGS_3[1:])
     @pytest.mark.parametrize("batch,n,k,m", [(1, 4, 4, 8), (3, 5, 3, 8), (4, 6, 9, 12)])
     def test_stacked_graph_conv_equals_single_subject_composites(self, batch, n, k, m, flags):
         rng = np.random.default_rng(batch * n * k * m)
-        norm = ad.adjacency_norm([Tensor(_adjacency(rng, n, soft=True)) for _ in range(batch)]).data
+        norm = ad.adjacency_norm(Tensor(np.stack([_adjacency(rng, n, soft=True) for _ in range(batch)]))).data
         features, weight = rng.standard_normal((batch, n, k)), rng.standard_normal((k, m))
         weights = rng.standard_normal((batch, n, m))
         ours = _layer_run(ad.graph_conv, [norm, features, weight], flags, (), weights)
@@ -947,11 +1078,11 @@ class TestStackedLayerOps:
         ref = _single_subject_calls(composite, [thresholded, sampled], head, flags, weights)
         _assert_matches_single_calls(ours, ref, flags)
 
-    def test_multi_part_adjacency_norm_gradients_match_finite_differences(self):
+    def test_stacked_adjacency_norm_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
         weights = rng.standard_normal((3, 4, 4))
-        parts = [_adjacency(rng, 4, soft=True) for _ in range(3)]
-        _check_gradients(lambda ts: _layer_loss(ad.adjacency_norm(ts), weights), parts)
+        graphs = np.stack([_adjacency(rng, 4, soft=True) for _ in range(3)])
+        _check_gradients(lambda ts: _layer_loss(ad.adjacency_norm(ts[0]), weights), [graphs])
 
     def test_stacked_graph_conv_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -1057,6 +1188,36 @@ class TestBceMean(TestBceWithLogits):
 
     def test_batch_gradient(self):
         _check_gradients(lambda ts: ad.bce_mean(ts[0], [0, 1, 1]), [np.array([0.7, -1.2, 2.5])])
+
+    @given(st.integers(1, 39), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_logit_loop_bit_for_bit(self, batch, seed, specials, data):
+        # The vectorized losses and residuals are the loop's, infinities
+        # and signed zeros included, and a label that is not 0 or 1 fails
+        # alike. A NaN stays a NaN; its sign is the C compiler's choice of
+        # operand order when two NaNs meet, so it is not compared.
+        rng = np.random.default_rng(seed)
+        zs = rng.standard_normal(batch) * 10.0 ** rng.uniform(-3.0, 2.9, batch)
+        if specials:
+            spots = rng.choice(batch, size=max(1, batch // 4), replace=False)
+            zs[spots] = np.resize([np.nan, np.inf, -np.inf, 1e308, 0.0, -0.0, 745.0], spots.size)
+        good = st.sampled_from([0, 1, 0.0, 1.0, True, False, np.int64(1)])
+        bad = st.sampled_from([2, -1, 0.5, np.nan, np.inf, "1.5"])
+        labels = data.draw(st.lists(good | bad if data.draw(st.booleans()) else good,
+                                    min_size=len(zs), max_size=len(zs)))
+        upstream = data.draw(st.sampled_from([1.0, -0.37, 0.0]))
+
+        def run(op):
+            logits = Tensor(np.array(zs), requires_grad=True)
+            try:
+                with np.errstate(all="ignore"):
+                    out = op(logits, labels)
+            except ValueError as exc:
+                return str(exc)
+            values = np.concatenate([out.data.reshape(1), out._vjp(np.asarray(upstream))[0]])
+            return np.where(np.isnan(values), np.nan, values).tobytes()
+
+        assert run(ad.bce_mean) == run(bce_mean_loop)
 
     def test_makes_one_tape_node_for_the_batch(self):
         logits = relu(Tensor(np.array([0.5, 1.5, 2.5]), requires_grad=True))

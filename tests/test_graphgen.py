@@ -12,7 +12,6 @@ from dualgraph.graphgen import (
     edge_probabilities,
     gumbel_sample,
     harden,
-    sample_gumbel_noise,
 )
 from dualgraph.model import ModelConfig, ParamGroup, init_model
 from dualgraph.preprocess import generate_synthetic
@@ -23,6 +22,7 @@ from oracles import (
     gumbel_elementwise_oracle,
     harden_double_loop,
     max_rel_error,
+    sample_gumbel_noise,
     sigmoid,
     sum_all,
     threshold_double_loop,

@@ -1,6 +1,7 @@
 """Graph convolution, composed forward in every mode, and checkpoint tests."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -13,10 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualgraph import autodiff as ad
-from dualgraph import model as model_module
 from dualgraph.autodiff import Tensor
-from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample, harden
-from dualgraph.graphgen import sample_gumbel_noise
+from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample
 from dualgraph.model import (
     MODES,
     ModelConfig,
@@ -38,10 +37,12 @@ from dualgraph.train import TrainConfig, train_model
 
 from oracles import (
     LAYER_OP_COMPOSITES,
+    add,
     finite_difference_gradient,
     max_rel_error,
     normalize_dense_oracle,
     parameter_count,
+    sample_gumbel_noise,
     sum_all,
 )
 
@@ -313,31 +314,38 @@ class TestForward:
                 assert all(w.grad.any() for w in state.filtered_gcn.parameters())
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("mode", MODES)
-    def test_without_the_head_it_returns_the_inputs_batch_logits_scores(
-        self, monkeypatch, mode, training
-    ):
+    def test_without_the_head_it_returns_the_inputs_batch_logits_scores(self, monkeypatch, mode):
+        # forward(..., head=False) only checks: given the subject's graph it
+        # runs no op, and batch_logits on its result and the noise gives
+        # forward's logit. Without the graph it builds the same one.
         series, corr = _toy_subject(seed=8)
         state = init_model(_config(mode=mode, seed=21))
-        noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
-        heads, head = [], ad.classifier_head
-        monkeypatch.setattr(ad, "classifier_head", lambda *a, **k: heads.append(a) or head(*a, **k))
-        logit = forward(series, corr, state, noise=noise)
-        given, graph, sampled = forward(series, corr, state, noise=noise, head=False)
-        assert len(heads) == 1  # no head node for the call without it
-        assert given.tobytes() == corr.tobytes()
+        noise = np.stack(sample_gumbel_noise(np.random.default_rng(9), 6))
+        logit = forward(series, corr, state, noise=tuple(noise))
         expected = thresholded_graph(corr, state.config)
-        assert (graph is None) == (expected is None)
-        assert graph is None or graph.data.tobytes() == expected.data.tobytes()
-        if mode in ("full", "no_corr"):
-            logits = edge_probabilities(series, state.scorer)
-            relaxed = gumbel_sample(logits, 1.0, noise).data if training else harden(logits.data)
-            assert sampled.data.tobytes() == relaxed.tobytes() and sampled.requires_grad == training
-        else:
-            assert sampled is None
-        scored = batch_logits([(given, graph, sampled)], state)
+        built = forward(series, corr, state, noise=tuple(noise), head=False)[2]
+        assert (built is None) == (expected is None)
+        assert built is None or built.data.tobytes() == expected.data.tobytes()
+        calls = []
+        for name in ("matmul", "pair_logits", "gumbel_relax", "adjacency_norm", "graph_conv",
+                     "classifier_head"):
+            op = getattr(ad, name)
+            monkeypatch.setattr(ad, name, lambda *a, op=op, **k: calls.append(op) or op(*a, **k))
+        checked = forward(series.tolist(), corr, state, noise=tuple(noise), graph=expected, head=False)
+        assert calls == []
+        given_series, given, graph = checked
+        assert given_series.dtype == np.float64 and given_series.tobytes() == series.tobytes()
+        assert given.tobytes() == corr.tobytes() and graph is expected
+        scored = batch_logits([checked], state, noise[None])
         assert scored.shape == (1,) and scored.data.tobytes() == logit.data.reshape(1).tobytes()
+
+    @pytest.mark.parametrize("shapes", [[(6, 6), (6, 5)], [(5, 5), (5, 5)], [(1, 6, 6), (1, 6, 6)]])
+    def test_without_the_head_it_rejects_a_noise_pair_of_another_shape(self, shapes):
+        series, corr = _toy_subject(seed=8)
+        state = init_model(_config())
+        with pytest.raises(ValueError, match="noise shapes"):
+            forward(series, corr, state, noise=tuple(np.zeros(s) for s in shapes), head=False)
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
@@ -459,13 +467,6 @@ def _spy_on_outputs(monkeypatch, names, gradients_of=()):
 
 class TestWeightGradientStacking:
     def test_the_head_weight_is_one_stacked_product(self, monkeypatch):
-        for stacked in (True, False):
-            with monkeypatch.context() as patch:
-                patch.setattr(model_module, "_STACK_FLOATS", 10**9 if stacked else 0)
-                self._assert_one_head_product(patch, stacked)
-
-    @staticmethod
-    def _assert_one_head_product(monkeypatch, stacked):
         n, d, f, hc, batch = 6, 4, 8, 4, 3
         state = init_model(_config(gcn_out_dim=f, classifier_hidden_dim=hc, seed=5))
         # Any product pair_logits' VJP forms from the gradient it receives
@@ -474,21 +475,19 @@ class TestWeightGradientStacking:
         events = _spy_on_outputs(
             monkeypatch, ["pair_logits", "graph_conv"], gradients_of=["pair_logits"]
         )
-        rng = np.random.default_rng(7)
-        subjects = []  # as a training step forms them: one head call for the batch
-        for seed in range(batch):
-            noise = sample_gumbel_noise(rng, n)
-            subjects.append(forward(*_toy_subject(seed=seed), state, noise=noise, head=False))
-        logits = batch_logits(subjects, state)
+        noise = np.random.default_rng(7).gumbel(size=(batch, 2, n, n))
+        subjects = [  # as a training step forms them: one head call for the batch
+            forward(*_toy_subject(seed=seed), state, noise=tuple(pair), head=False)
+            for seed, pair in enumerate(noise)
+        ]
+        logits = batch_logits(subjects, state, noise)
         ad.bce_mean(logits, [seed % 2 for seed in range(batch)]).backward()
 
         width = 2 * n * f  # classifier.w1 is width x hc, fed one row per subject
         concats = [shapes for kind, shapes in events if kind == "concatenate"]
         products = [shapes for kind, shapes in events if kind == "matmul"]
-        assert not any(shape[0] == n * n for shapes in concats for shape in shapes)
-        assert not any(shape[0] == n * n for shapes in products for shape in shapes)
-        branches = [(batch, n, f)] * 2 if stacked else [(n, f)] * 2 * batch
-        assert concats == [branches]  # the batch's rows, joined once
+        assert not any(n * n in shape for shapes in concats + products for shape in shapes)
+        assert concats == [[(batch, n, f)] * 2]  # the batch's rows, joined once
         assert products.count([(batch, width), (width, hc)]) == 1  # the head's forward
         assert products.count([(width, batch), (batch, hc)]) == 1  # classifier.w1
         assert products.count([(width, 1), (1, hc)]) == 0
@@ -558,42 +557,46 @@ class TestTapeMemory:
         assert len(copies) == 1
 
 
-def _batch_gradients(state, subjects, noises):
-    """The batch's logits and every parameter's gradient of its mean BCE, formed as training does."""
-    inputs = [forward(*subject, state, noise=nz, head=False) for subject, nz in zip(subjects, noises)]
-    logits = batch_logits(inputs, state)
-    ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(subjects))]).backward()
-    names = [name for name, _ in parameter_shapes(state.config)]
-    return logits.data, dict(zip(names, (p.grad for p in state.parameters())))
+def _batch_gradients(state, subjects, noise):
+    """The logits and every parameter's gradient of the mean BCE, formed as training does.
 
-
-@pytest.fixture
-def per_subject(monkeypatch):
-    """Every mini-batch runs its graph layers subject by subject, as 2-D op calls.
-
-    The composites are 2-D, so they run that path only; the stacked ops
-    are held to B calls of them in ``test_autodiff.py``.
+    With ``noise``, the batch's (B, 2, n, n) draw, one ``batch_logits``
+    call scores the subjects; without it, each subject's evaluation
+    ``forward`` does, and their losses add up.
     """
-    monkeypatch.setattr(model_module, "_STACK_FLOATS", 0)
+    labels = [(i + 1) % 2 for i in range(len(subjects))]
+    if noise is None:
+        outs = [forward(*subject, state) for subject in subjects]
+        logits = np.array([float(out.data) for out in outs])
+        functools.reduce(add, [ad.bce_mean(out, [y]) for out, y in zip(outs, labels)]).backward()
+    else:
+        inputs = [forward(*s, state, noise=tuple(pair), head=False) for s, pair in zip(subjects, noise)]
+        logits = batch_logits(inputs, state, noise)
+        ad.bce_mean(logits, labels).backward()
+        logits = logits.data
+    names = [name for name, _ in parameter_shapes(state.config)]
+    return logits, dict(zip(names, (p.grad for p in state.parameters())))
 
 
-@pytest.mark.usefixtures("per_subject")
 class TestLayerOpsEqualTheirComposites:
-    """The fused layer ops and ``bce_mean`` change no bit of the model's logits, gradients or training."""
+    """The fused layer ops and ``bce_mean`` change no bit of the model's logits, gradients or training.
+
+    The graph layers' composites run a training mini-batch's stacks one
+    graph at a time (``oracles.per_graph``).
+    """
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("mode", MODES)
     def test_forward_and_gradients(self, monkeypatch, mode, training):
         subjects = [_toy_subject(seed=s) for s in range(3)]
-        rng = np.random.default_rng(4)
-        noises = [sample_gumbel_noise(rng, 6) if training else None for _ in subjects]
+        noise = np.random.default_rng(4).gumbel(size=(len(subjects), 2, 6, 6)) if training else None
 
         def run():
             state = init_model(_config(mode=mode, seed=21))
             # shift the scorer so the hardened graphs have both edges and gaps
             logits = edge_probabilities(subjects[0][0], state.scorer).data
             state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
-            return _batch_gradients(state, subjects, noises)
+            return _batch_gradients(state, subjects, noise)
 
         logits, grads = run()
         for name, composite in LAYER_OP_COMPOSITES.items():

@@ -13,7 +13,7 @@ from dualgraph import autodiff as ad
 from dualgraph import model as model_module
 from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
-from dualgraph.graphgen import build_filtered, sample_gumbel_noise
+from dualgraph.graphgen import build_filtered
 from dualgraph.model import MODES, forward, init_model, normalize_adjacency
 from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic, pearson_correlation
 from dualgraph.train import (
@@ -30,7 +30,7 @@ from dualgraph.train import (
     train_model,
 )
 
-from oracles import adam_out_of_place, auc_pair_counting, fit, mul
+from oracles import adam_out_of_place, auc_pair_counting, fit, mul, sample_gumbel_noise
 
 
 def poison_gumbel_vjp(monkeypatch):
@@ -335,24 +335,41 @@ class TestTrainingLoop:
 
     def test_each_batch_tape_is_freed_before_the_next_batch(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=5)
-        batches = []  # per batch, weak references to its subjects' logit arrays
-        zero_grad, real_forward = Adam.zero_grad, train_module.forward
+        batches = []  # per batch, weak references to its op outputs' arrays
+        zero_grad, real_batch_logits = Adam.zero_grad, train_module.batch_logits
 
         def counting_zero_grad(optimizer):
-            batches.append([])
+            for earlier in batches:
+                assert all(ref() is None for ref in earlier)
             return zero_grad(optimizer)
 
-        def recording_forward(*args, **kwargs):
-            for earlier in batches[:-1]:
-                assert all(ref() is None for subject in earlier for ref in subject)
-            out = real_forward(*args, **kwargs)  # the subject's graph-layer inputs
-            batches[-1].append([weakref.ref(out[2].data)])  # its relaxed sampled graph
+        def recording_batch_logits(*args):
+            out = real_batch_logits(*args)
+            batches.append([weakref.ref(n.data) for n in ad._topo_order(out) if n._vjp is not None])
             return out
 
         monkeypatch.setattr(Adam, "zero_grad", counting_zero_grad)
-        monkeypatch.setattr(train_module, "forward", recording_forward)
+        monkeypatch.setattr(train_module, "batch_logits", recording_batch_logits)
         fit(ds, list(range(8)), _small_config(epochs=2, batch_size=3, gcn_out_dim=8))
-        assert [len(b) for b in batches] == [3, 3, 2] * 2
+        assert [len(b) for b in batches] == [9] * 6  # every layer but the loss
+
+    def test_the_noise_draw_is_freed_before_the_loss(self, monkeypatch):
+        ds = generate_synthetic(8, 8, 32, seed=5)
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        draws, real_batch_logits, bce_mean = [], train_module.batch_logits, ad.bce_mean
+
+        def recording_batch_logits(subjects, state, noise):
+            draws.append(weakref.ref(noise))
+            return real_batch_logits(subjects, state, noise)
+
+        def checked_bce_mean(*args):
+            assert draws and draws[-1]() is None
+            return bce_mean(*args)
+
+        monkeypatch.setattr(train_module, "batch_logits", recording_batch_logits)
+        monkeypatch.setattr(ad, "bce_mean", checked_bce_mean)
+        train_module._batch_update(state, ds, inputs, [0, 1, 2], optimizer, rng, "batch 1")
+        assert len(draws) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
@@ -458,13 +475,10 @@ class TestTrainingLoop:
             assert np.isfinite(param.data).all()
             assert not np.array_equal(param.data, before)  # every parameter trained
 
-    @pytest.mark.parametrize("stacked", [True, False])
-    def test_a_training_step_tapes_one_node_per_op_call(self, monkeypatch, stacked):
-        # Per subject: the scorer's matmul and pair_logits and gumbel_relax.
-        # Stacked, the batch adds the sampled graphs' adjacency_norm, two
-        # graph_convs per branch, one classifier_head and one bce_mean; per
-        # subject, each subject runs the first five itself.
-        monkeypatch.setattr(model_module, "_STACK_FLOATS", 10**9 if stacked else 0)
+    def test_a_training_step_tapes_one_node_per_op_call(self, monkeypatch):
+        # The scorer's matmul and pair_logits, gumbel_relax, the sampled
+        # graphs' adjacency_norm, two graph_convs per branch, one
+        # classifier_head and one bce_mean: ten nodes for any batch size.
         tapes, backward = [], Tensor.backward
 
         def recording_backward(loss):
@@ -474,8 +488,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
         fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
-        per_subject, per_batch = (3, 7) if stacked else (8, 2)
-        assert tapes == [per_subject * b + per_batch for b in (4, 4, 2)]
+        assert tapes == [10, 10, 10]  # batches of 4, 4 and 2
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_an_evaluation_forward_tapes_seven_nodes(self, monkeypatch, cached):
@@ -648,15 +661,15 @@ class TestThresholdedGraphCache:
             expected = normalize_adjacency(build_filtered(corr, 0.6)).data
             assert graph.data.tobytes() == expected.tobytes() and not graph.requires_grad
 
-    @pytest.mark.parametrize("mode,per_subject", [("full", 1), ("no_optim", 0)])
-    def test_a_batch_update_normalizes_only_the_sampled_graphs(self, monkeypatch, mode, per_subject):
+    @pytest.mark.parametrize("mode,stacks", [("full", 1), ("no_optim", 0)])
+    def test_a_batch_update_normalizes_only_the_sampled_graphs(self, monkeypatch, mode, stacks):
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, optimizer, rng = train_module._setup(ds, _small_config(mode=mode))
         calls, adjacency_norm = [], ad.adjacency_norm
         monkeypatch.setattr(ad, "adjacency_norm", lambda a: calls.append(a) or adjacency_norm(a))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        graphs = [graph for call in calls for graph in (call if isinstance(call, list) else [call])]
-        assert len(graphs) == 4 * per_subject and all(graph.requires_grad for graph in graphs)
+        assert len(calls) == stacks  # the batch's four sampled graphs, as one stack
+        assert all(graph.shape == (4, 8, 8) and graph.requires_grad for graph in calls)
 
     def test_every_op_a_training_step_calls_is_a_tape_node(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=6)
@@ -674,7 +687,7 @@ class TestThresholdedGraphCache:
         for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        assert len(outputs) == 3 * 4 + 7  # 8 ROIs and widths 8 stack the batch
+        assert len(outputs) == 10  # one call per layer for the whole batch
         assert [name for name, _ in outputs[-2:]] == ["classifier_head", "bce_mean"]
         assert [name for name, out in outputs if out._vjp is None] == []
 
@@ -721,12 +734,9 @@ class TestMiniBatchPaths:
             expected = sample_gumbel_noise(per_subject, ds.n_rois)
             assert [g.tobytes() for g in noise] == [g.tobytes() for g in expected]
 
-    @pytest.mark.parametrize("stacked", [True, False])
-    def test_forward_and_the_edge_scorer_run_once_per_subject(self, monkeypatch, stacked):
+    def test_forward_runs_once_per_subject_and_the_edge_scorer_once_per_batch(self, monkeypatch):
         # The benchmark counts training subjects as forward calls with
-        # noise, times each forward(noise=None) as one scored subject and
-        # expects n * n scored pairs per edge_probabilities call.
-        monkeypatch.setattr(model_module, "_STACK_FLOATS", 10**9 if stacked else 0)
+        # noise and times each forward(noise=None) as one scored subject.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
         calls, real_forward, real_edges = [], train_module.forward, model_module.edge_probabilities
@@ -744,33 +754,38 @@ class TestMiniBatchPaths:
         monkeypatch.setattr(train_module, "forward", recording_forward)
         monkeypatch.setattr(model_module, "edge_probabilities", recording_edges)
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3, 4], optimizer, rng, "batch 1")
-        assert calls == [("forward", True), ("edges", (8, 8))] * 5
+        assert calls == [("forward", True)] * 5 + [("edges", (5, 8, 8))]
         calls.clear()
         evaluate(state, ds, list(range(8)))
         assert calls == [("forward", False), ("edges", (8, 8))] * 8
 
-    @pytest.mark.parametrize("batch", [[3, 0, 6, 1], [5]])
     @pytest.mark.parametrize("mode", MODES)
-    def test_the_stacked_and_per_subject_paths_give_the_same_bits(self, monkeypatch, mode, batch):
-        # A stacked op runs the per-subject products, and each weight's
-        # gradient is one product of the same stacked factors, so the
-        # logits and every gradient keep their bits. A one-subject last
-        # mini-batch stacks too.
-        ds = generate_synthetic(8, 8, 32, seed=6)
-        config = _small_config(mode=mode, gcn_out_dim=8)
-        runs, scored = [], []
-        spy = lambda *args: scored.append(model_module.batch_logits(*args)) or scored[-1]  # noqa: E731
-        monkeypatch.setattr(train_module, "batch_logits", spy)
-        for floats in (10**9, 0):
-            monkeypatch.setattr(model_module, "_STACK_FLOATS", floats)
-            state, inputs, optimizer, rng = train_module._setup(ds, config)
-            loss = train_module._batch_update(state, ds, inputs, batch, optimizer, rng, "batch 1")
-            grads = [None if p.grad is None else p.grad.tobytes() for p in state.parameters()]
-            runs.append((scored[-1].shape, scored[-1].data.tobytes(), loss, grads))
-            if mode != "no_gconv":  # a graph layer's weights do train
-                gcn_weights = state.filtered_gcn.parameters() + state.optimal_gcn.parameters()
-                assert any(p.grad is not None and p.grad.any() for p in gcn_weights)
-        assert runs[0] == runs[1] and runs[0][0] == (len(batch),)
+    @pytest.mark.parametrize(
+        "subjects,n,width", [(16, 16, 32), (4, 48, 256)], ids=["16x16", "4x48-width256"]
+    )
+    def test_a_training_step_keeps_what_the_benchmark_relies_on(self, monkeypatch, mode, subjects, n, width):
+        # The traced benchmark unpacks every ad.matmul operand as 2-D and
+        # counts training subjects as train.forward calls carrying noise.
+        ds = generate_synthetic(subjects, n, 32, seed=6)
+        config = _small_config(mode=mode, batch_size=subjects, gcn_hidden_dim=width, gcn_out_dim=width)
+        state, inputs, optimizer, rng = train_module._setup(ds, config)
+        operands, noises = [], []
+        real_matmul, real_forward = ad.matmul, train_module.forward
+
+        def recording_matmul(a, b):
+            operands.append((a.data.ndim, b.data.ndim))
+            return real_matmul(a, b)
+
+        def recording_forward(*args, **kwargs):
+            noises.append(kwargs["noise"] if "noise" in kwargs else (args[3] if len(args) > 3 else None))
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        monkeypatch.setattr(train_module, "forward", recording_forward)
+        train_module._batch_update(state, ds, inputs, list(range(subjects)), optimizer, rng, "batch 1")
+        assert operands == ([(2, 2)] if mode in ("full", "no_corr") else [])
+        assert len(noises) == subjects
+        assert all(len(pair) == 2 and all(g.shape == (n, n) for g in pair) for pair in noises)
 
 
 class TestPaperScaleGeometry:
