@@ -8,14 +8,15 @@ op per model layer, so that a layer costs one tape node:
 
 - ``pair_logits``, the edge scorer from the extractor's product on (bias,
   ReLU, pair MLP), keeps the embedding and the pair MLP's two (n, h)
-  halves; its forward builds the pairs' hidden layer a block at a time,
-  about 400 KB that stay in L2 (whole subjects when one subject's n*n*h
-  pairs fit, else rows of one subject), never the whole (n*n, h) array,
-  and its VJP rebuilds the pair ReLU mask, whole subjects at a time, in
-  the forward's pair layout as 0.0 and 1.0 and takes the upstream
-  gradient's masked sums from it with batched GEMVs, never forming the
-  gradient times the mask; with ``batch=B`` it scores a mini-batch's
-  subjects, (B·n, d) -> (B, n, n);
+  halves; its forward builds the pairs' hidden layer a block of rows at
+  a time, about 400 KB that stay in L2, never the whole (n*n, h) array,
+  and its VJP rebuilds the pair ReLU mask as one (n*n, h) array of 0.0
+  and 1.0 in the forward's pair layout and takes the upstream gradient's
+  masked sums from it with batched GEMVs, never forming the gradient
+  times the mask;
+- ``stack``, a mini-batch's B (n, n) logit matrices as one (B, n, n)
+  tensor, keeps nothing and hands each part its slice of the gradient
+  as a view;
 - ``adjacency_norm``, ``D^-1/2 (A + I) D^-1/2``, keeps ``A + I``, the
   scaling and the degrees;
 - ``graph_conv``, ``relu((A @ X) @ W)``, keeps ``A @ X`` and reads the
@@ -36,15 +37,13 @@ primitive-op chain it replaced (the tests keep it as their reference), in
 the same order and on operands of the same layout, so its outputs and
 gradients match that chain in every bit, except ``pair_logits``'
 gradients: summed in another order, they differ in the last bits.
-``pair_logits``, ``adjacency_norm``, ``graph_conv`` and ``gumbel_relax``
-also take a mini-batch's B subjects on a leading axis and run each
-subject's products as its own 2-D call does, in one numpy call per
-product, so a stacked call gives each subject the bits of a 2-D call; a
-weight's gradient over the stack is the one product of its stacked
-factors described below, or for the pair scorer's weights the subjects'
-contributions added in batch order. A VJP that needs a weight reads the live
-parameter array, which is sound because the optimizer steps only after
-``backward`` returns.
+``gumbel_relax``, ``adjacency_norm`` and ``graph_conv`` also take a
+mini-batch's B graphs on a leading axis and run each graph's products
+as its own 2-D call does, in one numpy call per product, so a stacked
+call gives each graph the bits of a 2-D call; a weight's gradient over
+the stack is the one product of its stacked factors described below.
+A VJP that needs a weight reads the live parameter array, which is
+sound because the optimizer steps only after ``backward`` returns.
 
 Gradients accumulate into ``Tensor.grad`` on leaves only, the tensors
 with no VJP such as parameters; each ``backward()`` call adds one full
@@ -289,30 +288,14 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-# Floats in one block of ``pair_logits``' pre-activations or VJP mask:
-# 400 KB, which stays in L2. That is 16 rows of pairs at n = 96 and h = 32
-# (faster than 2, 8 or 32 rows on a 2-core Haswell host) and 6 whole
-# subjects at n = 16.
+# Floats in one block of ``pair_logits``' pre-activations: 400 KB, which
+# stays in L2. That is 16 rows of pairs at n = 96 and h = 32 (faster than
+# 2, 8 or 32 rows on a 2-core Haswell host) and all 16 rows at n = 16.
 _PAIR_BLOCK_FLOATS = 50_000
 
 
-def _in_batch_order(parts: np.ndarray) -> np.ndarray:
-    """``parts[0] + parts[1] + ...`` added one after another, in batch order.
-
-    That is the order in which B per-subject VJPs add into a leaf's
-    gradient. ``np.add.reduce`` over the first axis adds whole rows in
-    turn, except on parts of one entry each, where the batch axis is the
-    only one left and it would sum pairwise; ``np.add.accumulate`` keeps
-    the order there (and everywhere, but an order of magnitude slower on
-    wide parts).
-    """
-    if parts[0].size == 1:
-        return np.add.accumulate(parts, axis=0)[-1]
-    return np.add.reduce(parts, axis=0)
-
-
 def pair_logits(
-    product: Tensor, b0: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, *, batch=None
+    product: Tensor, b0: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
 ) -> Tensor:
     """Pair MLP logits for every ordered row pair of ``E = relu(P + b0)``: (n, d) -> (n, n).
 
@@ -320,95 +303,75 @@ def pair_logits(
     ``b0`` its bias row, so ``E`` is the node embedding. Entry (i, j) is
     ``relu(concat(E[i], E[j]) @ w1 + b1) @ w2 + b2``, the first layer
     factored as ``L[i] + R[j]`` with ``L = E @ w1[:d] + b1`` and
-    ``R = E @ w1[d:]``. With ``batch=B``, ``P`` is a mini-batch's B
-    subjects' (n, d) products stacked row-wise, (B·n, d), pairs are formed
-    within each subject only, and the output is (B, n, n); every product
-    is the subject's own call, so each subject gets the bits of its 2-D
-    call, gradients included. The tape keeps ``E``, ``L`` and ``R`` (2·n·h
-    floats per subject besides ``E``), and the VJP recomputes only the
-    ReLU mask from them. It reads ``w1`` and ``w2`` from the live
-    parameter arrays, which is sound because the optimizer steps only
-    after ``backward`` returns. The upstream gradient's masked row and
-    column sums ``s`` and ``t``, each n GEMVs of a row or column of ``g``
-    with the mask's (n, h) slice, give every gradient: ``s * w2`` and
-    ``t * w2`` for ``L`` and ``R``, and ``sum(L * s) + sum(R * t)`` for
-    ``w2``, which is ``sum(relu(L[i] + R[j]) * g[i, j])`` added in another
-    order. ``E``'s gradient times ``E > 0`` is ``P``'s, and its column sums
-    are ``b0``'s. Over a batch, each weight's gradient is the subjects'
-    contributions added in batch order, as B 2-D calls' VJPs add them.
+    ``R = E @ w1[d:]``. The tape keeps ``E``, ``L`` and ``R`` (2·n·h floats
+    besides ``E``), and the VJP recomputes only the ReLU mask from them.
+    It reads ``w1`` and ``w2`` from the live parameter arrays, which is
+    sound because the optimizer steps only after ``backward`` returns.
+    The upstream gradient's masked row and column sums ``s`` and ``t``,
+    each n GEMVs of a row or column of ``g`` with the mask's (n, h) slice,
+    give every gradient: ``s * w2`` and ``t * w2`` for ``L`` and ``R``,
+    and ``sum(L * s) + sum(R * t)`` for ``w2``, which is
+    ``sum(relu(L[i] + R[j]) * g[i, j])`` added in another order.
+    ``E``'s gradient times ``E > 0`` is ``P``'s, and its column sums are
+    ``b0``'s.
     """
     pd, b0d, w1d, b1d, w2d, b2d = (t.data for t in (product, b0, w1, b1, w2, b2))
     shapes, h = [x.shape for x in (pd, b0d, w1d, b1d, w2d, b2d)], b1d.size
     d = shapes[0][1] if pd.ndim == 2 else -1
-    count = 1 if batch is None else batch
-    if (
-        shapes[1:] != [(d,), (2 * d, h), (h,), (h, 1), (1,)]
-        or not (isinstance(count, int) and count > 0 and pd.shape[0] % count == 0)
-    ):
-        raise ValueError(f"pair_logits: incompatible shapes {shapes}, batch={batch}")
-    n = pd.shape[0] // count
-    embed = _relu_in_place(pd + b0d).reshape(count, n, d)
+    if shapes[1:] != [(d,), (2 * d, h), (h,), (h, 1), (1,)]:
+        raise ValueError(f"pair_logits: incompatible shapes {shapes}")
+    n = pd.shape[0]
+    embed = _relu_in_place(pd + b0d)
     left, right = embed @ w1d[:d] + b1d, embed @ w1d[d:]
-    flat_right = right.reshape(count, 1, n * h)
-    # Whole subjects per block when one subject's n*n*h pairs fit the
-    # budget, else one subject in blocks of rows.
-    subjects = max(1, _PAIR_BLOCK_FLOATS // max(1, n * n * h))
-    rows = max(1, n)
-    if n * n * h > _PAIR_BLOCK_FLOATS:
-        rows = max(16, _PAIR_BLOCK_FLOATS // (n * h) // 16 * 16)
+    flat_right = right.reshape(1, n * h)
 
     def vjp(g: np.ndarray) -> tuple:
         # The pair ReLU mask as 0.0/1.0 in the forward's layout (row i holds
-        # L[i] + R[j] for every j), from the forward's own sums, a block of
-        # whole subjects at a time. Batched (1, n) @ (n, h) GEMVs give
-        # s[i] = g[i] @ mask[i] and t[j] = g[:, j] @ mask[:, j] with no
-        # (n, n, h) product. g's columns go in contiguous: numpy hands a
-        # strided vector to its own loop, which sums in another order than BLAS.
-        g = g.reshape(count, n, n)
-        s, t = np.empty((count, n, 1, h)), np.empty((count, n, 1, h))
-        for b in range(0, count, subjects):
-            block = slice(b, b + subjects)
-            m = np.repeat(left[block], n, axis=1).reshape(-1, n, n * h)
-            m += flat_right[block]
-            np.greater(m, 0.0, out=m)
-            m4 = m.reshape(-1, n, n, h)
-            np.matmul(g[block, :, None, :], m4, out=s[block])
-            columns = np.ascontiguousarray(g[block].swapaxes(1, 2))[:, :, None, :]
-            np.matmul(columns, m4.transpose(0, 2, 1, 3), out=t[block])
-        s, t = s[:, :, 0], t[:, :, 0]
+        # L[i] + R[j] for every j), from the forward's own sums. Batched
+        # (1, n) @ (n, h) GEMVs give s[i] = g[i] @ mask[i] and
+        # t[j] = g[:, j] @ mask[:, j] with no (n, n, h) product. g's columns
+        # go in contiguous: numpy hands a strided vector to its own loop,
+        # which sums in another order than BLAS.
+        m = np.repeat(left, n, axis=0).reshape(n, n * h)
+        m += flat_right
+        np.greater(m, 0.0, out=m)
+        m3 = m.reshape(n, n, h)
+        s = np.matmul(g[:, None, :], m3)[:, 0]
+        t = np.matmul(np.ascontiguousarray(g.T)[:, None, :], m3.transpose(1, 0, 2))[:, 0]
         g_left, g_right = s * w2d[:, 0], t * w2d[:, 0]
-        gw2 = (left * s).sum(axis=1) + (right * t).sum(axis=1)
+        gw2 = ((left * s).sum(axis=0) + (right * t).sum(axis=0)).reshape(h, 1)
         gp = (g_left @ w1d[:d].T + g_right @ w1d[d:].T) * (embed > 0)
-        embed_t = embed.swapaxes(1, 2)
-        gw1 = np.concatenate((embed_t @ g_left, embed_t @ g_right), axis=1)
-        gb2 = g.reshape(count, n * n, 1).sum(axis=1)
-        return (
-            gp.reshape(pd.shape),
-            _in_batch_order(gp.sum(axis=1)),
-            _in_batch_order(gw1),
-            _in_batch_order(g_left.sum(axis=1)),
-            _in_batch_order(gw2).reshape(h, 1),
-            _in_batch_order(gb2),
-        )
+        gw1 = np.concatenate((embed.T @ g_left, embed.T @ g_right))
+        gb2 = g.reshape(n * n, 1).sum(axis=0)
+        return gp, gp.sum(axis=0), gw1, g_left.sum(axis=0), gw2, gb2
 
-    # Row k*n + j of a subject's block at row i is pair (i + k, j), L[i + k]
-    # + R[j] added along contiguous rows. OpenBLAS's GEMV sums a row in an
-    # order set by its place in a group of 4 rows, so every block but the
-    # last holds a multiple of 16 rows of pairs, and each subject's GEMVs
-    # are their own calls: each logit keeps the bits of one (n*n, h) GEMV
-    # on one thread. (OpenBLAS splits a GEMV of about 400K floats or more
-    # across threads, which moves some bits, as at n = 150; a block within
-    # the budget stays on one thread.)
-    out = np.empty((count, n * n, 1))
-    for b in range(0, count, subjects):
-        for i in range(0, n, rows):
-            block = np.repeat(left[b : b + subjects, i : i + rows], n, axis=1)
-            pairs = block.reshape(len(block), -1, n * h)
-            np.add(pairs, flat_right[b : b + subjects], out=pairs)
-            np.matmul(_relu_in_place(block), w2d, out=out[b : b + subjects, i * n : (i + rows) * n])
+    # Row k*n + j of the block at row i is pair (i + k, j), L[i + k] + R[j]
+    # added along contiguous rows. OpenBLAS's GEMV sums a row in an order set
+    # by its place in a group of 4 rows, so every block but the last holds a
+    # multiple of 16 rows of pairs: each logit keeps the bits of one (n*n, h)
+    # GEMV on one thread. (OpenBLAS splits a GEMV of about 400K floats or
+    # more across threads, which moves some bits, as at n = 150; a block
+    # within the budget stays on one thread.)
+    out = np.empty(n * n)
+    rows = max(16, _PAIR_BLOCK_FLOATS // max(1, n * h) // 16 * 16)
+    for i in range(0, n, rows):
+        block = np.repeat(left[i : i + rows], n, axis=0)
+        pairs = block.reshape(-1, n * h)
+        np.add(pairs, flat_right, out=pairs)
+        np.matmul(_relu_in_place(block), w2d, out=out[i * n : i * n + len(block)].reshape(-1, 1))
     out += b2d
-    shape = (n, n) if batch is None else (count, n, n)
-    return _make(out.reshape(shape), (product, b0, w1, b1, w2, b2), vjp)
+    return _make(out.reshape(n, n), (product, b0, w1, b1, w2, b2), vjp)
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """B tensors of one shape as one tensor on a new leading axis: B x (n, n) -> (B, n, n).
+
+    Each part's gradient is a view, its slice of the stack's.
+    """
+    shapes = [part.shape for part in parts]
+    if not shapes or shapes.count(shapes[0]) != len(shapes):
+        raise ValueError(f"stack: parts of incompatible shapes {shapes}")
+    return _make(np.stack([part.data for part in parts]), parts, tuple)
 
 
 def adjacency_norm(adjacency: Tensor) -> Tensor:
@@ -561,13 +524,14 @@ def classifier_head(
     return _make((hidden @ w2d + b2d).reshape(out_shape), (*parts, w1, b1, w2, b2), vjp)
 
 
-def bce_value(logit: float, label) -> float:
-    """Binary cross-entropy -[y log s(z) + (1-y) log(1-s(z))], stable form.
+def bce_value(logit, label):
+    """Binary cross-entropy -[y log s(z) + (1-y) log(1-s(z))], stable form, elementwise.
 
     Computed as max(z, 0) - z*y + log1p(exp(-|z|)) so large-magnitude
-    logits neither overflow nor lose the tiny-loss tail.
+    logits neither overflow nor lose the tiny-loss tail. Scalars give a
+    numpy scalar, arrays the array of their losses.
     """
-    return max(logit, 0.0) - logit * label + float(np.log1p(np.exp(-abs(logit))))
+    return np.maximum(logit, 0.0) - logit * label + np.log1p(np.exp(-np.abs(logit)))
 
 
 def bce_mean(logits: Tensor, labels: Sequence) -> Tensor:
@@ -576,8 +540,8 @@ def bce_mean(logits: Tensor, labels: Sequence) -> Tensor:
     ``logits`` holds one logit per label: a (B,) vector, such as
     ``classifier_head``'s over a mini-batch, or for one label any
     one-entry shape, such as a subject's 0-d logit. The B losses and
-    residuals ``s(z_i) - y_i`` are one vectorized expression each, the
-    elementwise arithmetic of ``bce_value`` and ``logistic``; the losses
+    residuals ``s(z_i) - y_i`` are one vectorized expression each,
+    ``bce_value`` and ``logistic`` on the (B,) vectors; the losses
     add in batch order, then the sum is multiplied by ``1 / B``. Logit i's
     gradient is ``(g * (1 / B)) * (s(z_i) - y_i)``. Labels are 0 or 1.
     """
@@ -594,10 +558,9 @@ def bce_mean(logits: Tensor, labels: Sequence) -> Tensor:
             raise ValueError(f"label must be 0 or 1, got {label!r}")
         ys.append(y)
     z, y = zs.reshape(-1), np.array(ys)
-    losses = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     residuals = logistic(z) - y
     total = 0.0  # 0.0 + loss is loss: no loss is -0.0
-    for loss in losses.tolist():
+    for loss in bce_value(z, y).tolist():
         total += loss
     inv_b = 1.0 / count
 

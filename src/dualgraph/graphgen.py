@@ -3,9 +3,8 @@
 The thresholded graph keeps correlation pairs above a cutoff and is a
 fixed, undirected input. The sampled graph is learned: a per-node signal
 embedding feeds a pair MLP producing one edge logit ``z`` per ordered
-pair (edge probability ``sigmoid(z)``), two tape nodes in all, for one
-subject or a whole training mini-batch: the extractor's product, then
-``ad.pair_logits`` for the rest. During
+pair (edge probability ``sigmoid(z)``), two tape nodes per subject: the
+extractor's product, then ``ad.pair_logits`` for the rest. During
 training a logistic-Gumbel relaxation of those logits,
 ``sigmoid((z + g1 - g2) / tau)``, gives a differentiable soft
 adjacency; at evaluation time the graph is the noise-free limit of that
@@ -46,22 +45,18 @@ def edge_probabilities(series: np.ndarray, scorer) -> Tensor:
     ``pair_w2``, ``pair_b2``) ending in one logit. Entry (i, j) is the
     logit of the directed pair (node i's embedding first), so the matrix
     is generally asymmetric; ``sigmoid`` of it is the edge probability.
-    ``series`` is one subject's (n, T) signals, giving (n, n) logits, or a
-    mini-batch's (B, n, T) stack, giving (B, n, n): the extractor then
-    multiplies the (B·n, T) rows of the stack in one product, and
-    ``ad.pair_logits`` pairs the nodes within each subject. That op takes
-    the product and does everything after it, the bias and ReLU included.
-    Differentiable with respect to all scorer parameters. The function
-    returns logits in spite of its name, which the benchmark's per-layer
-    timing span ``graphgen.edge_probabilities`` fixes. A series whose
-    length is not the scorer's input width is rejected by ``ad.matmul``.
+    ``ad.pair_logits`` takes the product ``series @ extract_w`` and does
+    everything after it, the bias and ReLU included. Differentiable
+    with respect to all scorer parameters. The function returns logits
+    in spite of its name, which the benchmark's per-layer timing span
+    ``graphgen.edge_probabilities`` fixes; that benchmark also counts
+    one subject's n·n pairs per call, so training scores one subject per
+    call too. A series whose length is not the scorer's input width is
+    rejected by ``ad.matmul``.
     """
-    series = np.asarray(series, dtype=np.float64)
-    batch = len(series) if series.ndim == 3 else None
-    rows = series.reshape(-1, series.shape[-1]) if batch is not None else series
-    product = ad.matmul(Tensor(rows), scorer.extract_w)
+    product = ad.matmul(Tensor(series), scorer.extract_w)
     w1, b1, w2, b2 = scorer.pair_w1, scorer.pair_b1, scorer.pair_w2, scorer.pair_b2
-    return ad.pair_logits(product, scorer.extract_b, w1, b1, w2, b2, batch=batch)
+    return ad.pair_logits(product, scorer.extract_b, w1, b1, w2, b2)
 
 
 def check_temperature(tau) -> None:

@@ -225,7 +225,7 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 def forward(
     series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None, *, head=True
 ) -> Tensor | tuple:
-    """Scalar logit for one subject, or with ``head=False`` its checked inputs.
+    """Scalar logit for one subject, or with ``head=False`` its graph-layer inputs.
 
     ``noise`` is a pair of standard-Gumbel (n, n) matrices for the
     training path; ``None`` selects the deterministic evaluation path,
@@ -234,26 +234,29 @@ def forward(
     the thresholded branch builds its own. With the head, one subject
     runs every layer as its own 2-D op call, as evaluation always does.
 
-    ``head=False`` checks the subject's inputs and the shape of its noise
-    pair and returns ``(series, corr, graph)``: the signals and
-    correlations as float64 arrays and the thresholded graph, None in a
-    mode without that branch. ``batch_logits`` then runs a whole
-    mini-batch through every layer. It is a keyword rather than a
-    separate per-subject check because the benchmark (``perfbench``)
-    counts training subjects by ``forward`` calls that carry noise; once
-    it counts them from the mini-batch index lists, the keyword can go.
+    ``head=False`` checks the shape of the noise pair, stops after the
+    edge scorer and returns ``(corr, graph, logits)``: the correlations,
+    the thresholded graph and the scorer's (n, n) logits, None for a
+    branch the mode lacks. ``batch_logits`` then runs a whole
+    mini-batch's relaxation, normalization, GCNs and head. It is a
+    keyword rather than a separate per-subject function because the
+    benchmark (``perfbench``) counts training subjects by ``forward``
+    calls that carry noise; once it counts them from the mini-batch
+    index lists, such a function can take its place.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
     if config.mode in ("full", "no_optim") and graph is None:
         graph = thresholded_graph(corr, config)
+    logits = None
+    if config.mode in ("full", "no_corr"):
+        logits = edge_probabilities(series, state.scorer)
     if not head:
         if noise is not None:
             check_noise(noise, (config.n_rois, config.n_rois))
-        return series, corr, graph
+        return corr, graph, logits
     sampled = None
-    if config.mode in ("full", "no_corr"):
-        logits = edge_probabilities(series, state.scorer)
+    if logits is not None:
         if noise is None:
             sampled = Tensor(harden(logits.data))
         else:
@@ -279,26 +282,23 @@ def _branches(corr, graph, sampled, state: ModelState) -> list:
 
 
 def batch_logits(inputs: list, state: ModelState, noise: np.ndarray) -> Tensor:
-    """The (B,) logits of a training mini-batch, every layer one op call on (B, n, ·) stacks.
+    """The (B,) logits of a training mini-batch, from each subject's ``forward(..., head=False)``.
 
-    ``inputs`` holds each subject's ``forward(..., head=False)`` result
-    and ``noise`` the batch's (B, 2, n, n) standard-Gumbel draw, subject
-    b's pair in ``noise[b]``. The extractor multiplies the (B·n, T) rows
-    of the stacked signals in one product; the pair scorer, the Gumbel
-    relaxation, the sampled graphs' normalization and each GCN layer take
-    the (B, n, ·) stacks, and one ``classifier_head`` call scores the
-    batch as a (B × D) product. Every op is a tape node, ten in all in
-    ``full`` mode. Each stacked op runs the per-subject products, so a
-    subject's graphs and branch outputs have the bits of its own 2-D
-    calls, and each weight's gradient is the one product of its stacked
-    factors or the subjects' contributions added in batch order.
+    ``noise`` is the batch's (B, 2, n, n) standard-Gumbel draw, subject
+    b's pair in ``noise[b]``. The subjects' scorer logits are stacked into
+    one (B, n, n) tensor; the Gumbel relaxation, the sampled graphs'
+    normalization and each GCN layer run once on the (B, n, ·) stacks,
+    and one ``classifier_head`` call scores the batch as a (B × D)
+    product. Every op is a tape node. Each stacked op runs the per-graph
+    products, so a subject's graphs and branch outputs have the bits of
+    its own 2-D calls, and each weight's gradient is the one product of
+    its stacked factors.
     """
-    config = state.config
-    series, corrs, graphs = zip(*inputs)
+    corrs, graphs, logits = zip(*inputs)
     sampled = None
-    if config.mode in ("full", "no_corr"):
-        logits = edge_probabilities(np.stack(series), state.scorer)
-        sampled = gumbel_sample(logits, config.temperature, (noise[:, 0], noise[:, 1]))
+    if logits[0] is not None:
+        pairs = (noise[:, 0], noise[:, 1])
+        sampled = gumbel_sample(ad.stack(logits), state.config.temperature, pairs)
     graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
     parts = _branches(np.stack(corrs), graph, sampled, state)
     return ad.classifier_head(parts, *state.classifier.parameters(), rows=len(inputs))

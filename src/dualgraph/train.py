@@ -330,10 +330,10 @@ def _batch_update(
 
     One noise draw serves the whole batch (the same numbers as one pair
     of draws per subject in turn). Each subject's ``forward`` checks its
-    inputs and its noise pair, and ``batch_logits`` runs the batch
-    through every layer, each one op call. The draw is freed once the
-    logits stand, and the batch's tape when this returns, before the next
-    batch builds its own, so one tape at a time is alive.
+    noise pair and runs its edge scorer, and ``batch_logits`` runs the
+    rest, each layer one op call on the batch's stacks. The draw is freed
+    once the logits stand, and the batch's tape when this returns, before
+    the next batch builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
     n = dataset.n_rois
@@ -407,9 +407,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
         val_logits = _predict_logits(state, dataset, indices.val, inputs)
         tp, fp, tn, fn = _confusion(logistic(val_logits), val_labels)
         val_f1 = _safe_ratio(2.0 * tp, 2.0 * tp + fp + fn)
-        val_loss = float(
-            np.mean([bce_value(z, y) for z, y in zip(val_logits, val_labels)])
-        )
+        val_loss = float(np.mean(bce_value(val_logits, val_labels)))
         log.append(
             {
                 "epoch": epoch,

@@ -518,11 +518,6 @@ def select(a: Tensor, index: int) -> Tensor:
     return _make(a.data[index].copy(), (a,), vjp)
 
 
-def stack(parts) -> Tensor:
-    """The parts stacked on a new first axis; part b's gradient is slice b of the stack's."""
-    return _make(np.stack([p.data for p in parts]), tuple(parts), lambda g: tuple(g))
-
-
 def per_graph(composite):
     """``composite`` on a stack of B graphs as B 2-D calls, their outputs stacked.
 
@@ -541,7 +536,7 @@ def per_graph(composite):
                 return select(arg, b)
             return arg[b] if isinstance(arg, np.ndarray) and arg.ndim == 3 else arg
 
-        return stack([composite(*(graph(arg, b) for arg in args)) for b in range(len(args[0].data))])
+        return ad.stack([composite(*(graph(arg, b) for arg in args)) for b in range(len(args[0].data))])
 
     return batched
 
@@ -594,10 +589,12 @@ def entry(a: Tensor, index: int) -> Tensor:
 
 
 def bce_mean_loop(logits, labels):
-    """``ad.bce_mean`` as it was, one ``bce_value`` and one ``logistic`` call per logit.
+    """``ad.bce_mean`` as it was, one scalar loss and one ``logistic`` call per logit.
 
-    The loss adds in batch order as it goes, and each label is checked
-    as it comes; the op must give the same bits and errors.
+    The loss is the stable form in Python scalar arithmetic,
+    ``max(z, 0) - z*y + log1p(exp(-|z|))``, added in batch order as it
+    goes, and each label is checked as it comes; the op must give the
+    same bits and errors.
     """
     zs, count = logits.data, len(labels)
     if not count or zs.shape != (count,) and not (count == 1 and zs.size == 1):
@@ -610,7 +607,7 @@ def bce_mean_loop(logits, labels):
         y = float(label)
         if y not in (0.0, 1.0):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
-        total += bce_value(z, y)
+        total += max(z, 0.0) - z * y + float(np.log1p(np.exp(-abs(z))))
         residuals[i] = logistic(z) - y
     inv_b = 1.0 / count
     vjp = lambda g: ((g * inv_b * residuals).reshape(zs.shape),)  # noqa: E731

@@ -516,7 +516,7 @@ class TestPairLogits:
         w2 = Tensor(arrays[4])
         w2.data, products = _product_spy(w2.data)
         ad.pair_logits(*map(Tensor, arrays[:4]), w2, Tensor(arrays[5]))
-        assert products == [[(1, rows * n, h), (h, 1)] for rows in blocks]
+        assert products == [[(rows * n, h), (h, 1)] for rows in blocks]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -551,68 +551,38 @@ class TestPairLogits:
         with pytest.raises(ValueError, match="pair_logits"):
             ad.pair_logits(*[Tensor(np.zeros(s)) for s in shapes])
 
-    @pytest.mark.parametrize("rows,batch", [(5, 2), (4, 0), (4, -2), (4, 8), (4, 2.0)])
-    def test_a_batch_that_does_not_divide_the_rows_is_rejected(self, rows, batch):
-        shapes = [(rows, 1), (1,), (2, 2), (2,), (2, 1), (1,)]
-        with pytest.raises(ValueError, match="pair_logits"):
-            ad.pair_logits(*[Tensor(np.zeros(s)) for s in shapes], batch=batch)
-
-
-def _in_turn(arrays):
-    """``arrays[0] + arrays[1] + ...``, one addition at a time, as B VJPs add into a leaf."""
-    total = arrays[0]
-    for array in arrays[1:]:
-        total = total + array
-    return total
-
 
 def _assert_bits(ours, expected, what):
     assert np.shape(ours) == np.shape(expected), what
     assert np.asarray(ours).tobytes() == np.asarray(expected).tobytes(), what
 
 
-# Budgets of _PAIR_BLOCK_FLOATS: one subject in blocks of 16 rows (1), the
-# default, or k whole subjects per block (k * n * n * h for k = 1, 2, 3).
-_BUDGETS = st.sampled_from([1, None, ("subjects", 1), ("subjects", 2), ("subjects", 3)])
-
-
-class TestBatchedScorerOps:
-    """A mini-batch's pair scorer and relaxation against B single-subject 2-D calls, bit for bit."""
+class TestBatchedRelaxation:
+    """A mini-batch's logit stack and relaxation against B single-subject calls, bit for bit."""
 
     @pytest.mark.parametrize("batch", [1, 2, 5, 16])
-    @pytest.mark.parametrize("n", [1, 2, 7, 16, 96])
-    @given(
-        d=st.sampled_from([1, 3, 8]),
-        h=st.sampled_from([1, 4, 5, 32]),
-        budget=_BUDGETS,
-        b1_shift=st.sampled_from([-1.0, 0.0, 1.0]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_batched_pair_logits_is_b_single_subject_calls(self, n, batch, d, h, budget, b1_shift, seed):
-        # Logits and the product's gradient are the subjects' own, stacked;
-        # each weight's gradient is their contributions added in batch
-        # order, as the VJPs of B 2-D calls add them into the leaf.
-        rng = np.random.default_rng(seed)
-        arrays = _pair_mlp(rng, batch * n, d, h, b1_shift)
-        g = rng.standard_normal((batch, n, n))
-        if isinstance(budget, tuple):
-            budget = budget[1] * n * n * h
-        with pytest.MonkeyPatch.context() as patch:
-            if budget is not None:
-                patch.setattr(ad, "_PAIR_BLOCK_FLOATS", budget)
-            weights = [Tensor(a, requires_grad=True) for a in arrays[1:]]
-            out = ad.pair_logits(Tensor(arrays[0], requires_grad=True), *weights, batch=batch)
-            grads = out._vjp(g)
-            singles = [
-                ad.pair_logits(Tensor(arrays[0][b * n : (b + 1) * n], requires_grad=True), *weights)
-                for b in range(batch)
-            ]
-            single_grads = [single._vjp(g[b]) for b, single in enumerate(singles)]
-        _assert_bits(out.data, np.stack([single.data for single in singles]), "logits")
-        _assert_bits(grads[0], np.concatenate([sg[0] for sg in single_grads]), "product")
-        for k in range(1, 6):
-            _assert_bits(grads[k], _in_turn([sg[k] for sg in single_grads]), f"weight {k}")
+    def test_stack_holds_the_parts_and_hands_each_its_slice(self, batch):
+        rng = np.random.default_rng(batch)
+        parts = [Tensor(rng.standard_normal((3, 3)), requires_grad=True) for _ in range(batch)]
+        out = ad.stack(parts)
+        _assert_bits(out.data, np.stack([part.data for part in parts]), "stack")
+        g = rng.standard_normal((batch, 3, 3))
+        grads = out._vjp(g)
+        assert len(grads) == batch
+        for b, grad in enumerate(grads):
+            _assert_bits(grad, g[b], f"part {b}")
+            assert grad.base is g  # a view, no copy
+
+    @pytest.mark.parametrize("shapes", [[], [(3, 3), (2, 2)], [(2, 3), (3, 2)]])
+    def test_stack_rejects_parts_of_other_shapes(self, shapes):
+        with pytest.raises(ValueError, match="stack"):
+            ad.stack([Tensor(np.zeros(shape)) for shape in shapes])
+
+    def test_stack_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(37)
+        weights = rng.standard_normal((3, 4, 4))
+        parts = [rng.standard_normal((4, 4)) for _ in range(3)]
+        _check_gradients(lambda ts: _layer_loss(ad.stack(ts), weights), parts)
 
     @pytest.mark.parametrize("batch", [1, 2, 5, 16])
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 96])
@@ -629,19 +599,6 @@ class TestBatchedScorerOps:
         _assert_bits(out.data, np.stack([single.data for single in singles]), "relaxed")
         _assert_bits(out._vjp(g)[0], np.stack([s._vjp(g[b])[0] for b, s in enumerate(singles)]), "grad")
 
-    @pytest.mark.parametrize("batch", [1, 2, 9, 16, 39])
-    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (32,), (1, 1), (2, 1), (64, 32)])
-    def test_batch_sums_add_the_subjects_in_turn(self, batch, shape):
-        rng = np.random.default_rng(batch * 100 + len(shape))
-        parts = rng.standard_normal((batch, *shape)) * 10.0 ** rng.integers(-8, 9, (batch, *shape))
-        _assert_bits(ad._in_batch_order(parts), _in_turn(list(parts)), shape)
-
-    def test_batched_pair_logits_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(29)
-        arrays = _pair_mlp(rng, 2 * 4, 3, 5)
-        weights = rng.standard_normal((2, 4, 4))
-        _check_gradients(lambda ts: _layer_loss(ad.pair_logits(*ts, batch=2), weights), arrays)
-
     def test_batched_gumbel_relax_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         delta, weights = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
@@ -649,24 +606,6 @@ class TestBatchedScorerOps:
             lambda ts: _layer_loss(ad.gumbel_relax(ts[0], delta, 0.7), weights),
             [rng.standard_normal((3, 4, 4))],
         )
-
-    @pytest.mark.parametrize(
-        "n,h,batch,budget,blocks",
-        [
-            (16, 32, 16, None, [6, 6, 4]),  # 8,192 floats a subject: 6 fit the budget
-            (96, 32, 2, None, [1] * 12),  # one subject at a time, in 16-row blocks
-            (7, 4, 5, 2 * 7 * 7 * 4, [2, 2, 1]),
-        ],
-    )
-    def test_a_block_holds_whole_subjects_when_one_fits(self, monkeypatch, n, h, batch, budget, blocks):
-        if budget is not None:
-            monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", budget)
-        arrays = _pair_mlp(np.random.default_rng(n), batch * n, 2, h)
-        w2 = Tensor(arrays[4])
-        w2.data, products = _product_spy(w2.data)
-        ad.pair_logits(*map(Tensor, arrays[:4]), w2, Tensor(arrays[5]), batch=batch)
-        rows = n if n * n * h <= ad._PAIR_BLOCK_FLOATS else 16
-        assert products == [[(k, rows * n, h), (h, 1)] for k in blocks]
 
 
 def _layer_loss(out, weights):
@@ -1533,7 +1472,7 @@ class TestEngineInvariants:
             and inspect.signature(fn).return_annotation in ("Tensor", Tensor)
         }
         assert ops == {
-            "matmul", "pair_logits", "adjacency_norm", "graph_conv", "gumbel_relax",
+            "matmul", "pair_logits", "stack", "adjacency_norm", "graph_conv", "gumbel_relax",
             "classifier_head", "bce_mean",
         }
         # ... and the engine ships only what the model runs: each op has a caller.

@@ -316,29 +316,34 @@ class TestForward:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_without_the_head_it_returns_the_inputs_batch_logits_scores(self, monkeypatch, mode):
-        # forward(..., head=False) only checks: given the subject's graph it
-        # runs no op, and batch_logits on its result and the noise gives
-        # forward's logit. Without the graph it builds the same one.
+        # forward(..., head=False) runs the edge scorer and nothing after
+        # it, and batch_logits on its result and the noise gives forward's
+        # logit. Without the graph it builds the same one.
         series, corr = _toy_subject(seed=8)
         state = init_model(_config(mode=mode, seed=21))
         noise = np.stack(sample_gumbel_noise(np.random.default_rng(9), 6))
         logit = forward(series, corr, state, noise=tuple(noise))
         expected = thresholded_graph(corr, state.config)
-        built = forward(series, corr, state, noise=tuple(noise), head=False)[2]
+        built = forward(series, corr, state, noise=tuple(noise), head=False)[1]
         assert (built is None) == (expected is None)
         assert built is None or built.data.tobytes() == expected.data.tobytes()
         calls = []
         for name in ("matmul", "pair_logits", "gumbel_relax", "adjacency_norm", "graph_conv",
                      "classifier_head"):
             op = getattr(ad, name)
-            monkeypatch.setattr(ad, name, lambda *a, op=op, **k: calls.append(op) or op(*a, **k))
-        checked = forward(series.tolist(), corr, state, noise=tuple(noise), graph=expected, head=False)
-        assert calls == []
-        given_series, given, graph = checked
-        assert given_series.dtype == np.float64 and given_series.tobytes() == series.tobytes()
-        assert given.tobytes() == corr.tobytes() and graph is expected
-        scored = batch_logits([checked], state, noise[None])
-        assert scored.shape == (1,) and scored.data.tobytes() == logit.data.reshape(1).tobytes()
+            monkeypatch.setattr(ad, name, lambda *a, name=name, op=op, **k: calls.append(name) or op(*a, **k))
+        given, graph, logits = forward(series.tolist(), corr, state, noise=tuple(noise), graph=expected,
+                                       head=False)
+        scored = mode in ("full", "no_corr")
+        assert calls == (["matmul", "pair_logits"] if scored else [])
+        assert given.dtype == np.float64 and given.tobytes() == corr.tobytes() and graph is expected
+        if scored:
+            reference = edge_probabilities(series, state.scorer)
+            assert logits.data.tobytes() == reference.data.tobytes() and logits.requires_grad
+        else:
+            assert logits is None
+        out = batch_logits([(given, graph, logits)], state, noise[None])
+        assert out.shape == (1,) and out.data.tobytes() == logit.data.reshape(1).tobytes()
 
     @pytest.mark.parametrize("shapes", [[(6, 6), (6, 5)], [(5, 5), (5, 5)], [(1, 6, 6), (1, 6, 6)]])
     def test_without_the_head_it_rejects_a_noise_pair_of_another_shape(self, shapes):
@@ -487,7 +492,8 @@ class TestWeightGradientStacking:
         concats = [shapes for kind, shapes in events if kind == "concatenate"]
         products = [shapes for kind, shapes in events if kind == "matmul"]
         assert not any(n * n in shape for shapes in concats + products for shape in shapes)
-        assert concats == [[(batch, n, f)] * 2]  # the batch's rows, joined once
+        # the subjects' logits, stacked once, and the batch's rows, joined once
+        assert concats == [[(1, n, n)] * batch, [(batch, n, f)] * 2]
         assert products.count([(batch, width), (width, hc)]) == 1  # the head's forward
         assert products.count([(width, batch), (batch, hc)]) == 1  # classifier.w1
         assert products.count([(width, 1), (1, hc)]) == 0

@@ -54,7 +54,7 @@ def one_sided_cohort():
     return Dataset(name="one-sided", subjects=subjects)
 
 
-_TAPED_OPS = ["matmul", "pair_logits", "adjacency_norm", "graph_conv", "gumbel_relax",
+_TAPED_OPS = ["matmul", "pair_logits", "stack", "adjacency_norm", "graph_conv", "gumbel_relax",
               "classifier_head", "bce_mean"]
 
 
@@ -351,7 +351,9 @@ class TestTrainingLoop:
         monkeypatch.setattr(Adam, "zero_grad", counting_zero_grad)
         monkeypatch.setattr(train_module, "batch_logits", recording_batch_logits)
         fit(ds, list(range(8)), _small_config(epochs=2, batch_size=3, gcn_out_dim=8))
-        assert [len(b) for b in batches] == [9] * 6  # every layer but the loss
+        # every layer but the loss: two scorer nodes a subject, then the logit
+        # stack, relaxation, normalization, four graph_convs and the head
+        assert [len(b) for b in batches] == [14, 14, 12] * 2  # batches of 3, 3 and 2
 
     def test_the_noise_draw_is_freed_before_the_loss(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=5)
@@ -476,9 +478,10 @@ class TestTrainingLoop:
             assert not np.array_equal(param.data, before)  # every parameter trained
 
     def test_a_training_step_tapes_one_node_per_op_call(self, monkeypatch):
-        # The scorer's matmul and pair_logits, gumbel_relax, the sampled
-        # graphs' adjacency_norm, two graph_convs per branch, one
-        # classifier_head and one bce_mean: ten nodes for any batch size.
+        # Each subject's scorer matmul and pair_logits, then for the batch
+        # the logit stack, gumbel_relax, the sampled graphs' adjacency_norm,
+        # two graph_convs per branch, one classifier_head and one bce_mean:
+        # 2B + 9 nodes.
         tapes, backward = [], Tensor.backward
 
         def recording_backward(loss):
@@ -488,7 +491,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
         fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
-        assert tapes == [10, 10, 10]  # batches of 4, 4 and 2
+        assert tapes == [17, 17, 13]  # batches of 4, 4 and 2
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_an_evaluation_forward_tapes_seven_nodes(self, monkeypatch, cached):
@@ -687,8 +690,11 @@ class TestThresholdedGraphCache:
         for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
-        assert len(outputs) == 10  # one call per layer for the whole batch
-        assert [name for name, _ in outputs[-2:]] == ["classifier_head", "bce_mean"]
+        # the scorer per subject, then one call per layer for the whole batch
+        assert [name for name, _ in outputs] == ["matmul", "pair_logits"] * 4 + [
+            "stack", "gumbel_relax", *["graph_conv"] * 2, "adjacency_norm", *["graph_conv"] * 2,
+            "classifier_head", "bce_mean",
+        ]
         assert [name for name, out in outputs if out._vjp is None] == []
 
     def test_an_epoch_and_a_validation_pass_leave_the_cached_inputs_as_they_were(self):
@@ -705,7 +711,7 @@ class TestThresholdedGraphCache:
 
 
 class TestMiniBatchPaths:
-    """A mini-batch's graph layers, stacked or per subject, and what the benchmark counts."""
+    """A mini-batch's noise, its scorer calls and what the benchmark counts."""
 
     @pytest.mark.parametrize("batch,n", [(1, 1), (1, 8), (2, 3), (5, 16), (16, 16), (3, 96)])
     def test_one_noise_draw_per_batch_equals_a_pair_of_draws_per_subject(self, batch, n):
@@ -734,9 +740,10 @@ class TestMiniBatchPaths:
             expected = sample_gumbel_noise(per_subject, ds.n_rois)
             assert [g.tobytes() for g in noise] == [g.tobytes() for g in expected]
 
-    def test_forward_runs_once_per_subject_and_the_edge_scorer_once_per_batch(self, monkeypatch):
+    def test_forward_and_the_edge_scorer_run_once_per_subject(self, monkeypatch):
         # The benchmark counts training subjects as forward calls with
-        # noise and times each forward(noise=None) as one scored subject.
+        # noise, times each forward(noise=None) as one scored subject and
+        # expects n * n scored pairs per edge_probabilities call.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
         calls, real_forward, real_edges = [], train_module.forward, model_module.edge_probabilities
@@ -754,7 +761,7 @@ class TestMiniBatchPaths:
         monkeypatch.setattr(train_module, "forward", recording_forward)
         monkeypatch.setattr(model_module, "edge_probabilities", recording_edges)
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3, 4], optimizer, rng, "batch 1")
-        assert calls == [("forward", True)] * 5 + [("edges", (5, 8, 8))]
+        assert calls == [("forward", True), ("edges", (8, 8))] * 5
         calls.clear()
         evaluate(state, ds, list(range(8)))
         assert calls == [("forward", False), ("edges", (8, 8))] * 8
@@ -764,13 +771,15 @@ class TestMiniBatchPaths:
         "subjects,n,width", [(16, 16, 32), (4, 48, 256)], ids=["16x16", "4x48-width256"]
     )
     def test_a_training_step_keeps_what_the_benchmark_relies_on(self, monkeypatch, mode, subjects, n, width):
-        # The traced benchmark unpacks every ad.matmul operand as 2-D and
-        # counts training subjects as train.forward calls carrying noise.
+        # The traced benchmark unpacks every ad.matmul operand as 2-D,
+        # counts training subjects as train.forward calls carrying noise and
+        # counts the first two axes of each edge_probabilities output as its
+        # scored pairs, n * n for one subject.
         ds = generate_synthetic(subjects, n, 32, seed=6)
         config = _small_config(mode=mode, batch_size=subjects, gcn_hidden_dim=width, gcn_out_dim=width)
         state, inputs, optimizer, rng = train_module._setup(ds, config)
-        operands, noises = [], []
-        real_matmul, real_forward = ad.matmul, train_module.forward
+        operands, noises, edges = [], [], []
+        real_matmul, real_forward, real_edges = ad.matmul, train_module.forward, model_module.edge_probabilities
 
         def recording_matmul(a, b):
             operands.append((a.data.ndim, b.data.ndim))
@@ -780,10 +789,18 @@ class TestMiniBatchPaths:
             noises.append(kwargs["noise"] if "noise" in kwargs else (args[3] if len(args) > 3 else None))
             return real_forward(*args, **kwargs)
 
+        def recording_edges(*args, **kwargs):
+            out = real_edges(*args, **kwargs)
+            edges.append(out.shape)
+            return out
+
         monkeypatch.setattr(ad, "matmul", recording_matmul)
         monkeypatch.setattr(train_module, "forward", recording_forward)
+        monkeypatch.setattr(model_module, "edge_probabilities", recording_edges)
         train_module._batch_update(state, ds, inputs, list(range(subjects)), optimizer, rng, "batch 1")
-        assert operands == ([(2, 2)] if mode in ("full", "no_corr") else [])
+        scored = subjects if mode in ("full", "no_corr") else 0
+        assert operands == [(2, 2)] * scored
+        assert edges == [(n, n)] * scored
         assert len(noises) == subjects
         assert all(len(pair) == 2 and all(g.shape == (n, n) for g in pair) for pair in noises)
 
