@@ -26,11 +26,11 @@ op per model layer, so that a layer costs one tape node:
 - ``classifier_head``, which joins the branch outputs on their node axis
   and runs affine, ReLU, affine to one logit per row, keeps its input
   rows (a view of a single part, the joined copy of several) and the
-  hidden layer. Its rows are the joined parts flattened row-major into
-  rows of the head's input width D: one subject's branch outputs make
-  one row and a 0-d logit; a mini-batch's, with ``rows=B``, make B rows
-  and a (B,) vector, so training runs the head as one (B × D) product
-  each way.
+  hidden layer. The joined outputs' last two axes make one subject's
+  row of the head's input width D: one subject's (n, f) branch outputs
+  make one row and a 0-d logit; a mini-batch's (B, n, f) stacks make B
+  rows and a (B,) vector, so training runs the head as one (B × D)
+  product each way.
 
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
@@ -80,7 +80,6 @@ NaNs included.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -468,39 +467,30 @@ def gumbel_relax(logits: Tensor, delta: np.ndarray, tau: float) -> Tensor:
 
 
 def classifier_head(
-    parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, *, rows=None
+    parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
 ) -> Tensor:
-    """Two-layer classifier, ``relu(X @ w1 + b1) @ w2 + b2``, one logit per row.
+    """Two-layer classifier, ``relu(X @ w1 + b1) @ w2 + b2``, one logit per subject.
 
-    ``X``, the ``parts`` joined along their node axis (-2), flattens
-    row-major into rows of ``D = w1.shape[0]``: trailing axes that
-    multiply to D make a row, leading axes index the rows and shape the
-    output. A subject's (n, f) branch outputs give a 0-d logit, one
-    (B, D) part B logits. With ``rows=B`` the caller states the row count
-    instead: ``X`` must hold B rows of D, each made of whole first-axis
-    slices, and the output is a (B,) vector, so a mini-batch's branch
-    outputs give its B logits in batch order, whether they come as
-    (n, f) parts subject by subject or as one (B, n, f) part per branch.
-    Each part's gradient is a view, its slice of ``X``'s, and all rows'
-    come from one product.
+    ``X`` is the ``parts`` joined along their node axis (-2). Its last
+    two axes, which must multiply to ``D = w1.shape[0]``, make one
+    subject's row; its leading axes index subjects and shape the output.
+    So one subject's (n, f) branch outputs give a 0-d logit and a
+    mini-batch's (B, n, f) stacks give its B logits in batch order, all
+    rows from one product. Each part's gradient is a view, its slice of
+    ``X``'s.
     """
     xs = [part.data for part in parts]
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
     try:  # parts must agree on every axis but the node axis
         xd = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-2)
+        row = xd.shape[-2] * xd.shape[-1]
     except (IndexError, ValueError):  # no parts, 0-d or 1-d ones, other shapes
         shapes = [x.shape for x in xs]
         raise ValueError(f"classifier_head: parts of incompatible shapes {shapes}") from None
     d, h = w1d.shape if w1d.ndim == 2 else (0, 0)
-    if rows is None:
-        axes = next((k for k in range(1, xd.ndim + 1) if math.prod(xd.shape[-k:]) == d), None)
-        out_shape = xd.shape[:-axes] if axes is not None else None
-    else:  # B rows of whole first-axis slices
-        fits = rows > 0 and xd.ndim and xd.shape[0] % rows == 0 and xd.size == rows * d
-        out_shape = (rows,) if fits else None
-    if out_shape is None or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
+    if row != d or [b1d.shape, w2d.shape, b2d.shape] != [(h,), (h, 1), (1,)]:
         shapes = [[x.shape for x in xs]] + [t.shape for t in (w1, b1, w2, b2)]
-        raise ValueError(f"classifier_head: incompatible shapes {shapes}, rows={rows}")
+        raise ValueError(f"classifier_head: incompatible shapes {shapes}")
     flat = xd.reshape(-1, d)
     hidden = flat @ w1d
     hidden += b1d
@@ -521,7 +511,7 @@ def classifier_head(
         weights = _Factors(flat, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
         return (*g_parts, *weights)
 
-    return _make((hidden @ w2d + b2d).reshape(out_shape), (*parts, w1, b1, w2, b2), vjp)
+    return _make((hidden @ w2d + b2d).reshape(xd.shape[:-2]), (*parts, w1, b1, w2, b2), vjp)
 
 
 def bce_value(logit, label):

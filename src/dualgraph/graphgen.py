@@ -66,14 +66,6 @@ def check_temperature(tau) -> None:
         raise ValueError(f"temperature and its reciprocal must be positive and finite, got {tau!r}")
 
 
-def check_noise(noise, shape: tuple) -> None:
-    """Reject a noise pair whose two draws do not both have the logits' ``shape``."""
-    g1, g2 = noise
-    if np.shape(g1) != shape or np.shape(g2) != shape:
-        shapes = f"{np.shape(g1)} and {np.shape(g2)}"
-        raise ValueError(f"noise shapes {shapes} do not match logits {shape}")
-
-
 def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
     """Relaxed edge sample: sigmoid((logits + g1 - g2) / tau).
 
@@ -83,12 +75,14 @@ def gumbel_sample(logits: Tensor, tau: float, noise: tuple) -> Tensor:
     logits only; the noise enters as a constant. One subject's (n, n)
     logits take a pair of (n, n) draws, a mini-batch's (B, n, n) a pair of
     (B, n, n) stacks. ``ad.gumbel_relax`` rejects logits that are not
-    square, ``check_noise`` draws of another shape and
-    ``check_temperature`` a bad ``tau``.
+    square, and ``check_temperature`` a bad ``tau``; draws of another
+    shape than the logits raise ValueError.
     """
     check_temperature(tau)
-    check_noise(noise, logits.shape)
     g1, g2 = noise
+    if np.shape(g1) != logits.shape or np.shape(g2) != logits.shape:
+        shapes = f"{np.shape(g1)} and {np.shape(g2)}"
+        raise ValueError(f"noise shapes {shapes} do not match logits {logits.shape}")
     delta = np.asarray(g1, dtype=np.float64) - np.asarray(g2, dtype=np.float64)
     return ad.gumbel_relax(logits, delta, tau)
 

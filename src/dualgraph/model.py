@@ -28,7 +28,7 @@ import numpy as np
 
 from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor, logistic
-from dualgraph.graphgen import build_filtered, check_noise, check_temperature
+from dualgraph.graphgen import build_filtered, check_temperature
 from dualgraph.graphgen import edge_probabilities, gumbel_sample, harden
 from dualgraph.preprocess import atomic_write
 
@@ -214,8 +214,8 @@ def _check_inputs(series, corr, config: ModelConfig) -> tuple:
 def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
     """The thresholded branch's normalized adjacency, or None in a mode without it.
 
-    A constant tensor: no parameter reaches it, so training builds it
-    once per subject and passes it to every ``forward``.
+    A constant tensor: no parameter reaches it, so ``forward``'s caller
+    builds it (``train._subject_inputs``) and training does so once.
     """
     if config.mode not in ("full", "no_optim"):
         return None
@@ -223,44 +223,30 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 
 
 def forward(
-    series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None, *, head=True
+    series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None
 ) -> Tensor | tuple:
-    """Scalar logit for one subject, or with ``head=False`` its graph-layer inputs.
+    """One subject's scalar logit, or with a noise pair its ``batch_logits`` inputs.
 
-    ``noise`` is a pair of standard-Gumbel (n, n) matrices for the
-    training path; ``None`` selects the deterministic evaluation path,
-    where the sampled graph holds the edges with a non-negative scorer
-    logit. ``graph`` is the subject's ``thresholded_graph``; without it
-    the thresholded branch builds its own. With the head, one subject
-    runs every layer as its own 2-D op call, as evaluation always does.
-
-    ``head=False`` checks the shape of the noise pair, stops after the
-    edge scorer and returns ``(corr, graph, logits)``: the correlations,
-    the thresholded graph and the scorer's (n, n) logits, None for a
-    branch the mode lacks. ``batch_logits`` then runs a whole
-    mini-batch's relaxation, normalization, GCNs and head. It is a
-    keyword rather than a separate per-subject function because the
-    benchmark (``perfbench``) counts training subjects by ``forward``
-    calls that carry noise; once it counts them from the mini-batch
-    index lists, such a function can take its place.
+    ``graph`` is the subject's ``thresholded_graph``, required in a mode
+    with that branch. With ``noise=None``, the evaluation path, the
+    sampled graph holds the edges with a non-negative scorer logit and
+    every layer runs as its own 2-D op call. With the subject's pair of
+    standard-Gumbel (n, n) draws it stops after the edge scorer and
+    returns ``(corr, graph, logits)``, None for a branch the mode lacks;
+    ``batch_logits`` relaxes the logits with the batch's draw. The pair
+    is passed because the benchmark (``perfbench``) counts training
+    subjects by ``forward`` calls that carry noise.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
     if config.mode in ("full", "no_optim") and graph is None:
-        graph = thresholded_graph(corr, config)
+        raise ValueError(f"mode {config.mode!r} needs the subject's thresholded graph")
     logits = None
     if config.mode in ("full", "no_corr"):
         logits = edge_probabilities(series, state.scorer)
-    if not head:
-        if noise is not None:
-            check_noise(noise, (config.n_rois, config.n_rois))
+    if noise is not None:
         return corr, graph, logits
-    sampled = None
-    if logits is not None:
-        if noise is None:
-            sampled = Tensor(harden(logits.data))
-        else:
-            sampled = gumbel_sample(logits, config.temperature, noise)
+    sampled = None if logits is None else Tensor(harden(logits.data))
     return ad.classifier_head(_branches(corr, graph, sampled, state), *state.classifier.parameters())
 
 
@@ -282,17 +268,17 @@ def _branches(corr, graph, sampled, state: ModelState) -> list:
 
 
 def batch_logits(inputs: list, state: ModelState, noise: np.ndarray) -> Tensor:
-    """The (B,) logits of a training mini-batch, from each subject's ``forward(..., head=False)``.
+    """The (B,) logits of a training mini-batch, from each subject's ``forward(..., noise=pair)``.
 
     ``noise`` is the batch's (B, 2, n, n) standard-Gumbel draw, subject
     b's pair in ``noise[b]``. The subjects' scorer logits are stacked into
     one (B, n, n) tensor; the Gumbel relaxation, the sampled graphs'
     normalization and each GCN layer run once on the (B, n, ·) stacks,
-    and one ``classifier_head`` call scores the batch as a (B × D)
-    product. Every op is a tape node. Each stacked op runs the per-graph
-    products, so a subject's graphs and branch outputs have the bits of
-    its own 2-D calls, and each weight's gradient is the one product of
-    its stacked factors.
+    and one ``classifier_head`` call scores the (B, n, f) branch stacks
+    as a (B × D) product. Every op is a tape node. Each stacked op runs
+    the per-graph products, so a subject's graphs and branch outputs
+    have the bits of its own 2-D calls, and each weight's gradient is
+    the one product of its stacked factors.
     """
     corrs, graphs, logits = zip(*inputs)
     sampled = None
@@ -301,7 +287,7 @@ def batch_logits(inputs: list, state: ModelState, noise: np.ndarray) -> Tensor:
         sampled = gumbel_sample(ad.stack(logits), state.config.temperature, pairs)
     graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
     parts = _branches(np.stack(corrs), graph, sampled, state)
-    return ad.classifier_head(parts, *state.classifier.parameters(), rows=len(inputs))
+    return ad.classifier_head(parts, *state.classifier.parameters())
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

@@ -264,23 +264,30 @@ def binary_metrics(probs: np.ndarray, labels: np.ndarray) -> Metrics:
     )
 
 
-def _predict_logits(
-    state: ModelState, dataset: Dataset, indices: list, inputs: list = None
-) -> np.ndarray:
-    """Noise-free logits; ``inputs`` is ``_setup``'s, else each subject's are built here."""
+def _subject_inputs(series: np.ndarray, config: ModelConfig) -> tuple:
+    """A subject's ``forward`` inputs: its correlations and ``thresholded_graph`` (or None)."""
+    corr = pearson_correlation(series)
+    return corr, thresholded_graph(corr, config)
+
+
+def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) -> np.ndarray:
+    """Noise-free logits; ``inputs`` yields each subject's ``_subject_inputs``, in order."""
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
     logits = []
-    for idx in indices:
+    for idx, (corr, graph) in zip(indices, inputs, strict=True):
         series = dataset.subjects[idx].series
-        corr, graph = inputs[idx] if inputs is not None else (pearson_correlation(series), None)
         logits.append(float(forward(series, corr, state, noise=None, graph=graph).data))
     return np.asarray(logits)
 
 
 def predict_probabilities(state: ModelState, dataset: Dataset, indices: list) -> np.ndarray:
-    """Deterministic disease probabilities via the noise-free path."""
-    return logistic(_predict_logits(state, dataset, indices))
+    """Deterministic disease probabilities via the noise-free path.
+
+    Each subject's inputs are built just before its ``forward``, and none are kept.
+    """
+    inputs = (_subject_inputs(dataset.subjects[idx].series, state.config) for idx in indices)
+    return logistic(_predict_logits(state, dataset, indices, inputs))
 
 
 def evaluate(state: ModelState, dataset: Dataset, indices: list) -> Metrics:
@@ -329,18 +336,18 @@ def _batch_update(
     """One Adam update on the batch's mean loss; returns that loss.
 
     One noise draw serves the whole batch (the same numbers as one pair
-    of draws per subject in turn). Each subject's ``forward`` checks its
-    noise pair and runs its edge scorer, and ``batch_logits`` runs the
-    rest, each layer one op call on the batch's stacks. The draw is freed
-    once the logits stand, and the batch's tape when this returns, before
-    the next batch builds its own, so one tape at a time is alive.
+    of draws per subject in turn). Each subject's ``forward`` runs its
+    edge scorer, and ``batch_logits`` runs the rest, each layer one op
+    call on the batch's stacks. The draw is freed once the logits
+    stand, and the batch's tape when this returns, before the next batch
+    builds its own, so one tape at a time is alive.
     """
     optimizer.zero_grad()
     n = dataset.n_rois
     noise = rng.gumbel(size=(len(batch), 2, n, n))
     subjects = [
         forward(dataset.subjects[idx].series, inputs[idx][0], state, noise=tuple(pair),
-                graph=inputs[idx][1], head=False)
+                graph=inputs[idx][1])
         for idx, pair in zip(batch, noise)
     ]
     logits = batch_logits(subjects, state, noise)
@@ -362,15 +369,13 @@ def _batch_update(
 def _setup(dataset: Dataset, config: TrainConfig) -> tuple:
     """Fresh model, every subject's inputs, Adam and the noise stream.
 
-    A subject's inputs are its correlations and its ``thresholded_graph``
-    (None in a mode without that branch), both fixed by its signals, so
-    they are built once here instead of in every step and validation
-    pass. The Gumbel noise comes from a child of the config seed, so it
-    never shares draws with the split or the parameter init.
+    Each subject's ``_subject_inputs`` are built once here instead of in
+    every step and validation pass. The Gumbel noise comes from a child
+    of the config seed, so it never shares draws with the split or the
+    parameter init.
     """
     state = init_model(_model_config(dataset, config))
-    corrs = [pearson_correlation(s.series) for s in dataset.subjects]
-    inputs = [(corr, thresholded_graph(corr, state.config)) for corr in corrs]
+    inputs = [_subject_inputs(s.series, state.config) for s in dataset.subjects]
     optimizer = Adam(state.parameters(), config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     return state, inputs, optimizer, rng
@@ -404,7 +409,8 @@ def train_model(dataset: Dataset, config: TrainConfig) -> tuple:
             state, dataset, inputs, indices.train, optimizer, rng, config, epoch
         )
 
-        val_logits = _predict_logits(state, dataset, indices.val, inputs)
+        val_inputs = [inputs[idx] for idx in indices.val]
+        val_logits = _predict_logits(state, dataset, indices.val, val_inputs)
         tp, fp, tn, fn = _confusion(logistic(val_logits), val_labels)
         val_f1 = _safe_ratio(2.0 * tp, 2.0 * tp + fp + fn)
         val_loss = float(np.mean(bce_value(val_logits, val_labels)))

@@ -8,7 +8,8 @@ scorer's forward as one array instead of blocks;
 ``pair_logits_vjp_broadcast``, its backward from one broadcast mask;
 ``load_dataset_rows``, the loader with every subject file parsed one row
 at a time; ``fit``, a training loop built from ``train``'s own set-up
-and epoch pass; and the primitive ops and composite references at the
+and epoch pass; ``training_logit``, one subject's training logit from
+the model's own mini-batch path; and the primitive ops and composite references at the
 end. The primitives (``add``, ``relu``,
 ``concat``, ``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops
 built on ``ad._make`` that the model no longer runs; tests use them as
@@ -26,7 +27,7 @@ import numpy as np
 from dualgraph import autodiff as ad
 from dualgraph import train
 from dualgraph.autodiff import Tensor, _make, bce_value, logistic
-from dualgraph.model import parameter_shapes
+from dualgraph.model import batch_logits, forward, parameter_shapes, thresholded_graph
 from dualgraph.preprocess import BoldMatrix, Dataset, _check_subject_id
 
 
@@ -392,6 +393,18 @@ def fit(dataset, indices, config):
     return state, losses
 
 
+def training_logit(series, corr, state, noise):
+    """One subject's 0-d training logit, its training step run as a one-subject mini-batch.
+
+    ``noise`` is the subject's pair of (n, n) standard-Gumbel draws. The
+    thresholded graph is built as training builds it; the logit's
+    gradient reaches every parameter the step's would.
+    """
+    graph = thresholded_graph(corr, state.config)
+    inputs = forward(series, corr, state, noise=tuple(noise), graph=graph)
+    return select(batch_logits([inputs], state, np.stack(noise)[None]), 0)
+
+
 # Primitive taped ops. They run on the engine's tape machinery but are
 # not part of it: the model's layers are single ops of their own.
 
@@ -561,19 +574,17 @@ def gumbel_relax_composite(logits, delta, tau):
     return mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
 
 
-def classifier_head_composite(parts, w1, b1, w2, b2, *, rows=None):
+def classifier_head_composite(parts, w1, b1, w2, b2):
     """``ad.classifier_head`` as primitive ops: join on the node axis, copy out the rows, affine, ReLU, affine.
 
-    Trailing axes that make a row shape the output by the leading axes;
-    with ``rows=B`` the output is one logit per row, as a mini-batch's is.
+    The last two axes make a row; the leading axes shape the output.
     """
     x = functools.reduce(lambda a, b: concat(a, b, axis=-2), parts)
     d = w1.shape[0]
-    axes = next((k for k in range(1, x.data.ndim + 1) if math.prod(x.shape[-k:]) == d), None)
     flat = reshape(x, (x.size // d, d))
     hidden = relu(add(ad.matmul(flat, w1), b1))
     logit = add(ad.matmul(hidden, w2), b2)
-    return reshape(logit, x.shape[:-axes] if rows is None else (rows,))
+    return reshape(logit, x.shape[:-2])
 
 
 def entry(a: Tensor, index: int) -> Tensor:

@@ -18,7 +18,7 @@ from dualgraph import autodiff as ad
 from dualgraph.autodiff import Tensor, logistic
 from dualgraph.cli import main
 from dualgraph.graphgen import build_filtered, gumbel_sample
-from dualgraph.model import ModelConfig, forward, init_model, normalize_adjacency
+from dualgraph.model import ModelConfig, init_model, normalize_adjacency
 from dualgraph.preprocess import generate_synthetic, load_dataset, pearson_correlation, planted_blocks
 from dualgraph.train import TrainConfig, roc_auc, run_ablation
 
@@ -34,6 +34,7 @@ from oracles import (
     stump_best_accuracy,
     sum_all,
     threshold_double_loop,
+    training_logit,
 )
 
 LOGIT_05 = math.log(0.05 / 0.95)  # logit of an edge probability of 0.05
@@ -145,14 +146,14 @@ def test_criterion_1_gradient_integrity():
         label = 1
 
         state = init_model(config)
-        loss = ad.bce_mean(forward(series, corr, state, noise=noise), [label])
+        loss = ad.bce_mean(training_logit(series, corr, state, noise), [label])
         loss.backward()
 
         def loss_value(arrays):
             trial = init_model(config)
             for p, d in zip(trial.parameters(), arrays):
                 p.data = d
-            out = forward(series, corr, trial, noise=noise)
+            out = training_logit(series, corr, trial, noise)
             return float(ad.bce_mean(out, [label]).data)
 
         eps = 1e-5

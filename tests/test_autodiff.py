@@ -622,16 +622,16 @@ def _layer_run(op, arrays, grad_flags, extra, weights):
     return out.data, [t.grad for t in tensors]
 
 
-def _head(parts=1, op=None, rows=None):
+def _head(parts=1, op=None):
     """``classifier_head`` taking its first ``parts`` tensors as the parts: ``op(*tensors)``."""
     op = op or ad.classifier_head
-    return lambda *ts: op(list(ts[:parts]), *ts[parts:], rows=rows)
+    return lambda *ts: op(list(ts[:parts]), *ts[parts:])
 
 
-def _assert_one_logit_per_row(x_shape, out_shape, rows=None):
+def _assert_one_logit_per_row(x_shape, out_shape):
     """``classifier_head`` on one part, D = 18: ``out_shape`` holds one logit per row."""
     x, w1, b1, w2, b2 = _head_arrays(np.random.default_rng(3), x_shape, 18)
-    out = ad.classifier_head([Tensor(x)], *[Tensor(a) for a in (w1, b1, w2, b2)], rows=rows).data
+    out = ad.classifier_head([Tensor(x)], *[Tensor(a) for a in (w1, b1, w2, b2)]).data
     expected = np.maximum(x.reshape(-1, 18) @ w1 + b1, 0.0) @ w2 + b2
     assert out.shape == out_shape
     np.testing.assert_allclose(out.reshape(-1), expected.reshape(-1), rtol=1e-13)
@@ -659,14 +659,14 @@ def _assert_bce_mean_matches_composite(batch, shape, upstream):
     _assert_same_bits(grad, ref_grad)
 
 
-def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0, parts=1, rows=None):
+def _assert_layer_matches_composite(name, arrays, grad_flags, extra=(), seed=0, parts=1):
     """The fused op equals its primitive-op composite in every output and gradient bit.
 
-    ``classifier_head`` takes its first ``parts`` arrays as its parts, and ``rows``.
+    ``classifier_head`` takes its first ``parts`` arrays as its parts.
     """
     op, composite = getattr(ad, name), LAYER_OP_COMPOSITES[name]
     if name == "classifier_head":
-        op, composite = _head(parts, op, rows), _head(parts, composite, rows)
+        op, composite = _head(parts, op), _head(parts, composite)
     weights = np.random.default_rng(seed).standard_normal(
         _layer_run(op, arrays, [False] * len(arrays), extra, None)[0].shape
     )
@@ -729,13 +729,13 @@ class TestLayerOps:
         _assert_layer_matches_composite("gumbel_relax", [logits], [requires_grad], (delta, tau))
 
     @pytest.mark.parametrize("x_grad", [False, True])
-    @pytest.mark.parametrize("x_shape", [(6, 3), (1, 18), (4, 18), (2, 6, 3)])
+    @pytest.mark.parametrize("x_shape", [(6, 3), (1, 18), (2, 6, 3), (3, 2, 9)])
     def test_classifier_head_equals_the_composite(self, x_shape, x_grad):
         arrays = _head_arrays(np.random.default_rng(len(x_shape) + x_shape[0]), x_shape, 18)
         _assert_layer_matches_composite("classifier_head", arrays, [x_grad] + [True] * 4)
 
     @pytest.mark.parametrize("part_grads", [(False, False), (True, False), (False, True), (True, True)])
-    @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((4, 18), 1), ((2, 6, 3), 1)])
+    @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((3, 2, 9), 1), ((2, 6, 3), 1)])
     def test_two_part_classifier_head_equals_the_composite(self, x_shape, split, part_grads):
         x, *head = _head_arrays(np.random.default_rng(x_shape[0] + split), x_shape, 18)
         arrays = np.split(x, [split], axis=-2) + head  # the parts join on the node axis
@@ -743,12 +743,11 @@ class TestLayerOps:
             "classifier_head", arrays, list(part_grads) + [True] * 4, parts=2
         )
 
-    @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((4, 18), 3), ((2, 6, 3), 1)])
+    @pytest.mark.parametrize("x_shape,split", [((6, 3), 2), ((3, 2, 9), 1), ((2, 6, 3), 1)])
     def test_two_parts_equal_one_part_of_their_join(self, x_shape, split):
         # A subject's branch outputs give the bits of their joined array.
         x, *head = _head_arrays(np.random.default_rng(11), x_shape, 18)
-        out_shape = x_shape[:-2] if x_shape == (6, 3) else x_shape[:1]
-        weights = np.random.default_rng(12).standard_normal(out_shape)
+        weights = np.random.default_rng(12).standard_normal(x_shape[:-2])
 
         def run(parts):
             tensors = [Tensor(a.copy(), requires_grad=True) for a in parts + head]
@@ -763,47 +762,33 @@ class TestLayerOps:
             _assert_same_bits(grad, ref)
 
     @pytest.mark.parametrize(
-        "x_shape,out_shape", [((6, 3), ()), ((1, 18), (1,)), ((4, 18), (4,)), ((2, 6, 3), (2,))]
+        "x_shape,out_shape", [((6, 3), ()), ((1, 18), ()), ((2, 6, 3), (2,)), ((2, 1, 6, 3), (2, 1))]
     )
     def test_classifier_head_gives_one_logit_per_row(self, x_shape, out_shape):
         _assert_one_logit_per_row(x_shape, out_shape)
 
-    @pytest.mark.parametrize(
-        "x_shape,rows", [((6, 3), 1), ((18, 3), 3), ((2, 6, 3), 2), ((4, 18), 4)]
-    )
-    def test_stated_rows_give_one_logit_per_row(self, x_shape, rows):
-        _assert_one_logit_per_row(x_shape, (rows,), rows)
-
     @pytest.mark.parametrize("part_grads", [True, False])
     @pytest.mark.parametrize("batch", [1, 2, 3])
     def test_mini_batch_classifier_head_equals_the_composite(self, batch, part_grads):
-        # A mini-batch's branch outputs, two (3, 3) parts per subject, give
-        # one row of D = 18 per subject.
-        x, *head = _head_arrays(np.random.default_rng(20 + batch), (6 * batch, 3), 18)
-        parts = np.split(x, 2 * batch)
-        flags = [part_grads or i % 2 == 0 for i in range(2 * batch)] + [True] * 4
+        # A mini-batch's branch outputs, two (B, 3, 3) stacks, give one row
+        # of D = 18 per subject.
+        x, *head = _head_arrays(np.random.default_rng(20 + batch), (batch, 6, 3), 18)
+        flags = [True, part_grads] + [True] * 4
         _assert_layer_matches_composite(
-            "classifier_head", parts + head, flags, parts=2 * batch, rows=batch
+            "classifier_head", np.split(x, 2, axis=-2) + head, flags, parts=2
         )
 
     @pytest.mark.parametrize("batch", [2, 3])
     def test_mini_batch_rows_are_the_subjects_in_batch_order(self, batch):
         # Logit b is subject b's, scored alone from its own two parts; the
         # batch's (B x D) product may differ from a one-row one in the last bits.
-        x, *head = _head_arrays(np.random.default_rng(30 + batch), (6 * batch, 3), 18)
-        parts = [Tensor(p) for p in np.split(x, 2 * batch)]
+        x, *head = _head_arrays(np.random.default_rng(30 + batch), (batch, 6, 3), 18)
+        parts = np.split(x, 2, axis=-2)
         weights = [Tensor(a) for a in head]
-        out = ad.classifier_head(parts, *weights, rows=batch).data
-        alone = [ad.classifier_head(parts[2 * b : 2 * b + 2], *weights).data for b in range(batch)]
+        out = ad.classifier_head([Tensor(p) for p in parts], *weights).data
+        alone = [ad.classifier_head([Tensor(p[b]) for p in parts], *weights).data for b in range(batch)]
         assert out.shape == (batch,) and all(a.shape == () for a in alone)
         np.testing.assert_allclose(out, alone, rtol=1e-13, atol=0)
-
-    def test_mini_batch_classifier_head_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(10)
-        x, *head = _head_arrays(rng, (18, 3), 18)
-        weights = rng.standard_normal(3)
-        loss = lambda ts: _layer_loss(_head(6, rows=3)(*ts), weights)  # noqa: E731
-        _check_gradients(loss, np.split(x, 6) + head)
 
     @pytest.mark.parametrize("upstream", [None, 0.37])
     @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -836,19 +821,20 @@ class TestLayerOps:
             [rng.standard_normal((4, 4))],
         )
 
-    @pytest.mark.parametrize("x_shape", [(6, 3), (3, 18)])
+    @pytest.mark.parametrize("x_shape", [(6, 3), (3, 2, 9)])
     def test_classifier_head_gradients_match_finite_differences(self, x_shape):
         rng = np.random.default_rng(8)
         arrays = _head_arrays(rng, x_shape, 18)
-        weights = rng.standard_normal(x_shape[:-2] if x_shape == (6, 3) else x_shape[:1])
+        weights = rng.standard_normal(x_shape[:-2])
         _check_gradients(lambda ts: _layer_loss(_head()(*ts), weights), arrays)
 
-    @pytest.mark.parametrize("x_shape", [(6, 3), (3, 18)])
+    @pytest.mark.parametrize("x_shape", [(6, 3), (3, 2, 9)])
     def test_two_part_classifier_head_gradients_match_finite_differences(self, x_shape):
         rng = np.random.default_rng(8)
         x, *head = _head_arrays(rng, x_shape, 18)
-        weights = rng.standard_normal(x_shape[:-2] if x_shape == (6, 3) else x_shape[:1])
-        _check_gradients(lambda ts: _layer_loss(_head(2)(*ts), weights), [x[:2], x[2:]] + head)
+        weights = rng.standard_normal(x_shape[:-2])
+        parts = np.split(x, [1], axis=-2)
+        _check_gradients(lambda ts: _layer_loss(_head(2)(*ts), weights), parts + head)
 
     def test_layer_weights_share_one_stacked_product(self, monkeypatch):
         # Three uses of each weight; backward stacks each weight's factors
@@ -910,20 +896,20 @@ class TestLayerOps:
             getattr(ad, name)(*args)
 
     @pytest.mark.parametrize(
-        "parts,d,rows",
+        "parts,d",
         [
-            ([(4, 3)], 6, 1),  # too many entries for one row
-            ([(3, 3), (2, 3)], 6, 2),  # half a subject short
-            ([(4, 3)], 4, 3),  # a row would split a first-axis slice
-            ([(4, 3)], 12, 0),
-            ([(4, 3)], 0, 2),
-            ([()], 1, 1),
+            ([(4, 3)], 6),  # too many entries for one row
+            ([(4, 18)], 18),  # a flat (B, D) part: its last two axes are not one row
+            ([(3, 3), (2, 3)], 6),  # half a subject short
+            ([(2, 6, 3)], 36),  # a row would span two subjects
+            ([(18,)], 18),
+            ([(4, 3)], 0),
         ],
     )
-    def test_stated_rows_must_fit_the_parts(self, parts, d, rows):
+    def test_the_last_two_axes_must_make_one_row(self, parts, d):
         head = [Tensor(np.zeros(s)) for s in [(d, 5), (5,), (5, 1), (1,)]]
         with pytest.raises(ValueError, match="incompatible shapes"):
-            ad.classifier_head([Tensor(np.zeros(p)) for p in parts], *head, rows=rows)
+            ad.classifier_head([Tensor(np.zeros(p)) for p in parts], *head)
 
     @pytest.mark.parametrize(
         "logits,delta",
@@ -1012,7 +998,7 @@ class TestStackedLayerOps:
         head = _head_arrays(rng, (1,), 2 * n * f)[1:]
         weights = rng.standard_normal(batch)
         flags = list(part_grads) + [True] * 4
-        ours = _layer_run(_head(2, rows=batch), [thresholded, sampled] + head, flags, (), weights)
+        ours = _layer_run(_head(2), [thresholded, sampled] + head, flags, (), weights)
         composite = _head(2, LAYER_OP_COMPOSITES["classifier_head"])
         ref = _single_subject_calls(composite, [thresholded, sampled], head, flags, weights)
         _assert_matches_single_calls(ours, ref, flags)
@@ -1035,7 +1021,7 @@ class TestStackedLayerOps:
         parts = list(rng.standard_normal((2, 3, 2, 8)))  # two branches, B = 3, n = 2, f = 8
         head = _head_arrays(rng, (1,), 2 * 2 * 8)[1:]
         weights = rng.standard_normal(3)
-        _check_gradients(lambda ts: _layer_loss(_head(2, rows=3)(*ts), weights), parts + head)
+        _check_gradients(lambda ts: _layer_loss(_head(2)(*ts), weights), parts + head)
 
 
 class TestBceWithLogits:
@@ -1348,7 +1334,7 @@ class TestFactoredWeightGradients:
         [
             ("matmul", [(3, 4), (4, 2)], [1]),
             ("graph_conv", [(3, 3), (3, 4), (4, 2)], [2]),
-            ("classifier_head", [(3, 4), (4, 5), (5,), (5, 1), (1,)], [1, 3]),
+            ("classifier_head", [(3, 2, 2), (4, 5), (5,), (5, 1), (1,)], [1, 3]),
         ],
     )
     def test_constant_weight_gradient_never_formed(self, monkeypatch, name, shapes, constant):

@@ -269,6 +269,16 @@ class TestGumbelSample:
         with pytest.raises(ValueError, match="noise"):
             gumbel_sample(Tensor(np.zeros((3, 3))), 1.0, (np.zeros((3, 3)), np.zeros((2, 2))))
 
+    @pytest.mark.parametrize(
+        "logits,shapes",
+        [((6, 6), [(6, 6), (6, 5)]), ((6, 6), [(5, 5), (5, 5)]), ((6, 6), [(1, 6, 6), (1, 6, 6)]),
+         ((2, 6, 6), [(6, 6), (6, 6)]), ((2, 6, 6), [(2, 6, 6), (3, 6, 6)])],
+    )
+    def test_rejects_a_noise_pair_of_another_shape_than_the_logits(self, logits, shapes):
+        # One subject's (n, n) logits or a mini-batch's (B, n, n) stack
+        with pytest.raises(ValueError, match="noise shapes"):
+            gumbel_sample(Tensor(np.zeros(logits)), 1.0, tuple(np.zeros(s) for s in shapes))
+
 
 def _relaxed_probability_rule(z: float, tau: float) -> float:
     """Edge iff the zero-noise relaxation of theta = sigmoid(z) is >= 1/2.

@@ -44,6 +44,7 @@ from oracles import (
     parameter_count,
     sample_gumbel_noise,
     sum_all,
+    training_logit,
 )
 
 
@@ -76,6 +77,11 @@ def _toy_subject(seed=2, n=6, t=16):
     rng = np.random.default_rng(seed)
     series = rng.standard_normal((n, t))
     return series, pearson_correlation(series)
+
+
+def _eval_logit(series, corr, state):
+    """One subject's evaluation ``forward``, given its thresholded graph as scoring gives it."""
+    return forward(series, corr, state, graph=thresholded_graph(corr, state.config))
 
 
 class TestNormalizeAdjacency:
@@ -248,22 +254,22 @@ class TestForward:
         series, corr = _toy_subject()
         state = init_model(_config())
         noise = sample_gumbel_noise(np.random.default_rng(5), 6)
-        a = forward(series, corr, state, noise=noise).data
-        b = forward(series, corr, state, noise=noise).data
+        a = training_logit(series, corr, state, noise).data
+        b = training_logit(series, corr, state, noise).data
         assert float(a) == float(b)
 
     def test_eval_path_deterministic(self):
         series, corr = _toy_subject()
         state = init_model(_config())
-        assert float(forward(series, corr, state).data) == float(
-            forward(series, corr, state).data
+        assert float(_eval_logit(series, corr, state).data) == float(
+            _eval_logit(series, corr, state).data
         )
 
     def test_matches_straight_line_oracle(self):
         series, corr = _toy_subject(seed=8)
         state = init_model(_config(seed=21))
         noise = sample_gumbel_noise(np.random.default_rng(9), 6)
-        ours = float(forward(series, corr, state, noise=noise).data)
+        ours = float(training_logit(series, corr, state, noise).data)
         oracle = _forward_oracle(series, corr, state, noise)
         assert abs(ours - oracle) < 1e-10
 
@@ -275,7 +281,7 @@ class TestForward:
         state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
         hard = subject_graphs(series, corr, state)[2]
         assert 0 < hard.sum() < 6 * 5
-        ours = float(forward(series, corr, state).data)
+        ours = float(_eval_logit(series, corr, state).data)
         assert abs(ours - _forward_oracle(series, corr, state, None)) < 1e-10
 
     @pytest.mark.parametrize("training", [True, False])
@@ -286,54 +292,37 @@ class TestForward:
         logits = edge_probabilities(series, state.scorer).data
         state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
         noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
-        ours = float(forward(series, corr, state, noise=noise).data)
-        assert abs(ours - _forward_oracle(series, corr, state, noise)) < 1e-10
+        logit = training_logit(series, corr, state, noise) if training else _eval_logit(series, corr, state)
+        assert abs(float(logit.data) - _forward_oracle(series, corr, state, noise)) < 1e-10
 
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_a_given_thresholded_graph_changes_no_bit(self, mode, training):
-        # Training passes each subject's thresholded_graph, built once;
-        # without one, forward builds the same tensor itself.
+    @pytest.mark.parametrize("mode", ["full", "no_optim"])
+    def test_a_mode_with_the_thresholded_branch_needs_its_graph(self, mode, training):
+        # forward builds no graph: its caller builds each subject's once.
         series, corr = _toy_subject(seed=8)
-        config = _config(mode=mode, seed=21, corr_threshold=0.1)
-        graph = thresholded_graph(corr, config)
-        if mode in ("no_corr", "no_gconv"):
-            assert graph is None
-        else:
-            assert 0 < build_filtered(corr, 0.1).sum() < 6 * 5  # edges and gaps
+        state = init_model(_config(mode=mode))
         noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
-        runs = []
-        for given in (graph, None):
-            state = init_model(config)
-            logit = forward(series, corr, state, noise, graph=given)  # noise stays 4th
-            if training:
-                ad.bce_mean(logit, [1]).backward()
-            grads = [p.grad.tobytes() for p in state.parameters() if p.grad is not None]
-            runs.append((logit.data.tobytes(), grads))
-            if training and graph is not None:  # the thresholded branch does train
-                assert all(w.grad.any() for w in state.filtered_gcn.parameters())
-        assert runs[0] == runs[1]
+        with pytest.raises(ValueError, match="thresholded graph"):
+            forward(series, corr, state, noise)  # noise stays 4th
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_without_the_head_it_returns_the_inputs_batch_logits_scores(self, monkeypatch, mode):
-        # forward(..., head=False) runs the edge scorer and nothing after
-        # it, and batch_logits on its result and the noise gives forward's
-        # logit. Without the graph it builds the same one.
+    def test_with_noise_it_returns_the_inputs_batch_logits_scores(self, monkeypatch, mode):
+        # forward(..., noise=pair) runs the edge scorer and nothing after
+        # it, and batch_logits on its result and the noise gives the
+        # subject's training logit.
         series, corr = _toy_subject(seed=8)
-        state = init_model(_config(mode=mode, seed=21))
+        state = init_model(_config(mode=mode, seed=21, corr_threshold=0.1))
+        logits = edge_probabilities(series, state.scorer).data
+        state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
         noise = np.stack(sample_gumbel_noise(np.random.default_rng(9), 6))
-        logit = forward(series, corr, state, noise=tuple(noise))
         expected = thresholded_graph(corr, state.config)
-        built = forward(series, corr, state, noise=tuple(noise), head=False)[1]
-        assert (built is None) == (expected is None)
-        assert built is None or built.data.tobytes() == expected.data.tobytes()
+        assert expected is None or 0 < build_filtered(corr, 0.1).sum() < 6 * 5  # edges and gaps
         calls = []
         for name in ("matmul", "pair_logits", "gumbel_relax", "adjacency_norm", "graph_conv",
                      "classifier_head"):
             op = getattr(ad, name)
             monkeypatch.setattr(ad, name, lambda *a, name=name, op=op, **k: calls.append(name) or op(*a, **k))
-        given, graph, logits = forward(series.tolist(), corr, state, noise=tuple(noise), graph=expected,
-                                       head=False)
+        given, graph, logits = forward(series.tolist(), corr, state, noise=tuple(noise), graph=expected)
         scored = mode in ("full", "no_corr")
         assert calls == (["matmul", "pair_logits"] if scored else [])
         assert given.dtype == np.float64 and given.tobytes() == corr.tobytes() and graph is expected
@@ -343,30 +332,24 @@ class TestForward:
         else:
             assert logits is None
         out = batch_logits([(given, graph, logits)], state, noise[None])
-        assert out.shape == (1,) and out.data.tobytes() == logit.data.reshape(1).tobytes()
-
-    @pytest.mark.parametrize("shapes", [[(6, 6), (6, 5)], [(5, 5), (5, 5)], [(1, 6, 6), (1, 6, 6)]])
-    def test_without_the_head_it_rejects_a_noise_pair_of_another_shape(self, shapes):
-        series, corr = _toy_subject(seed=8)
-        state = init_model(_config())
-        with pytest.raises(ValueError, match="noise shapes"):
-            forward(series, corr, state, noise=tuple(np.zeros(s) for s in shapes), head=False)
+        assert out.shape == (1,)
+        assert abs(float(out.data[0]) - _forward_oracle(series, corr, state, noise)) < 1e-10
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
         state = init_model(_config(mode="no_corr", seed=3))
         noise = sample_gumbel_noise(np.random.default_rng(6), 6)
 
-        before = float(forward(series, corr, state, noise=noise).data)
+        before = float(training_logit(series, corr, state, noise).data)
         for p in state.filtered_gcn.parameters():
             p.data = np.zeros_like(p.data)
-        assert float(forward(series, corr, state, noise=noise).data) == before
+        assert float(training_logit(series, corr, state, noise).data) == before
 
         state.config = dataclasses.replace(state.config, mode="no_optim")
-        before = float(forward(series, corr, state, noise=noise).data)
+        before = float(training_logit(series, corr, state, noise).data)
         for p in state.optimal_gcn.parameters() + state.scorer.parameters():
             p.data = np.zeros_like(p.data)
-        assert float(forward(series, corr, state, noise=noise).data) == before
+        assert float(training_logit(series, corr, state, noise).data) == before
 
     def test_no_gconv_ignores_graph_parameters(self):
         series, corr = _toy_subject(seed=5)
@@ -481,10 +464,11 @@ class TestWeightGradientStacking:
             monkeypatch, ["pair_logits", "graph_conv"], gradients_of=["pair_logits"]
         )
         noise = np.random.default_rng(7).gumbel(size=(batch, 2, n, n))
-        subjects = [  # as a training step forms them: one head call for the batch
-            forward(*_toy_subject(seed=seed), state, noise=tuple(pair), head=False)
-            for seed, pair in enumerate(noise)
-        ]
+        subjects = []  # as a training step forms them: one head call for the batch
+        for seed, pair in enumerate(noise):
+            series, corr = _toy_subject(seed=seed)
+            graph = thresholded_graph(corr, state.config)
+            subjects.append(forward(series, corr, state, noise=tuple(pair), graph=graph))
         logits = batch_logits(subjects, state, noise)
         ad.bce_mean(logits, [seed % 2 for seed in range(batch)]).backward()
 
@@ -516,7 +500,7 @@ def _kept_arrays(root):
     """The arrays a tape keeps alive: each tensor's data and what its VJP captured."""
     kept = []
     for node in _reachable(root):
-        cells = node._vjp.__closure__ if node._vjp is not None else None
+        cells = getattr(node._vjp, "__closure__", None)  # ``stack``'s VJP is ``tuple``
         kept += [node.data] + [c.cell_contents for c in cells or ()]
     return [x for x in kept if isinstance(x, np.ndarray)]
 
@@ -528,7 +512,7 @@ class TestTapeMemory:
         state = init_model(config)
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
-        loss = ad.bce_mean(forward(series, corr, state, noise=noise), [1])
+        loss = ad.bce_mean(training_logit(series, corr, state, noise), [1])
         sizes = [x.size for x in _kept_arrays(loss)]
         assert n * n in sizes  # the tape does reach the (n, n) edge logits
         assert n * n * d not in sizes
@@ -540,7 +524,7 @@ class TestTapeMemory:
         state = init_model(_config(n_rois=n, gcn_hidden_dim=8, gcn_out_dim=8))
         series, corr = _toy_subject(seed=3, n=n)
         noise = sample_gumbel_noise(np.random.default_rng(0), n)
-        kept = _kept_arrays(ad.bce_mean(forward(series, corr, state, noise=noise), [1]))
+        kept = _kept_arrays(ad.bce_mean(training_logit(series, corr, state, noise), [1]))
 
         relaxed = gumbel_sample(edge_probabilities(series, state.scorer), 1.0, noise).data
         graphs = [build_filtered(corr, 0.6), relaxed]
@@ -572,11 +556,14 @@ def _batch_gradients(state, subjects, noise):
     """
     labels = [(i + 1) % 2 for i in range(len(subjects))]
     if noise is None:
-        outs = [forward(*subject, state) for subject in subjects]
+        outs = [_eval_logit(*subject, state) for subject in subjects]
         logits = np.array([float(out.data) for out in outs])
         functools.reduce(add, [ad.bce_mean(out, [y]) for out, y in zip(outs, labels)]).backward()
     else:
-        inputs = [forward(*s, state, noise=tuple(pair), head=False) for s, pair in zip(subjects, noise)]
+        inputs = [
+            forward(*s, state, noise=tuple(pair), graph=thresholded_graph(s[1], state.config))
+            for s, pair in zip(subjects, noise)
+        ]
         logits = batch_logits(inputs, state, noise)
         ad.bce_mean(logits, labels).backward()
         logits = logits.data

@@ -14,7 +14,7 @@ from dualgraph import model as model_module
 from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
 from dualgraph.graphgen import build_filtered
-from dualgraph.model import MODES, forward, init_model, normalize_adjacency
+from dualgraph.model import MODES, init_model, normalize_adjacency
 from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic, pearson_correlation
 from dualgraph.train import (
     Adam,
@@ -30,7 +30,9 @@ from dualgraph.train import (
     train_model,
 )
 
-from oracles import adam_out_of_place, auc_pair_counting, fit, mul, sample_gumbel_noise
+from oracles import (
+    adam_out_of_place, auc_pair_counting, fit, mul, sample_gumbel_noise, training_logit,
+)
 
 
 def poison_gumbel_vjp(monkeypatch):
@@ -59,11 +61,14 @@ _TAPED_OPS = ["matmul", "pair_logits", "stack", "adjacency_norm", "graph_conv", 
 
 
 def _small_config(**overrides):
+    # GCN output width 8: at width 4 and seed 0 the sampled branch's output
+    # ReLU is dead, and the scorer and optimal_gcn get exactly zero
+    # gradient for a whole run.
     base = dict(
         learning_rate=1e-2,
         extractor_dim=8,
         gcn_hidden_dim=8,
-        gcn_out_dim=4,
+        gcn_out_dim=8,
         classifier_hidden_dim=8,
         epochs=5,
         patience=5,
@@ -350,14 +355,14 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(Adam, "zero_grad", counting_zero_grad)
         monkeypatch.setattr(train_module, "batch_logits", recording_batch_logits)
-        fit(ds, list(range(8)), _small_config(epochs=2, batch_size=3, gcn_out_dim=8))
+        fit(ds, list(range(8)), _small_config(epochs=2, batch_size=3))
         # every layer but the loss: two scorer nodes a subject, then the logit
         # stack, relaxation, normalization, four graph_convs and the head
         assert [len(b) for b in batches] == [14, 14, 12] * 2  # batches of 3, 3 and 2
 
     def test_the_noise_draw_is_freed_before_the_loss(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=5)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         draws, real_batch_logits, bce_mean = [], train_module.batch_logits, ad.bce_mean
 
         def recording_batch_logits(subjects, state, noise):
@@ -400,7 +405,7 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_entry_in_the_last_chunk_stops_before_the_update(self, monkeypatch, bad):
-        # classifier.w1 has 64 x 600 entries, more than one Adam chunk and
+        # classifier.w1 has 128 x 600 entries, more than one Adam chunk and
         # not a multiple of it; the check reads the whole gradient.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, optimizer, rng = train_module._setup(ds, _small_config(classifier_hidden_dim=600))
@@ -424,11 +429,10 @@ class TestTrainingLoop:
         # Batch size 7 on 8 subjects leaves a last mini-batch of one, whose
         # loss is that subject's own logit's BCE, bit for bit.
         ds = generate_synthetic(8, 8, 32, seed=6)
-        config = _small_config(batch_size=7, epochs=2, gcn_out_dim=8)
+        config = _small_config(batch_size=7, epochs=2)
         state, inputs, optimizer, rng = train_module._setup(ds, config)
-        corr, graph = inputs[5]
         noise = sample_gumbel_noise(copy.deepcopy(rng), ds.n_rois)
-        logit = forward(ds.subjects[5].series, corr, state, noise=noise, graph=graph)
+        logit = training_logit(ds.subjects[5].series, inputs[5][0], state, noise)
         before = [p.data.copy() for p in state.parameters()]
         loss = train_module._batch_update(state, ds, inputs, [5], optimizer, rng, "batch 2")
         assert loss == ad.bce_value(float(logit.data), ds.subjects[5].label)
@@ -439,12 +443,11 @@ class TestTrainingLoop:
 
     def test_the_batched_head_scores_each_subject_in_its_own_row(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         batch, noise_rng, alone = [3, 0, 6, 1], copy.deepcopy(rng), []
-        for idx in batch:
-            corr, graph = inputs[idx]
+        for idx in batch:  # each subject as a mini-batch of its own
             noise = sample_gumbel_noise(noise_rng, ds.n_rois)
-            alone.append(float(forward(ds.subjects[idx].series, corr, state, noise=noise, graph=graph).data))
+            alone.append(float(training_logit(ds.subjects[idx].series, inputs[idx][0], state, noise).data))
         scored, head = [], ad.classifier_head
         def spied(*args, **kwargs):
             scored.append(head(*args, **kwargs))
@@ -469,9 +472,7 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(train_module, "init_model", saturated_init)
         ds = generate_synthetic(8, 8, 32, seed=6)
-        # GCN output width 8: at width 4 this init leaves the sampled
-        # branch's output ReLU dead, and no gradient reaches the scorer.
-        state, losses = fit(ds, list(range(8)), _small_config(epochs=2, gcn_out_dim=8))
+        state, losses = fit(ds, list(range(8)), _small_config(epochs=2))
         assert np.all(np.isfinite(losses))
         for param, before in zip(state.parameters(), created[0]):
             assert np.isfinite(param.data).all()
@@ -490,7 +491,7 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         ds = generate_synthetic(10, 8, 32, seed=6)
-        fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4, gcn_out_dim=8))
+        fit(ds, list(range(10)), _small_config(epochs=1, batch_size=4))
         assert tapes == [17, 17, 13]  # batches of 4, 4 and 2
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -498,9 +499,10 @@ class TestTrainingLoop:
         # The scorer's matmul and pair_logits, two graph_convs per branch and
         # classifier_head: the parameters require grad, so each op records a
         # node. The hardened graph is a constant, so its adjacency_norm
-        # records none, and so is the thresholded graph, cached or not.
+        # records none, and so is the thresholded graph, whether validation
+        # takes it from _setup or scoring builds it.
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, _, _ = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, _, _ = train_module._setup(ds, _small_config())
         nodes = []
 
         def recorded(op):
@@ -513,15 +515,18 @@ class TestTrainingLoop:
 
         for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(getattr(ad, name)))
-        train_module._predict_logits(state, ds, [0], inputs if cached else None)
+        if cached:
+            train_module._predict_logits(state, ds, [0], inputs[:1])
+        else:
+            train_module.predict_probabilities(state, ds, [0])
         assert sum(nodes) == 7
 
     def test_one_update_reaches_every_sampled_branch_weight(self):
-        # At GCN output width 8 the sampled branch is alive at init, so
-        # the fused pair MLP's VJP must hand every scorer parameter, and
-        # the optimal GCN behind it both weights, a non-zero gradient.
+        # At _small_config's GCN output width the sampled branch is alive at
+        # init, so the fused pair MLP's VJP must hand every scorer parameter,
+        # and the optimal GCN behind it both weights, a non-zero gradient.
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
         params = state.scorer.parameters() + state.optimal_gcn.parameters()
         names = ["extract_w", "extract_b", "pair_w1", "pair_b1", "pair_w2", "pair_b2", "w0", "w1"]
@@ -564,7 +569,7 @@ class TestTrainingLoop:
 
     def test_head_gradient_array_is_reused_across_updates(self):
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3], optimizer, rng, "batch 1")
         first = state.classifier.w1.grad
         train_module._batch_update(state, ds, inputs, [4, 5, 6, 7], optimizer, rng, "batch 2")
@@ -584,30 +589,31 @@ class TestTrainingLoop:
             after_epoch.append([p.data.copy() for p in state.parameters()])
             return loss
 
-        def scripted_validation(state, dataset, indices, inputs=None):
-            if inputs is None:  # the test set, scored after training
-                return predict(state, dataset, indices)
-            return next(scales) * (2.0 * dataset.labels[indices] - 1.0)
+        def scripted_validation(state, dataset, indices, inputs):
+            scale = next(scales, None)
+            if scale is None:  # the test set, scored after the four epochs
+                return predict(state, dataset, indices, inputs)
+            return scale * (2.0 * dataset.labels[indices] - 1.0)
 
         monkeypatch.setattr(train_module, "_epoch_pass", recording_pass)
         monkeypatch.setattr(train_module, "_predict_logits", scripted_validation)
-        state, _, log = train_model(ds, _small_config(epochs=4, patience=4, gcn_out_dim=8))
+        state, _, log = train_model(ds, _small_config(epochs=4, patience=4))
         assert len(log) == 4 and min(log, key=lambda row: row["val_loss"])["epoch"] == 2
         assert not np.array_equal(after_epoch[3][0], after_epoch[1][0])
         for param, best in zip(state.parameters(), after_epoch[1]):
             assert param.data.tobytes() == best.tobytes()
 
     def test_returned_state_reproduces_test_metrics(self):
-        # GCN output width 8 keeps the sampled branch alive, so the
-        # restored best epoch includes a trained scorer and optimal GCN.
+        # _small_config's GCN output width keeps the sampled branch alive, so
+        # the restored best epoch includes a trained scorer and optimal GCN.
         ds = generate_synthetic(12, 8, 32, seed=8)
-        state, metrics, _ = train_model(ds, _small_config(epochs=3, gcn_out_dim=8))
+        state, metrics, _ = train_model(ds, _small_config(epochs=3))
         again = evaluate(state, ds, split(ds, seed=0).test)
         assert metrics == again
 
     def test_whole_run_determinism(self):
         ds = generate_synthetic(12, 8, 32, seed=9)
-        config = _small_config(epochs=3, gcn_out_dim=8)
+        config = _small_config(epochs=3)
         state_a, metrics_a, log_a = train_model(ds, config)
         state_b, metrics_b, log_b = train_model(ds, config)
         assert metrics_a == metrics_b and log_a == log_b
@@ -624,10 +630,14 @@ class TestTrainingLoop:
 
 
 class TestThresholdedGraphCache:
-    """``_setup`` builds each subject's thresholded graph once; steps and validation reuse it."""
+    """``_setup`` builds each subject's thresholded graph once; steps and validation reuse it.
+
+    Scoring builds each subject's inputs as it scores the subject.
+    """
 
     def test_no_step_or_validation_pass_builds_a_thresholded_graph(self, monkeypatch):
         ds = generate_synthetic(12, 8, 32, seed=8)
+        test = split(ds, seed=0).test
         phase, calls = ["setup"], []
         build, epoch_pass, predict = (
             model_module.build_filtered, train_module._epoch_pass, train_module._predict_logits
@@ -641,16 +651,46 @@ class TestThresholdedGraphCache:
             phase[0] = "epoch"
             return epoch_pass(*args)
 
-        def spied_predict(state, dataset, indices, *inputs):
-            phase[0] = "validation" if inputs else "test"  # the test set gets no inputs
-            return predict(state, dataset, indices, *inputs)
+        def spied_predict(state, dataset, indices, inputs):
+            phase[0] = "test" if indices == test else "validation"
+            return predict(state, dataset, indices, inputs)
 
         monkeypatch.setattr(model_module, "build_filtered", spied_build)
         monkeypatch.setattr(train_module, "_epoch_pass", spied_pass)
         monkeypatch.setattr(train_module, "_predict_logits", spied_predict)
         _, _, log = train_model(ds, _small_config(epochs=2, patience=2))
         assert len(log) == 2
-        assert calls == ["setup"] * 12 + ["test"] * len(split(ds, seed=0).test)
+        assert calls == ["setup"] * 12 + ["test"] * len(test)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_evaluate_builds_each_subjects_inputs_just_before_its_forward(self, monkeypatch, mode):
+        ds = generate_synthetic(8, 8, 32, seed=6)
+        state = init_model(train_module._model_config(ds, _small_config(mode=mode)))
+        events, built = [], []
+        corr_of, build, real_forward = (
+            train_module.pearson_correlation, model_module.build_filtered, train_module.forward
+        )
+
+        def spied_corr(series):
+            built.append(corr_of(series))
+            events.append("corr")
+            return built[-1]
+
+        def spied_build(*args):
+            events.append("graph")
+            return build(*args)
+
+        def spied_forward(series, corr, *args, **kwargs):
+            assert corr is built[-1]  # the correlations built just before
+            events.append("forward")
+            return real_forward(series, corr, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "pearson_correlation", spied_corr)
+        monkeypatch.setattr(model_module, "build_filtered", spied_build)
+        monkeypatch.setattr(train_module, "forward", spied_forward)
+        evaluate(state, ds, [2, 0, 5, 7])
+        graph = ["graph"] if mode in ("full", "no_optim") else []
+        assert events == (["corr", *graph, "forward"]) * 4
 
     @pytest.mark.parametrize("mode", MODES)
     def test_setup_builds_the_graph_only_in_modes_with_the_thresholded_branch(self, mode):
@@ -676,7 +716,7 @@ class TestThresholdedGraphCache:
 
     def test_every_op_a_training_step_calls_is_a_tape_node(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         outputs = []
 
         def recorded(name, op):
@@ -700,7 +740,7 @@ class TestThresholdedGraphCache:
     def test_an_epoch_and_a_validation_pass_leave_the_cached_inputs_as_they_were(self):
         # No op mutates its inputs, so one graph can serve every step.
         ds = generate_synthetic(10, 8, 32, seed=6)
-        config = _small_config(gcn_out_dim=8)
+        config = _small_config()
         state, inputs, optimizer, rng = train_module._setup(ds, config)
         before = [(corr.tobytes(), graph.data.tobytes()) for corr, graph in inputs]
         head = state.classifier.w1.data.copy()
@@ -726,7 +766,7 @@ class TestMiniBatchPaths:
     @pytest.mark.parametrize("batch", [[3, 0, 6, 1], [5]])
     def test_a_batch_update_hands_each_subject_its_own_noise_pair(self, monkeypatch, batch):
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         per_subject, seen, real_forward = copy.deepcopy(rng), [], train_module.forward
 
         def recording_forward(*args, **kwargs):
@@ -745,7 +785,7 @@ class TestMiniBatchPaths:
         # noise, times each forward(noise=None) as one scored subject and
         # expects n * n scored pairs per edge_probabilities call.
         ds = generate_synthetic(8, 8, 32, seed=6)
-        state, inputs, optimizer, rng = train_module._setup(ds, _small_config(gcn_out_dim=8))
+        state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
         calls, real_forward, real_edges = [], train_module.forward, model_module.edge_probabilities
 
         def recording_forward(*args, **kwargs):
