@@ -335,6 +335,20 @@ class TestForward:
         assert out.shape == (1,)
         assert abs(float(out.data[0]) - _forward_oracle(series, corr, state, noise)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(1, 2, 6, 5), (1, 2, 5, 5), (2, 2, 6, 6)])
+    @pytest.mark.parametrize("mode", ["full", "no_corr"])
+    def test_a_noise_stack_of_another_shape_is_rejected(self, mode, shape):
+        # forward(..., noise=pair) only marks the training path; the
+        # batch's noise stack is checked where it is used, against the
+        # subjects' stacked (B, n, n) scorer logits.
+        series, corr = _toy_subject(seed=8)
+        state = init_model(_config(mode=mode))
+        graph = thresholded_graph(corr, state.config)
+        pair = sample_gumbel_noise(np.random.default_rng(9), 6)
+        subject = forward(series, corr, state, noise=pair, graph=graph)
+        with pytest.raises(ValueError, match="noise shapes"):
+            batch_logits([subject], state, np.zeros(shape))
+
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)
         state = init_model(_config(mode="no_corr", seed=3))
