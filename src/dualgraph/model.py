@@ -214,12 +214,21 @@ def _check_inputs(series, corr, config: ModelConfig) -> tuple:
 def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
     """The thresholded branch's normalized adjacency, or None in a mode without it.
 
-    A constant tensor: no parameter reaches it, so ``forward``'s caller
-    builds it (``train._subject_inputs``) and training does so once.
+    ``corr`` is one subject's (n, n) correlations or a chunk's (B, n, n)
+    stack. ``build_filtered`` runs once per subject, and one
+    ``normalize_adjacency`` call takes the whole stack, each graph with
+    the bits of its 2-D call. A constant tensor: no parameter reaches it,
+    so ``forward``'s caller builds it (``train._inputs``) and training
+    does so once.
     """
     if config.mode not in ("full", "no_optim"):
         return None
-    return normalize_adjacency(Tensor(build_filtered(corr, config.corr_threshold)))
+    threshold = config.corr_threshold
+    if np.ndim(corr) == 2:
+        filtered = build_filtered(corr, threshold)
+    else:
+        filtered = np.stack([build_filtered(c, threshold) for c in corr])
+    return normalize_adjacency(Tensor(filtered))
 
 
 def forward(

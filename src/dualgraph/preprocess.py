@@ -98,28 +98,38 @@ class Dataset:
 def pearson_correlation(series: np.ndarray) -> np.ndarray:
     """Pearson correlation between ROI rows, population denominators.
 
-    Zero-variance rows correlate 0 with everything; the diagonal is set
-    to exactly 1. Output is exactly symmetric and clipped to [-1, 1].
+    Takes one subject's (N, T) series or a stack of B subjects' (B, N, T)
+    and returns (N, N) or (B, N, N). Each subject's matrix is computed by
+    the same per-row reductions and the same per-matrix product as its
+    own 2-D call, so it has that call's bits. Zero-variance rows
+    correlate 0 with everything; the diagonal is set to exactly 1.
+    Output is exactly symmetric and clipped to [-1, 1]. The steps after
+    centering write over their own temporaries, so a stack's working set
+    is about three times its size.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2 or series.shape[1] < 3:
+    if series.ndim not in (2, 3) or series.shape[-1] < 3:
         raise ValueError(
             f"expected an (N, T) matrix with T >= 3, got shape {series.shape}"
         )
     if not np.all(np.isfinite(series)):
         raise ValueError("series has non-finite values")
 
-    centered = series - series.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered**2).sum(axis=1))
+    centered = series - series.mean(axis=-1, keepdims=True)
+    norms = np.sqrt(np.square(centered).sum(axis=-1))
     constant = norms == 0.0
-    safe = np.where(constant, 1.0, norms)
-    scaled = centered / safe[:, None]
-    corr = scaled @ scaled.T
-    corr = (corr + corr.T) * 0.5
-    corr = np.clip(corr, -1.0, 1.0)
-    corr[constant, :] = 0.0
-    corr[:, constant] = 0.0
-    np.fill_diagonal(corr, 1.0)
+    some_constant = constant.any()
+    if some_constant:
+        norms[constant] = 1.0
+    centered /= norms[..., None]  # scaled
+    corr = centered @ centered.swapaxes(-1, -2)
+    corr = corr + corr.swapaxes(-1, -2)
+    corr *= 0.5
+    np.clip(corr, -1.0, 1.0, out=corr)
+    if some_constant:
+        corr[constant] = 0.0  # rows
+        corr.swapaxes(-1, -2)[constant] = 0.0  # columns
+    np.einsum("...ii->...i", corr)[...] = 1.0
     return corr
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from dualgraph import autodiff as ad
-from dualgraph.autodiff import bce_value, logistic
+from dualgraph.autodiff import Tensor, bce_value, logistic
 from dualgraph.model import (
     MODES,
     ModelConfig,
@@ -264,14 +265,37 @@ def binary_metrics(probs: np.ndarray, labels: np.ndarray) -> Metrics:
     )
 
 
-def _subject_inputs(series: np.ndarray, config: ModelConfig) -> tuple:
-    """A subject's ``forward`` inputs: its correlations and ``thresholded_graph`` (or None)."""
-    corr = pearson_correlation(series)
-    return corr, thresholded_graph(corr, config)
+# A chunk's stacks stay within about 400 KB of floats, an L2-sized budget
+# like the edge scorer's pair blocks (``autodiff._PAIR_BLOCK_FLOATS``). At
+# 16 ROIs x 64 steps on a 2-core Xeon host (2 MB L2 a core), chunks of 48
+# built a subject's inputs in 14 us, chunks of 8-24 in 15-18 us.
+_CHUNK_FLOATS = 50_000
+
+
+def _inputs(dataset: Dataset, indices: list, config: ModelConfig) -> Iterator[tuple]:
+    """Each listed subject's ``forward`` inputs, ``(corr, thresholded_graph or None)``, in order.
+
+    Built a chunk of subjects at a time: one ``pearson_correlation`` call
+    on the chunk's stacked (B, N, T) series and one ``thresholded_graph``
+    call on its (B, n, n) correlations, whose subjects come out as views
+    of those stacks with the bits of their own 2-D calls. A chunk holds
+    as many subjects as keep each stack, (B, N, T) or (B, n, n), within
+    ``_CHUNK_FLOATS`` (at least one): 48 at 16 ROIs × 64 steps, 3 at
+    96 × 150. A chunk is built only when the one before has been handed
+    out.
+    """
+    n = dataset.n_rois
+    size = max(1, _CHUNK_FLOATS // (n * max(n, dataset.t_steps)))
+    for start in range(0, len(indices), size):
+        chunk = indices[start : start + size]
+        corrs = pearson_correlation(np.stack([dataset.subjects[i].series for i in chunk]))
+        graphs = thresholded_graph(corrs, config)
+        for b, corr in enumerate(corrs):
+            yield corr, None if graphs is None else Tensor(graphs.data[b])
 
 
 def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) -> np.ndarray:
-    """Noise-free logits; ``inputs`` yields each subject's ``_subject_inputs``, in order."""
+    """Noise-free logits; ``inputs`` yields each subject's ``_inputs``, in order."""
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
     logits = []
@@ -284,9 +308,10 @@ def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) 
 def predict_probabilities(state: ModelState, dataset: Dataset, indices: list) -> np.ndarray:
     """Deterministic disease probabilities via the noise-free path.
 
-    Each subject's inputs are built just before its ``forward``, and none are kept.
+    The subjects' inputs are built a chunk at a time as scoring reaches
+    them (``_inputs``), and no chunk is kept once scored.
     """
-    inputs = (_subject_inputs(dataset.subjects[idx].series, state.config) for idx in indices)
+    inputs = _inputs(dataset, indices, state.config)
     return logistic(_predict_logits(state, dataset, indices, inputs))
 
 
@@ -369,13 +394,13 @@ def _batch_update(
 def _setup(dataset: Dataset, config: TrainConfig) -> tuple:
     """Fresh model, every subject's inputs, Adam and the noise stream.
 
-    Each subject's ``_subject_inputs`` are built once here instead of in
-    every step and validation pass. The Gumbel noise comes from a child
+    Every subject's ``_inputs`` are built once here instead of in every
+    step and validation pass. The Gumbel noise comes from a child
     of the config seed, so it never shares draws with the split or the
     parameter init.
     """
     state = init_model(_model_config(dataset, config))
-    inputs = [_subject_inputs(s.series, state.config) for s in dataset.subjects]
+    inputs = list(_inputs(dataset, range(len(dataset)), state.config))
     optimizer = Adam(state.parameters(), config.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     return state, inputs, optimizer, rng

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualgraph import autodiff as ad
+from dualgraph import model as model_module
 from dualgraph.autodiff import Tensor
 from dualgraph.graphgen import build_filtered, edge_probabilities, gumbel_sample
 from dualgraph.model import (
@@ -348,6 +349,23 @@ class TestForward:
         subject = forward(series, corr, state, noise=pair, graph=graph)
         with pytest.raises(ValueError, match="noise shapes"):
             batch_logits([subject], state, np.zeros(shape))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_stack_of_correlations_gives_each_subjects_2d_graph(self, monkeypatch, mode):
+        # build_filtered stays 2-D, one call per subject; the stack is normalized in one call
+        corrs = np.stack([_toy_subject(seed=s)[1] for s in (3, 4, 5)])
+        config = _config(mode=mode, corr_threshold=0.1)  # 10-12 edges a subject
+        calls, norm = [], model_module.normalize_adjacency
+        monkeypatch.setattr(
+            model_module, "normalize_adjacency", lambda a: calls.append(a.shape) or norm(a)
+        )
+        graphs = thresholded_graph(corrs, config)
+        if mode in ("no_corr", "no_gconv"):
+            assert graphs is None and calls == []
+            return
+        assert calls == [(3, 6, 6)] and not graphs.requires_grad
+        for corr, graph in zip(corrs, graphs.data, strict=True):
+            assert graph.tobytes() == thresholded_graph(corr, config).data.tobytes()
 
     def test_single_branch_modes_use_disjoint_parameters(self):
         series, corr = _toy_subject(seed=4)

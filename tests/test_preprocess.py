@@ -75,6 +75,45 @@ class TestPearsonCorrelation:
         assert np.all(np.diag(corr) == 1.0)
         assert np.all(corr >= -1.0) and np.all(corr <= 1.0)
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda b: st.tuples(
+                arrays(
+                    np.float64,
+                    st.tuples(st.just(b), st.integers(2, 6), st.integers(3, 12)),
+                    elements=st.floats(-100.0, 100.0),
+                ),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_stack_equals_its_subjects_2d_calls_bit_for_bit(self, drawn):
+        stack, seed = drawn
+        # some rows of some subjects are constant (zero variance)
+        rng = np.random.default_rng(seed)
+        constant = rng.random(stack.shape[:2]) < 0.3
+        stack[constant] = rng.uniform(-5.0, 5.0, size=(int(constant.sum()), 1))
+        corr = pearson_correlation(stack)
+        assert corr.shape == (stack.shape[0], stack.shape[1], stack.shape[1])
+        for subject, matrix in zip(stack, corr, strict=True):
+            assert matrix.tobytes() == pearson_correlation(subject).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 5), (2, 3, 2)])
+    def test_a_stack_of_the_wrong_rank_or_length_is_rejected(self, shape):
+        message = f"expected an (N, T) matrix with T >= 3, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pearson_correlation(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("subject", [0, 2])
+    def test_a_non_finite_entry_in_any_subject_of_a_stack_is_rejected(self, bad, subject):
+        stack = np.random.default_rng(6).standard_normal((3, 4, 5))
+        stack[subject, 3, 4] = bad
+        for series in (stack[subject], stack):
+            with pytest.raises(ValueError, match="^series has non-finite values$"):
+                pearson_correlation(series)
+
 
 class TestDatasetIO:
     def _tiny_dataset(self):

@@ -620,19 +620,21 @@ class TestTrainingLoop:
         for a, b in zip(state_a.parameters(), state_b.parameters()):
             assert np.array_equal(a.data, b.data)
 
-    def test_evaluate_rejects_empty_indices(self):
+    def test_evaluate_rejects_empty_indices(self, monkeypatch):
         ds = generate_synthetic(8, 8, 32, seed=10)
-        state = init_model(
-            train_model(ds, _small_config(epochs=1))[0].config
-        )
-        with pytest.raises(ValueError, match="empty"):
-            evaluate(state, ds, [])
+        state = init_model(train_module._model_config(ds, _small_config()))
+        calls = []
+        monkeypatch.setattr(train_module, "pearson_correlation", calls.append)
+        for score in (evaluate, train_module.predict_probabilities):
+            with pytest.raises(ValueError, match="^cannot evaluate an empty index list$"):
+                score(state, ds, [])
+        assert calls == []
 
 
 class TestThresholdedGraphCache:
     """``_setup`` builds each subject's thresholded graph once; steps and validation reuse it.
 
-    Scoring builds each subject's inputs as it scores the subject.
+    Scoring builds the subjects' inputs a chunk at a time as it reaches them.
     """
 
     def test_no_step_or_validation_pass_builds_a_thresholded_graph(self, monkeypatch):
@@ -663,8 +665,9 @@ class TestThresholdedGraphCache:
         assert calls == ["setup"] * 12 + ["test"] * len(test)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_evaluate_builds_each_subjects_inputs_just_before_its_forward(self, monkeypatch, mode):
-        ds = generate_synthetic(8, 8, 32, seed=6)
+    def test_evaluate_builds_the_inputs_one_chunk_at_a_time(self, monkeypatch, mode):
+        # 96 ROIs x 150 steps take 3 subjects a chunk: 8 subjects make chunks of 3, 3 and 2
+        ds = generate_synthetic(8, 96, 150, seed=6)
         state = init_model(train_module._model_config(ds, _small_config(mode=mode)))
         events, built = [], []
         corr_of, build, real_forward = (
@@ -673,7 +676,7 @@ class TestThresholdedGraphCache:
 
         def spied_corr(series):
             built.append(corr_of(series))
-            events.append("corr")
+            events.append(("corr", len(series)))
             return built[-1]
 
         def spied_build(*args):
@@ -681,28 +684,44 @@ class TestThresholdedGraphCache:
             return build(*args)
 
         def spied_forward(series, corr, *args, **kwargs):
-            assert corr is built[-1]  # the correlations built just before
+            assert corr.base is built[-1]  # a view of the stack built last
+            assert corr.tobytes() == corr_of(series).tobytes()  # and its subject's own
             events.append("forward")
             return real_forward(series, corr, *args, **kwargs)
 
         monkeypatch.setattr(train_module, "pearson_correlation", spied_corr)
         monkeypatch.setattr(model_module, "build_filtered", spied_build)
         monkeypatch.setattr(train_module, "forward", spied_forward)
-        evaluate(state, ds, [2, 0, 5, 7])
+        evaluate(state, ds, [2, 0, 5, 7, 1, 6, 3, 4])
         graph = ["graph"] if mode in ("full", "no_optim") else []
-        assert events == (["corr", *graph, "forward"]) * 4
+        assert events == [
+            event for b in (3, 3, 2) for event in [("corr", b), *graph * b, *["forward"] * b]
+        ]
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_setup_builds_the_graph_only_in_modes_with_the_thresholded_branch(self, mode):
-        ds = generate_synthetic(8, 8, 32, seed=6)
+    @pytest.mark.parametrize("n,t", [(8, 32), (96, 150)])  # one chunk; chunks of 3, 3 and 2
+    def test_setup_builds_the_graph_only_in_modes_with_the_thresholded_branch(self, mode, n, t):
+        ds = generate_synthetic(8, n, t, seed=6)
         _, inputs, _, _ = train_module._setup(ds, _small_config(mode=mode))
-        for subject, (corr, graph) in zip(ds.subjects, inputs):
+        for subject, (corr, graph) in zip(ds.subjects, inputs, strict=True):
             assert corr.tobytes() == pearson_correlation(subject.series).tobytes()
             if mode in ("no_corr", "no_gconv"):
                 assert graph is None
                 continue
             expected = normalize_adjacency(build_filtered(corr, 0.6)).data
             assert graph.data.tobytes() == expected.tobytes() and not graph.requires_grad
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_subjects_score_does_not_depend_on_its_chunk(self, mode):
+        # 96 x 150 takes 3 subjects a chunk: 7 make chunks of 3, 3 and 1
+        ds = generate_synthetic(8, 96, 150, seed=4)
+        state = init_model(train_module._model_config(ds, _small_config(mode=mode)))
+        order = [6, 1, 4, 0, 7, 3, 5]
+        probs = train_module.predict_probabilities(state, ds, order)
+        for k, idx in enumerate(order):
+            alone = train_module.predict_probabilities(state, ds, [idx])
+            last = train_module.predict_probabilities(state, ds, order[k + 1 :] + order[: k + 1])
+            assert probs[k].tobytes() == alone[0].tobytes() == last[-1].tobytes()
 
     @pytest.mark.parametrize("mode,stacks", [("full", 1), ("no_optim", 0)])
     def test_a_batch_update_normalizes_only_the_sampled_graphs(self, monkeypatch, mode, stacks):
