@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import locale
 import os
 from dataclasses import dataclass, field
 
@@ -143,7 +144,8 @@ def _check_subject_id(subject_id: str, where: str) -> None:
     Its file must sit beside labels.csv in the directory, and its
     labels.csv line must read back as written: no comma, and none of the
     line breaks of ``str.splitlines``, a superset of the LF the loader
-    splits on.
+    splits on. It must also encode as a file name and in the text
+    encoding labels.csv is written in, so a lone surrogate is refused.
     """
     if subject_id in ("", ".", "..") or any(c in subject_id for c in "/\\\0"):
         raise ValueError(f"{where}: subject id {subject_id!r} is not a plain file name")
@@ -151,6 +153,11 @@ def _check_subject_id(subject_id: str, where: str) -> None:
         raise ValueError(f"{where}: subject id 'labels' would clash with labels.csv")
     if "," in subject_id or subject_id.splitlines() != [subject_id]:
         raise ValueError(f"{where}: subject id {subject_id!r} holds a comma or a line break")
+    try:
+        os.fsencode(subject_id)
+        subject_id.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError:
+        raise ValueError(f"{where}: subject id {subject_id!r} cannot be encoded") from None
 
 
 @contextlib.contextmanager

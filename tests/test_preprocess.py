@@ -253,7 +253,7 @@ class TestDatasetIO:
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize(
-        "subject_id", ["a,b", "a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\x85", "a\x00b"]
+        "subject_id", ["a,b", "a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\x85", "a\x00b", "a\ud800b"]
     )
     def test_save_refuses_ids_that_would_not_load_back(self, tmp_path, subject_id):
         series = np.arange(6.0).reshape(2, 3) ** 2
