@@ -92,8 +92,12 @@ def harden(logits: np.ndarray) -> np.ndarray:
 
     This is the zero-noise relaxation thresholded at one half, at any
     temperature, since sigmoid(z / tau) >= 1/2 exactly when z >= 0 in
-    exact arithmetic.
+    exact arithmetic. Only one subject's square (n, n) logits: anything
+    else raises ValueError naming its shape.
     """
-    hard = (np.asarray(logits, dtype=np.float64) >= 0.0).astype(np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
+        raise ValueError(f"edge logits must be a square matrix, got {logits.shape}")
+    hard = (logits >= 0.0).astype(np.float64)
     np.fill_diagonal(hard, 0.0)
     return hard

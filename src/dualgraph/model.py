@@ -233,30 +233,30 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 
 def forward(
     series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None
-) -> Tensor | tuple:
-    """One subject's scalar logit, or with a noise pair its ``batch_logits`` inputs.
+) -> tuple:
+    """One subject's per-subject stage, ``(corr, graph, edges)``, which ``batch_logits`` scores.
 
     ``graph`` is the subject's ``thresholded_graph``, required in a mode
-    with that branch. With ``noise=None``, the evaluation path, the
-    sampled graph holds the edges with a non-negative scorer logit and
-    every layer runs as its own 2-D op call. With the subject's pair of
-    standard-Gumbel (n, n) draws it stops after the edge scorer and
-    returns ``(corr, graph, logits)``, None for a branch the mode lacks;
-    ``batch_logits`` relaxes the logits with the batch's draw. The pair
-    is passed because the benchmark (``perfbench``) counts training
-    subjects by ``forward`` calls that carry noise.
+    with that branch. The stage checks the inputs and runs the edge
+    scorer; ``edges``, like ``graph``, is None in a mode without its
+    branch. With the subject's pair of standard-Gumbel (n, n) draws,
+    ``edges`` are the scorer logits, which ``batch_logits`` relaxes with
+    the batch's draw; with ``noise=None``, the scoring path, they are
+    the constant hardened 0/1 graph (``harden``). Each subject runs its
+    own call because the benchmark (``perfbench``) counts training
+    subjects by calls that carry noise and times each
+    ``forward(noise=None)`` as one scored subject.
     """
     config = state.config
     series, corr = _check_inputs(series, corr, config)
     if config.mode in ("full", "no_optim") and graph is None:
         raise ValueError(f"mode {config.mode!r} needs the subject's thresholded graph")
-    logits = None
+    edges = None
     if config.mode in ("full", "no_corr"):
-        logits = edge_probabilities(series, state.scorer)
-    if noise is not None:
-        return corr, graph, logits
-    sampled = None if logits is None else Tensor(harden(logits.data))
-    return ad.classifier_head(_branches(corr, graph, sampled, state), *state.classifier.parameters())
+        edges = edge_probabilities(series, state.scorer)
+        if noise is None:
+            edges = Tensor(harden(edges.data))
+    return corr, graph, edges
 
 
 def _branches(corr, graph, sampled, state: ModelState) -> list:
@@ -276,27 +276,40 @@ def _branches(corr, graph, sampled, state: ModelState) -> list:
     return branches
 
 
-def batch_logits(inputs: list, state: ModelState, noise: np.ndarray) -> Tensor:
-    """The (B,) logits of a training mini-batch, from each subject's ``forward(..., noise=pair)``.
+def batch_logits(inputs: list, state: ModelState, noise: np.ndarray | None = None) -> Tensor:
+    """The (B,) logits of B subjects, from each subject's ``forward`` stage.
 
-    ``noise`` is the batch's (B, 2, n, n) standard-Gumbel draw, subject
-    b's pair in ``noise[b]``. The subjects' scorer logits are stacked into
-    one (B, n, n) tensor; the Gumbel relaxation, the sampled graphs'
-    normalization and each GCN layer run once on the (B, n, ·) stacks,
-    and one ``classifier_head`` call scores the (B, n, f) branch stacks
-    as a (B × D) product. Every op is a tape node. Each stacked op runs
-    the per-graph products, so a subject's graphs and branch outputs
-    have the bits of its own 2-D calls, and each weight's gradient is
-    the one product of its stacked factors.
+    The subjects' sampled graphs are stacked into one (B, n, n) tensor;
+    their normalization and each GCN layer run once on the (B, n, ·)
+    stacks. Each stacked op runs the per-graph products, so a subject's
+    graphs and branch outputs have the bits of its own 2-D calls.
+
+    With ``noise``, a training mini-batch's (B, 2, n, n) standard-Gumbel
+    draw with subject b's pair in ``noise[b]``, the stack is of scorer
+    logits, relaxed in one call, and one ``classifier_head`` call scores
+    the branch stacks as a (B × D) product. Every op is a tape node, and
+    each weight's gradient is the one product of its stacked factors.
+
+    With ``noise=None``, the scoring path, the stack is of hardened
+    graphs, and the head runs once per subject on its views of the
+    branch stacks, a (1 × D) product: a row of a B-row product may differ
+    from it in the last bits, so each logit keeps its bits whatever the
+    subjects scored with it. The logits come back as a constant.
     """
-    corrs, graphs, logits = zip(*inputs)
+    corrs, graphs, edges = zip(*inputs)
     sampled = None
-    if logits[0] is not None:
-        pairs = (noise[:, 0], noise[:, 1])
-        sampled = gumbel_sample(ad.stack(logits), state.config.temperature, pairs)
+    if edges[0] is not None:
+        sampled = ad.stack(edges)
+        if noise is not None:
+            pairs = (noise[:, 0], noise[:, 1])
+            sampled = gumbel_sample(sampled, state.config.temperature, pairs)
     graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
     parts = _branches(np.stack(corrs), graph, sampled, state)
-    return ad.classifier_head(parts, *state.classifier.parameters())
+    head = state.classifier.parameters()
+    if noise is not None:
+        return ad.classifier_head(parts, *head)
+    rows = ([Tensor(part.data[b]) for part in parts] for b in range(len(inputs)))
+    return Tensor(np.stack([ad.classifier_head(row, *head).data for row in rows]))
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

@@ -11,6 +11,7 @@ run is a pure function of the dataset and configuration.
 
 from __future__ import annotations
 
+import itertools
 import json
 import typing
 from collections.abc import Iterator
@@ -272,20 +273,27 @@ def binary_metrics(probs: np.ndarray, labels: np.ndarray) -> Metrics:
 _CHUNK_FLOATS = 50_000
 
 
+def _chunk_size(dataset: Dataset) -> int:
+    """Subjects in a chunk: as many as keep each (B, N, T) or (B, n, n) stack within ``_CHUNK_FLOATS``.
+
+    At least one: 48 at 16 ROIs × 64 steps, 3 at 96 × 150. Inputs are
+    built (``_inputs``) and scored (``_predict_logits``) in these chunks.
+    """
+    n = dataset.n_rois
+    return max(1, _CHUNK_FLOATS // (n * max(n, dataset.t_steps)))
+
+
 def _inputs(dataset: Dataset, indices: list, config: ModelConfig) -> Iterator[tuple]:
     """Each listed subject's ``forward`` inputs, ``(corr, thresholded_graph or None)``, in order.
 
-    Built a chunk of subjects at a time: one ``pearson_correlation`` call
-    on the chunk's stacked (B, N, T) series and one ``thresholded_graph``
-    call on its (B, n, n) correlations, whose subjects come out as views
-    of those stacks with the bits of their own 2-D calls. A chunk holds
-    as many subjects as keep each stack, (B, N, T) or (B, n, n), within
-    ``_CHUNK_FLOATS`` (at least one): 48 at 16 ROIs × 64 steps, 3 at
-    96 × 150. A chunk is built only when the one before has been handed
-    out.
+    Built a chunk of subjects at a time (``_chunk_size``): one
+    ``pearson_correlation`` call on the chunk's stacked (B, N, T) series
+    and one ``thresholded_graph`` call on its (B, n, n) correlations,
+    whose subjects come out as views of those stacks with the bits of
+    their own 2-D calls. A chunk is built only when the one before has
+    been handed out.
     """
-    n = dataset.n_rois
-    size = max(1, _CHUNK_FLOATS // (n * max(n, dataset.t_steps)))
+    size = _chunk_size(dataset)
     for start in range(0, len(indices), size):
         chunk = indices[start : start + size]
         corrs = pearson_correlation(np.stack([dataset.subjects[i].series for i in chunk]))
@@ -295,14 +303,24 @@ def _inputs(dataset: Dataset, indices: list, config: ModelConfig) -> Iterator[tu
 
 
 def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) -> np.ndarray:
-    """Noise-free logits; ``inputs`` yields each subject's ``_inputs``, in order."""
+    """Noise-free logits; ``inputs`` yields each subject's ``_inputs``, in order.
+
+    Scored a chunk of subjects at a time, chunks as ``_inputs`` builds
+    them: each subject's ``forward(noise=None)`` stage, then one
+    ``batch_logits`` call runs the chunk's graph layers on stacks and
+    the head once per subject, so a subject's logit does not depend on
+    its chunk.
+    """
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
-    logits = []
-    for idx, (corr, graph) in zip(indices, inputs, strict=True):
-        series = dataset.subjects[idx].series
-        logits.append(float(forward(series, corr, state, noise=None, graph=graph).data))
-    return np.asarray(logits)
+    size, pairs, logits = _chunk_size(dataset), zip(indices, inputs, strict=True), []
+    while chunk := list(itertools.islice(pairs, size)):
+        stages = [
+            forward(dataset.subjects[idx].series, corr, state, noise=None, graph=graph)
+            for idx, (corr, graph) in chunk
+        ]
+        logits.append(batch_logits(stages, state).data)
+    return np.concatenate(logits)
 
 
 def predict_probabilities(state: ModelState, dataset: Dataset, indices: list) -> np.ndarray:

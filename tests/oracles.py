@@ -8,9 +8,9 @@ scorer's forward as one array instead of blocks;
 ``pair_logits_vjp_broadcast``, its backward from one broadcast mask;
 ``load_dataset_rows``, the loader with every subject file parsed one row
 at a time; ``fit``, a training loop built from ``train``'s own set-up
-and epoch pass; ``training_logit``, one subject's training logit from
-the model's own mini-batch path; and the primitive ops and composite references at the
-end. The primitives (``add``, ``relu``,
+and epoch pass; ``training_logit`` and ``scoring_logit``, one subject's
+training or scoring logit from the model's own batched path; and the
+primitive ops and composite references at the end. The primitives (``add``, ``relu``,
 ``concat``, ``mul``, ``sigmoid``, ``sum_all`` and the rest) are taped ops
 built on ``ad._make`` that the model no longer runs; tests use them as
 probes, such as ``sum_all`` to reduce an op's output to a scalar loss.
@@ -403,6 +403,16 @@ def training_logit(series, corr, state, noise):
     graph = thresholded_graph(corr, state.config)
     inputs = forward(series, corr, state, noise=tuple(noise), graph=graph)
     return select(batch_logits([inputs], state, np.stack(noise)[None]), 0)
+
+
+def scoring_logit(series, corr, state):
+    """One subject's 0-d scoring logit, its ``forward(noise=None)`` stage scored alone.
+
+    The thresholded graph is built as scoring builds it; the logit is a
+    constant, as scoring's are.
+    """
+    stage = forward(series, corr, state, graph=thresholded_graph(corr, state.config))
+    return Tensor(batch_logits([stage], state).data[0])
 
 
 # Primitive taped ops. They run on the engine's tape machinery but are

@@ -14,7 +14,8 @@ from dualgraph.model import init_model, load_checkpoint
 
 from test_model import checkpoint_with_header, checkpoint_bytes, rewrite_checkpoint_header
 from test_preprocess import CSV_BYTES
-from dualgraph.preprocess import BoldMatrix, Dataset, save_dataset
+from dualgraph.preprocess import BoldMatrix, Dataset, load_dataset, save_dataset
+from dualgraph.train import split
 from test_train import one_sided_cohort, poison_gumbel_vjp
 
 CONFIG = {
@@ -308,6 +309,16 @@ class TestEvalCommand:
         payload = json.loads(out.read_text())
         assert set(payload) == {"f1", "sensitivity", "specificity", "auc", "tp", "fp", "tn", "fn"}
         assert payload["tp"] + payload["fp"] + payload["tn"] + payload["fn"] == 12
+
+    def test_eval_of_the_saved_test_split_reproduces_the_trained_metrics(self, workspace, tmp_path):
+        # train scores its test split through the chunked path eval takes
+        dataset = load_dataset(str(workspace["data"]))
+        test = [dataset.subjects[i] for i in split(dataset, CONFIG["seed"]).test]
+        save_dataset(Dataset(name="test", subjects=test), str(tmp_path / "test"))
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--model", str(workspace["ckpt"]), "--data", str(tmp_path / "test")]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (workspace["ckpt"].parent / "model.metrics.json").read_bytes()
 
     def test_eval_to_stdout(self, workspace, capsys):
         code = main(

@@ -1,6 +1,7 @@
 """Thresholded graph, edge scorer, and Gumbel relaxation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,15 @@ class TestHarden:
         for _ in range(20):
             logits = rng.standard_normal((5, 5))
             np.testing.assert_array_equal(harden(logits), harden_double_loop(logits))
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3, 3), (2, 3), (2, 3, 3), (3,), ()], ids=["cube", "2x3", "stack", "1-d", "0-d"]
+    )
+    def test_anything_but_a_square_matrix_is_rejected_naming_its_shape(self, shape):
+        # fill_diagonal would zero only a cube's [i, i, i] entries, take a
+        # non-square matrix and fail on a stack with numpy's own message
+        with pytest.raises(ValueError, match=f"must be a square matrix, got {re.escape(str(shape))}"):
+            harden(np.ones(shape))
 
     @given(
         z=st.floats(-1e300, 1e300).filter(lambda z: abs(z) >= 1e-15),

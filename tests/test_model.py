@@ -1,7 +1,6 @@
 """Graph convolution, composed forward in every mode, and checkpoint tests."""
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -38,12 +37,12 @@ from dualgraph.train import TrainConfig, train_model
 
 from oracles import (
     LAYER_OP_COMPOSITES,
-    add,
     finite_difference_gradient,
     max_rel_error,
     normalize_dense_oracle,
     parameter_count,
     sample_gumbel_noise,
+    scoring_logit,
     sum_all,
     training_logit,
 )
@@ -78,11 +77,6 @@ def _toy_subject(seed=2, n=6, t=16):
     rng = np.random.default_rng(seed)
     series = rng.standard_normal((n, t))
     return series, pearson_correlation(series)
-
-
-def _eval_logit(series, corr, state):
-    """One subject's evaluation ``forward``, given its thresholded graph as scoring gives it."""
-    return forward(series, corr, state, graph=thresholded_graph(corr, state.config))
 
 
 class TestNormalizeAdjacency:
@@ -262,8 +256,8 @@ class TestForward:
     def test_eval_path_deterministic(self):
         series, corr = _toy_subject()
         state = init_model(_config())
-        assert float(_eval_logit(series, corr, state).data) == float(
-            _eval_logit(series, corr, state).data
+        assert float(scoring_logit(series, corr, state).data) == float(
+            scoring_logit(series, corr, state).data
         )
 
     def test_matches_straight_line_oracle(self):
@@ -282,7 +276,7 @@ class TestForward:
         state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
         hard = subject_graphs(series, corr, state)[2]
         assert 0 < hard.sum() < 6 * 5
-        ours = float(_eval_logit(series, corr, state).data)
+        ours = float(scoring_logit(series, corr, state).data)
         assert abs(ours - _forward_oracle(series, corr, state, None)) < 1e-10
 
     @pytest.mark.parametrize("training", [True, False])
@@ -293,7 +287,7 @@ class TestForward:
         logits = edge_probabilities(series, state.scorer).data
         state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
         noise = sample_gumbel_noise(np.random.default_rng(9), 6) if training else None
-        logit = training_logit(series, corr, state, noise) if training else _eval_logit(series, corr, state)
+        logit = training_logit(series, corr, state, noise) if training else scoring_logit(series, corr, state)
         assert abs(float(logit.data) - _forward_oracle(series, corr, state, noise)) < 1e-10
 
     @pytest.mark.parametrize("training", [True, False])
@@ -335,6 +329,40 @@ class TestForward:
         out = batch_logits([(given, graph, logits)], state, noise[None])
         assert out.shape == (1,)
         assert abs(float(out.data[0]) - _forward_oracle(series, corr, state, noise)) < 1e-10
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_without_noise_it_returns_the_hardened_graph_batch_logits_scores(self, monkeypatch, mode):
+        # forward(noise=None) runs the edge scorer and hardens its logits;
+        # batch_logits without noise runs each GCN layer once on the
+        # stacks and the head once per subject, and returns constants.
+        series, corr = _toy_subject(seed=8)
+        state = init_model(_config(mode=mode, seed=21, corr_threshold=0.1))
+        logits = edge_probabilities(series, state.scorer).data
+        state.scorer.pair_b2.data = state.scorer.pair_b2.data - np.median(logits)
+        expected = thresholded_graph(corr, state.config)
+        calls = []
+        for name in ("matmul", "pair_logits", "gumbel_relax", "adjacency_norm", "graph_conv",
+                     "classifier_head"):
+            op = getattr(ad, name)
+            monkeypatch.setattr(ad, name, lambda *a, name=name, op=op, **k: calls.append(name) or op(*a, **k))
+        given, graph, edges = forward(series.tolist(), corr, state, graph=expected)
+        scored = mode in ("full", "no_corr")
+        assert calls == (["matmul", "pair_logits"] if scored else [])
+        assert given.dtype == np.float64 and given.tobytes() == corr.tobytes() and graph is expected
+        if scored:
+            hard = subject_graphs(series, corr, state)[2]
+            assert 0 < hard.sum() < 6 * 5  # edges and gaps
+            assert edges.data.tobytes() == hard.tobytes() and not edges.requires_grad
+        else:
+            assert edges is None
+        calls.clear()
+        out = batch_logits([(given, graph, edges)] * 3, state)
+        branches = {"full": 2, "no_corr": 1, "no_optim": 1, "no_gconv": 0}[mode]
+        assert calls.count("graph_conv") == 2 * branches and calls.count("classifier_head") == 3
+        assert "gumbel_relax" not in calls
+        assert out.shape == (3,) and not out.requires_grad
+        oracle = _forward_oracle(series, corr, state, None)
+        assert all(abs(value - oracle) < 1e-10 for value in out.data)
 
     @pytest.mark.parametrize("shape", [(1, 2, 6, 5), (1, 2, 5, 5), (2, 2, 6, 6)])
     @pytest.mark.parametrize("mode", ["full", "no_corr"])
@@ -386,14 +414,14 @@ class TestForward:
     def test_no_gconv_ignores_graph_parameters(self):
         series, corr = _toy_subject(seed=5)
         state = init_model(_config(mode="no_gconv", seed=3))
-        before = float(forward(series, corr, state).data)
+        before = float(scoring_logit(series, corr, state).data)
         for p in (
             state.scorer.parameters()
             + state.filtered_gcn.parameters()
             + state.optimal_gcn.parameters()
         ):
             p.data = np.zeros_like(p.data)
-        assert float(forward(series, corr, state).data) == before
+        assert float(scoring_logit(series, corr, state).data) == before
 
     def test_classifier_widths_by_mode(self):
         for mode, width in [
@@ -580,27 +608,25 @@ class TestTapeMemory:
 
 
 def _batch_gradients(state, subjects, noise):
-    """The logits and every parameter's gradient of the mean BCE, formed as training does.
+    """One ``batch_logits`` call's logits on the subjects, and with ``noise`` every parameter's gradient.
 
-    With ``noise``, the batch's (B, 2, n, n) draw, one ``batch_logits``
-    call scores the subjects; without it, each subject's evaluation
-    ``forward`` does, and their losses add up.
+    With ``noise``, the batch's (B, 2, n, n) draw, the subjects are a
+    training mini-batch and the gradients are those of its mean BCE.
+    Without it they are scored, whose logits are constants: the
+    gradients are None.
     """
-    labels = [(i + 1) % 2 for i in range(len(subjects))]
+    graphs = [thresholded_graph(corr, state.config) for _, corr in subjects]
     if noise is None:
-        outs = [_eval_logit(*subject, state) for subject in subjects]
-        logits = np.array([float(out.data) for out in outs])
-        functools.reduce(add, [ad.bce_mean(out, [y]) for out, y in zip(outs, labels)]).backward()
-    else:
-        inputs = [
-            forward(*s, state, noise=tuple(pair), graph=thresholded_graph(s[1], state.config))
-            for s, pair in zip(subjects, noise)
-        ]
-        logits = batch_logits(inputs, state, noise)
-        ad.bce_mean(logits, labels).backward()
-        logits = logits.data
+        stages = [forward(*s, state, graph=graph) for s, graph in zip(subjects, graphs)]
+        return batch_logits(stages, state).data, None
+    inputs = [
+        forward(*s, state, noise=tuple(pair), graph=graph)
+        for s, graph, pair in zip(subjects, graphs, noise)
+    ]
+    logits = batch_logits(inputs, state, noise)
+    ad.bce_mean(logits, [(i + 1) % 2 for i in range(len(subjects))]).backward()
     names = [name for name, _ in parameter_shapes(state.config)]
-    return logits, dict(zip(names, (p.grad for p in state.parameters())))
+    return logits.data, dict(zip(names, (p.grad for p in state.parameters())))
 
 
 class TestLayerOpsEqualTheirComposites:
@@ -630,13 +656,16 @@ class TestLayerOpsEqualTheirComposites:
 
         assert logits.shape == ref_logits.shape == (len(subjects),)
         np.testing.assert_array_equal(logits, ref_logits)
+        if not training:
+            assert grads is None and ref_grads is None
+            return
         for name, grad in grads.items():
             if ref_grads[name] is None:
                 assert grad is None, name
             else:
                 np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
         sampled = mode in ("full", "no_corr")
-        live = {"optimal_gcn": sampled, "scorer": sampled and training, "classifier": True}
+        live = {"optimal_gcn": sampled, "scorer": sampled, "classifier": True}
         for prefix, flows in live.items():
             group = [g for name, g in grads.items() if name.startswith(prefix)]
             if flows:  # a dead branch would make the comparison vacuous

@@ -495,11 +495,12 @@ class TestTrainingLoop:
         assert tapes == [17, 17, 13]  # batches of 4, 4 and 2
 
     @pytest.mark.parametrize("cached", [False, True])
-    def test_an_evaluation_forward_tapes_seven_nodes(self, monkeypatch, cached):
-        # The scorer's matmul and pair_logits, two graph_convs per branch and
-        # classifier_head: the parameters require grad, so each op records a
-        # node. The hardened graph is a constant, so its adjacency_norm
-        # records none, and so is the thresholded graph, whether validation
+    def test_scoring_tapes_three_nodes_a_subject_and_four_a_chunk(self, monkeypatch, cached):
+        # Each subject's forward tapes the scorer's matmul and pair_logits,
+        # and the head runs once per subject; the chunk's two graph_convs per
+        # branch run once. The parameters require grad, so each op records
+        # a node. The stacked hardened graphs and their adjacency_norm are
+        # constants, and so is the thresholded graph, whether validation
         # takes it from _setup or scoring builds it.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, _, _ = train_module._setup(ds, _small_config())
@@ -516,10 +517,10 @@ class TestTrainingLoop:
         for name in _TAPED_OPS:
             monkeypatch.setattr(ad, name, recorded(getattr(ad, name)))
         if cached:
-            train_module._predict_logits(state, ds, [0], inputs[:1])
+            train_module._predict_logits(state, ds, [0, 1, 2], inputs[:3])
         else:
-            train_module.predict_probabilities(state, ds, [0])
-        assert sum(nodes) == 7
+            train_module.predict_probabilities(state, ds, [0, 1, 2])
+        assert sum(nodes) == 3 * 3 + 4
 
     def test_one_update_reaches_every_sampled_branch_weight(self):
         # At _small_config's GCN output width the sampled branch is alive at
@@ -712,11 +713,20 @@ class TestThresholdedGraphCache:
             assert graph.data.tobytes() == expected.tobytes() and not graph.requires_grad
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_a_subjects_score_does_not_depend_on_its_chunk(self, mode):
-        # 96 x 150 takes 3 subjects a chunk: 7 make chunks of 3, 3 and 1
-        ds = generate_synthetic(8, 96, 150, seed=4)
-        state = init_model(train_module._model_config(ds, _small_config(mode=mode)))
-        order = [6, 1, 4, 0, 7, 3, 5]
+    @pytest.mark.parametrize(
+        "cohort,scored,n,t,widths",
+        [(8, 7, 96, 150, {}),
+         (50, 50, 16, 64, dict(gcn_hidden_dim=64, gcn_out_dim=32, classifier_hidden_dim=64))],
+        ids=["96x150", "16x64-acceptance-widths"],
+    )
+    def test_a_subjects_score_does_not_depend_on_its_chunk(self, mode, cohort, scored, n, t, widths):
+        # 96 x 150 takes 3 subjects a chunk: 7 make chunks of 3, 3 and 1.
+        # 16 x 64 takes 48: 50 make chunks of 48 and 2, and at the
+        # acceptance widths (head input 2 * 16 * 32 = 1024) a row of a
+        # 48-row head product differs from a row of a 2-row one.
+        ds = generate_synthetic(cohort, n, t, seed=4)
+        state = init_model(train_module._model_config(ds, _small_config(mode=mode, **widths)))
+        order = np.random.default_rng(5).permutation(cohort)[:scored].tolist()
         probs = train_module.predict_probabilities(state, ds, order)
         for k, idx in enumerate(order):
             alone = train_module.predict_probabilities(state, ds, [idx])
@@ -801,29 +811,52 @@ class TestMiniBatchPaths:
 
     def test_forward_and_the_edge_scorer_run_once_per_subject(self, monkeypatch):
         # The benchmark counts training subjects as forward calls with
-        # noise, times each forward(noise=None) as one scored subject and
-        # expects n * n scored pairs per edge_probabilities call.
+        # noise, times each forward(noise=None) as one scored subject,
+        # expects n * n scored pairs per edge_probabilities call and reads
+        # each harden output as one (n, n) graph. The graph layers run once
+        # per mini-batch or scoring chunk, on (B, n, .) stacks: here the 8
+        # scored subjects make chunks of 3, 3 and 2.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, optimizer, rng = train_module._setup(ds, _small_config())
-        calls, real_forward, real_edges = [], train_module.forward, model_module.edge_probabilities
+        monkeypatch.setattr(train_module, "_CHUNK_FLOATS", 3 * 8 * 32)
+        calls = []
 
-        def recording_forward(*args, **kwargs):
+        def record(module, name, event):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(None)  # in call order: forward before the calls it makes
+                at = len(calls) - 1
+                out = real(*args, **kwargs)
+                calls[at] = event(out, *args, **kwargs)
+                return out
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        def forward_event(out, *args, **kwargs):
             noise = kwargs["noise"] if "noise" in kwargs else (args[3] if len(args) > 3 else None)
-            calls.append(("forward", noise is not None))
-            return real_forward(*args, **kwargs)
+            return "forward", noise is not None
 
-        def recording_edges(*args, **kwargs):
-            out = real_edges(*args, **kwargs)
-            calls.append(("edges", out.shape))
-            return out
+        record(train_module, "forward", forward_event)
+        record(model_module, "edge_probabilities", lambda out, *a: ("edges", out.shape))
+        record(model_module, "harden", lambda out, logits: ("harden", np.shape(logits), out.shape))
+        record(model_module, "normalize_adjacency", lambda out, adjacency: ("normalize", out.shape))
+        record(model_module, "gcn_forward", lambda out, x, norm, stack: ("gcn", np.shape(x), norm.shape))
 
-        monkeypatch.setattr(train_module, "forward", recording_forward)
-        monkeypatch.setattr(model_module, "edge_probabilities", recording_edges)
+        def layers(b):
+            return [("gcn", (b, 8, 8), (b, 8, 8)), ("normalize", (b, 8, 8)), ("gcn", (b, 8, 8), (b, 8, 8))]
+
         train_module._batch_update(state, ds, inputs, [0, 1, 2, 3, 4], optimizer, rng, "batch 1")
-        assert calls == [("forward", True), ("edges", (8, 8))] * 5
+        assert calls == [("forward", True), ("edges", (8, 8))] * 5 + layers(5)
+        scored = [("forward", False), ("edges", (8, 8)), ("harden", (8, 8), (8, 8))]
         calls.clear()
-        evaluate(state, ds, list(range(8)))
-        assert calls == [("forward", False), ("edges", (8, 8))] * 8
+        train_module._predict_logits(state, ds, list(range(8)), inputs)  # validation
+        assert calls == [call for b in (3, 3, 2) for call in [*scored * b, *layers(b)]]
+        calls.clear()
+        evaluate(state, ds, list(range(8)))  # builds each chunk's thresholded graphs first
+        assert calls == [
+            call for b in (3, 3, 2) for call in [("normalize", (b, 8, 8)), *scored * b, *layers(b)]
+        ]
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
