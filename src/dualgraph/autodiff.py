@@ -29,8 +29,9 @@ op per model layer, so that a layer costs one tape node:
   hidden layer. The joined outputs' last two axes make one subject's
   row of the head's input width D: one subject's (n, f) branch outputs
   make one row and a 0-d logit; a mini-batch's (B, n, f) stacks make B
-  rows and a (B,) vector, so training runs the head as one (B × D)
-  product each way.
+  rows and a (B,) vector. The forward runs its rows in zero-padded
+  blocks of ``HEAD_ROWS`` (16), which give a row the same bits at any
+  position, so training and scoring share one call shape.
 
 Each layer op and ``bce_mean`` runs the numpy expressions of the
 primitive-op chain it replaced (the tests keep it as their reference), in
@@ -466,6 +467,14 @@ def gumbel_relax(logits: Tensor, delta: np.ndarray, tau: float) -> Tensor:
     return _make(out, (logits,), lambda g: (g * off * out * (1.0 - out) * inv_tau,))
 
 
+# Rows in one block of ``classifier_head``'s products. A row of a
+# zero-padded block of this height has the same bits at every position
+# whatever the other rows hold, and those of a row of an unpadded 16-row
+# product, a full training mini-batch's; a row of a GEMV, or of a 2-15-row
+# GEMM at D = 1024, differs in the last bits.
+HEAD_ROWS = 16
+
+
 def classifier_head(
     parts: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
 ) -> Tensor:
@@ -475,9 +484,12 @@ def classifier_head(
     two axes, which must multiply to ``D = w1.shape[0]``, make one
     subject's row; its leading axes index subjects and shape the output.
     So one subject's (n, f) branch outputs give a 0-d logit and a
-    mini-batch's (B, n, f) stacks give its B logits in batch order, all
-    rows from one product. Each part's gradient is a view, its slice of
-    ``X``'s.
+    mini-batch's (B, n, f) stacks give its B logits in batch order. Both
+    products run on blocks of exactly ``HEAD_ROWS`` rows, the last one
+    zero-padded, so a row's logit has the same bits wherever it sits and
+    whatever rows share its block. The tape keeps the real rows and
+    their hidden layer only, and the VJP runs on those. Each part's
+    gradient is a view, its slice of ``X``'s.
     """
     xs = [part.data for part in parts]
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
@@ -492,9 +504,18 @@ def classifier_head(
         shapes = [[x.shape for x in xs]] + [t.shape for t in (w1, b1, w2, b2)]
         raise ValueError(f"classifier_head: incompatible shapes {shapes}")
     flat = xd.reshape(-1, d)
-    hidden = flat @ w1d
-    hidden += b1d
-    _relu_in_place(hidden)
+    rows = len(flat)
+    hidden, out = np.empty((rows, h)), np.empty(rows)
+    for start in range(0, rows, HEAD_ROWS):
+        block = flat[start : start + HEAD_ROWS]
+        real = len(block)
+        if real < HEAD_ROWS:
+            block = np.concatenate((block, np.zeros((HEAD_ROWS - real, d))))
+        block_hidden = block @ w1d
+        block_hidden += b1d
+        _relu_in_place(block_hidden)
+        hidden[start : start + real] = block_hidden[:real]
+        out[start : start + real] = (block_hidden @ w2d + b2d)[:real, 0]
 
     def vjp(g: np.ndarray) -> tuple:
         g = g.reshape(-1, 1)
@@ -511,7 +532,7 @@ def classifier_head(
         weights = _Factors(flat, g_hidden), g_hidden.sum(axis=0), _Factors(hidden, g), g.sum(axis=0)
         return (*g_parts, *weights)
 
-    return _make((hidden @ w2d + b2d).reshape(xd.shape[:-2]), (*parts, w1, b1, w2, b2), vjp)
+    return _make(out.reshape(xd.shape[:-2]), (*parts, w1, b1, w2, b2), vjp)
 
 
 def bce_value(logit, label):

@@ -234,13 +234,13 @@ def thresholded_graph(corr: np.ndarray, config: ModelConfig) -> Tensor | None:
 def forward(
     series: np.ndarray, corr: np.ndarray, state: ModelState, noise=None, graph=None
 ) -> tuple:
-    """One subject's per-subject stage, ``(corr, graph, edges)``, which ``batch_logits`` scores.
+    """One subject's per-subject stage, ``(corr, graph, edges)``, which ``batch_branches`` takes.
 
     ``graph`` is the subject's ``thresholded_graph``, required in a mode
     with that branch. The stage checks the inputs and runs the edge
     scorer; ``edges``, like ``graph``, is None in a mode without its
     branch. With the subject's pair of standard-Gumbel (n, n) draws,
-    ``edges`` are the scorer logits, which ``batch_logits`` relaxes with
+    ``edges`` are the scorer logits, which ``batch_branches`` relaxes with
     the batch's draw; with ``noise=None``, the scoring path, they are
     the constant hardened 0/1 graph (``harden``). Each subject runs its
     own call because the benchmark (``perfbench``) counts training
@@ -259,17 +259,35 @@ def forward(
     return corr, graph, edges
 
 
-def _branches(corr, graph, sampled, state: ModelState) -> list:
-    """The branch outputs the head joins, thresholded first.
+def batch_branches(inputs: list, state: ModelState, noise: np.ndarray | None = None) -> list:
+    """The branch outputs the head joins, thresholded first, from B subjects' ``forward`` stages.
 
-    Each input is one subject's, or a mini-batch's stacked on a leading
-    axis; a missing branch's input is None. ``no_gconv`` puts the
-    correlations in both slots.
+    Each output is a (B, n, ·) stack; a mode without a branch leaves its
+    output out, and ``no_gconv`` puts the correlations in both slots. The
+    subjects' sampled graphs are stacked into one (B, n, n) tensor; their
+    normalization and each GCN layer run once on the (B, n, ·) stacks.
+    Each stacked op runs the per-graph products, so a subject's graphs
+    and branch outputs have the bits of its own 2-D calls.
+
+    With ``noise``, a training mini-batch's (B, 2, n, n) standard-Gumbel
+    draw with subject b's pair in ``noise[b]``, the stack is of scorer
+    logits, relaxed in one call; every op is a tape node, and each
+    weight's gradient is the one product of its stacked factors. With
+    ``noise=None``, the scoring path, the stack is of hardened graphs.
     """
+    corrs, graphs, edges = zip(*inputs)
+    corr = np.stack(corrs)
     if state.config.mode == "no_gconv":
         return [Tensor(corr)] * 2
+    sampled = None
+    if edges[0] is not None:
+        sampled = ad.stack(edges)
+        if noise is not None:
+            pairs = (noise[:, 0], noise[:, 1])
+            sampled = gumbel_sample(sampled, state.config.temperature, pairs)
     branches = []
-    if graph is not None:
+    if graphs[0] is not None:
+        graph = Tensor(np.stack([g.data for g in graphs]))
         branches.append(gcn_forward(corr, graph, state.filtered_gcn))
     if sampled is not None:
         branches.append(gcn_forward(corr, normalize_adjacency(sampled), state.optimal_gcn))
@@ -277,39 +295,14 @@ def _branches(corr, graph, sampled, state: ModelState) -> list:
 
 
 def batch_logits(inputs: list, state: ModelState, noise: np.ndarray | None = None) -> Tensor:
-    """The (B,) logits of B subjects, from each subject's ``forward`` stage.
+    """The (B,) logits of B subjects: one ``classifier_head`` call on their ``batch_branches``.
 
-    The subjects' sampled graphs are stacked into one (B, n, n) tensor;
-    their normalization and each GCN layer run once on the (B, n, ·)
-    stacks. Each stacked op runs the per-graph products, so a subject's
-    graphs and branch outputs have the bits of its own 2-D calls.
-
-    With ``noise``, a training mini-batch's (B, 2, n, n) standard-Gumbel
-    draw with subject b's pair in ``noise[b]``, the stack is of scorer
-    logits, relaxed in one call, and one ``classifier_head`` call scores
-    the branch stacks as a (B × D) product. Every op is a tape node, and
-    each weight's gradient is the one product of its stacked factors.
-
-    With ``noise=None``, the scoring path, the stack is of hardened
-    graphs, and the head runs once per subject on its views of the
-    branch stacks, a (1 × D) product: a row of a B-row product may differ
-    from it in the last bits, so each logit keeps its bits whatever the
-    subjects scored with it. The logits come back as a constant.
+    The head runs its rows in zero-padded blocks of ``ad.HEAD_ROWS``, so
+    each logit has the same bits whatever subjects share its call: a
+    scored subject's (``noise=None``) equal those ``train._predict_logits``
+    gives it, and a full training mini-batch of 16 runs one unpadded block.
     """
-    corrs, graphs, edges = zip(*inputs)
-    sampled = None
-    if edges[0] is not None:
-        sampled = ad.stack(edges)
-        if noise is not None:
-            pairs = (noise[:, 0], noise[:, 1])
-            sampled = gumbel_sample(sampled, state.config.temperature, pairs)
-    graph = None if graphs[0] is None else Tensor(np.stack([g.data for g in graphs]))
-    parts = _branches(np.stack(corrs), graph, sampled, state)
-    head = state.classifier.parameters()
-    if noise is not None:
-        return ad.classifier_head(parts, *head)
-    rows = ([Tensor(part.data[b]) for part in parts] for b in range(len(inputs)))
-    return Tensor(np.stack([ad.classifier_head(row, *head).data for row in rows]))
+    return ad.classifier_head(batch_branches(inputs, state, noise), *state.classifier.parameters())
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

@@ -26,6 +26,7 @@ from dualgraph.model import (
     ModelConfig,
     ModelState,
     _is_number,
+    batch_branches,
     batch_logits,
     check_config,
     forward,
@@ -307,19 +308,37 @@ def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) 
 
     Scored a chunk of subjects at a time, chunks as ``_inputs`` builds
     them: each subject's ``forward(noise=None)`` stage, then one
-    ``batch_logits`` call runs the chunk's graph layers on stacks and
-    the head once per subject, so a subject's logit does not depend on
-    its chunk.
+    ``batch_branches`` call runs the chunk's graph layers on stacks. The
+    chunks' joined branch rows fill one reused block of ``ad.HEAD_ROWS``
+    rows, and ``classifier_head`` runs each time it fills, and once more
+    on the zero-padded rest. A padded block gives a row the same bits at
+    every position, so a subject's logit depends neither on its chunk
+    nor on its block.
     """
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
     size, pairs, logits = _chunk_size(dataset), zip(indices, inputs, strict=True), []
+    head, block, filled = state.classifier.parameters(), None, 0
     while chunk := list(itertools.islice(pairs, size)):
         stages = [
             forward(dataset.subjects[idx].series, corr, state, noise=None, graph=graph)
             for idx, (corr, graph) in chunk
         ]
-        logits.append(batch_logits(stages, state).data)
+        parts = [part.data for part in batch_branches(stages, state)]
+        if block is None:
+            block = np.empty((ad.HEAD_ROWS, sum(p.shape[-2] for p in parts), parts[0].shape[-1]))
+        start = 0
+        while start < len(chunk):
+            take = min(ad.HEAD_ROWS - filled, len(chunk) - start)
+            rows = [part[start : start + take] for part in parts]
+            np.concatenate(rows, axis=-2, out=block[filled : filled + take])
+            start, filled = start + take, filled + take
+            if filled == ad.HEAD_ROWS:
+                logits.append(ad.classifier_head([Tensor(block)], *head).data)
+                filled = 0
+    if filled:
+        block[filled:] = 0.0
+        logits.append(ad.classifier_head([Tensor(block)], *head).data[:filled])
     return np.concatenate(logits)
 
 

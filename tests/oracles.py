@@ -408,8 +408,10 @@ def training_logit(series, corr, state, noise):
 def scoring_logit(series, corr, state):
     """One subject's 0-d scoring logit, its ``forward(noise=None)`` stage scored alone.
 
-    The thresholded graph is built as scoring builds it; the logit is a
-    constant, as scoring's are.
+    The thresholded graph is built as scoring builds it; the head runs
+    the subject's row in a zero-padded 16-row block, which gives it the
+    bits scoring gives it at any position. The logit is a constant, as
+    scoring's are.
     """
     stage = forward(series, corr, state, graph=thresholded_graph(corr, state.config))
     return Tensor(batch_logits([stage], state).data[0])
@@ -584,16 +586,37 @@ def gumbel_relax_composite(logits, delta, tau):
     return mul(relaxed, Tensor(1.0 - np.eye(logits.shape[0])))
 
 
+def head_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``ad.matmul`` with its forward run on zero-padded blocks of ``ad.HEAD_ROWS`` rows of ``a``.
+
+    Each block's product keeps its real rows; the VJP is ``ad.matmul``'s,
+    on the real rows alone, as ``ad.classifier_head``'s is.
+    """
+    x, w = a.data, b.data
+    out = np.empty((len(x), w.shape[1]))
+    for start in range(0, len(x), ad.HEAD_ROWS):
+        rows = x[start : start + ad.HEAD_ROWS]
+        block = np.zeros((ad.HEAD_ROWS, x.shape[1]))
+        block[: len(rows)] = rows
+        out[start : start + len(rows)] = (block @ w)[: len(rows)]
+
+    def vjp(g: np.ndarray) -> tuple:
+        return g @ w.T if a.requires_grad else None, ad._Factors(x, g)
+
+    return _make(out, (a, b), vjp)
+
+
 def classifier_head_composite(parts, w1, b1, w2, b2):
     """``ad.classifier_head`` as primitive ops: join on the node axis, copy out the rows, affine, ReLU, affine.
 
-    The last two axes make a row; the leading axes shape the output.
+    The last two axes make a row; the leading axes shape the output. Both
+    products run on zero-padded 16-row blocks (``head_matmul``).
     """
     x = functools.reduce(lambda a, b: concat(a, b, axis=-2), parts)
     d = w1.shape[0]
     flat = reshape(x, (x.size // d, d))
-    hidden = relu(add(ad.matmul(flat, w1), b1))
-    logit = add(ad.matmul(hidden, w2), b2)
+    hidden = relu(add(head_matmul(flat, w1), b1))
+    logit = add(head_matmul(hidden, w2), b2)
     return reshape(logit, x.shape[:-2])
 
 

@@ -778,17 +778,17 @@ class TestLayerOps:
             "classifier_head", np.split(x, 2, axis=-2) + head, flags, parts=2
         )
 
-    @pytest.mark.parametrize("batch", [2, 3])
+    @pytest.mark.parametrize("batch", [2, 3, 17])
     def test_mini_batch_rows_are_the_subjects_in_batch_order(self, batch):
-        # Logit b is subject b's, scored alone from its own two parts; the
-        # batch's (B x D) product may differ from a one-row one in the last bits.
+        # Logit b is subject b's, scored alone from its own two parts, in
+        # every bit: each runs in a zero-padded 16-row block.
         x, *head = _head_arrays(np.random.default_rng(30 + batch), (batch, 6, 3), 18)
         parts = np.split(x, 2, axis=-2)
         weights = [Tensor(a) for a in head]
         out = ad.classifier_head([Tensor(p) for p in parts], *weights).data
         alone = [ad.classifier_head([Tensor(p[b]) for p in parts], *weights).data for b in range(batch)]
         assert out.shape == (batch,) and all(a.shape == () for a in alone)
-        np.testing.assert_allclose(out, alone, rtol=1e-13, atol=0)
+        _assert_same_bits(out, np.array(alone))
 
     @pytest.mark.parametrize("upstream", [None, 0.37])
     @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -960,6 +960,49 @@ def _assert_matches_single_calls(ours, ref, flags):
             continue
         assert np.any(grad != 0), i
         _assert_close(grad, ref_grad, f"input {i}")
+
+
+def _head_numpy(x, w1, b1, w2, b2):
+    """``classifier_head``'s forward expressions, as plain numpy on the rows ``x`` in one product each."""
+    hidden = x @ w1
+    hidden += b1
+    hidden = np.fmax(hidden, 0.0) + 0.0
+    return (hidden @ w2 + b2)[:, 0]
+
+
+class TestHeadBlockBits:
+    """The running BLAS gives a head row one set of bits in any 16-row block.
+
+    ``classifier_head`` relies on it: a row of a zero-padded block of
+    ``HEAD_ROWS`` rows has the same bits at every position, whatever the
+    other rows hold, and those of its row in an unpadded 16-row product,
+    a full training mini-batch's. Another BLAS kernel may break it; this
+    is where that shows.
+    """
+
+    @pytest.mark.parametrize("d", [1024, 2 * 96 * 256])  # acceptance and paper-scale widths
+    def test_a_row_has_the_same_bits_at_every_position_of_a_block(self, d):
+        rng = np.random.default_rng(d)
+        h = 64
+        head = [rng.standard_normal((d, h)) / np.sqrt(d), rng.standard_normal(h) * 0.1 - 0.05,
+                rng.standard_normal((h, 1)) / np.sqrt(h), rng.standard_normal(1)]
+        rows = rng.standard_normal((ad.HEAD_ROWS, d))
+        row = rows[0]
+        expected = _head_numpy(rows, *head)[0]  # the unpadded 16-row product
+        for position in range(ad.HEAD_ROWS):
+            padded = np.zeros((ad.HEAD_ROWS, d))
+            padded[position] = row
+            among = rng.standard_normal((ad.HEAD_ROWS, d))
+            among[position] = row
+            for block in (padded, among):
+                _assert_same_bits(_head_numpy(block, *head)[position], expected)
+        weights = [Tensor(a) for a in head]
+        alone = ad.classifier_head([Tensor(row.reshape(1, d))], *weights).data
+        spread = rng.standard_normal((ad.HEAD_ROWS + 5, 1, d))
+        spread[ad.HEAD_ROWS + 3, 0] = row  # fourth row of the padded second block
+        second = ad.classifier_head([Tensor(spread)], *weights).data[ad.HEAD_ROWS + 3]
+        _assert_same_bits(alone, expected)
+        _assert_same_bits(second, expected)
 
 
 class TestStackedLayerOps:

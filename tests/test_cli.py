@@ -2,7 +2,9 @@
 
 import json
 import os
+import pathlib
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -452,28 +454,33 @@ class TestEvalCommand:
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_eval_on_any_checkpoint_bytes_exits_0_or_2(self, workspace, data, capsys):
+    def test_eval_on_any_checkpoint_bytes_exits_0_or_2(self, workspace, tmp_path, data, capsys):
         raw = data.draw(checkpoint_bytes(workspace["ckpt"].read_bytes()))
-        path = workspace["root"] / "fuzz.ckpt"
-        path.write_bytes(raw)
-        try:
-            load_checkpoint(str(path))
-            expected = 0
-        except ValueError:
-            expected = 2
-        code = main(["eval", "--model", str(path), "--data", str(workspace["data"])])
+        # A fresh directory per example, its file written once: on ext4,
+        # truncating a file whose data is not yet on disk waits for its
+        # writeback.
+        with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+            path = pathlib.Path(directory) / "fuzz.ckpt"
+            path.write_bytes(raw)
+            try:
+                load_checkpoint(str(path))
+                expected = 0
+            except ValueError:
+                expected = 2
+            code = main(["eval", "--model", str(path), "--data", str(workspace["data"])])
         assert code == expected
         assert "Traceback" not in capsys.readouterr().err
 
     @given(target=st.sampled_from(["labels.csv", "s0001.csv"]), content=CSV_BYTES)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_eval_on_any_dataset_file_bytes_exits_2(self, workspace, target, content, capsys):
-        data = workspace["root"] / "fuzz-data"
-        data.mkdir(exist_ok=True)
-        for name in ("labels.csv", "s0001.csv"):
-            (data / name).write_bytes((workspace["data"] / name).read_bytes())
-        (data / target).write_bytes(content)
-        code = main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data)])
+    def test_eval_on_any_dataset_file_bytes_exits_2(self, workspace, tmp_path, target, content, capsys):
+        files = {name: (workspace["data"] / name).read_bytes() for name in ("labels.csv", "s0001.csv")}
+        files[target] = content
+        # A fresh directory per example, each file written once (as above)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as data:
+            for name, raw in files.items():
+                (pathlib.Path(data) / name).write_bytes(raw)
+            code = main(["eval", "--model", str(workspace["ckpt"]), "--data", data])
         assert code == 2  # a loadable dataset still lacks the other subjects' files
         assert "Traceback" not in capsys.readouterr().err
 

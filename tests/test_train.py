@@ -495,13 +495,15 @@ class TestTrainingLoop:
         assert tapes == [17, 17, 13]  # batches of 4, 4 and 2
 
     @pytest.mark.parametrize("cached", [False, True])
-    def test_scoring_tapes_three_nodes_a_subject_and_four_a_chunk(self, monkeypatch, cached):
-        # Each subject's forward tapes the scorer's matmul and pair_logits,
-        # and the head runs once per subject; the chunk's two graph_convs per
-        # branch run once. The parameters require grad, so each op records
-        # a node. The stacked hardened graphs and their adjacency_norm are
-        # constants, and so is the thresholded graph, whether validation
-        # takes it from _setup or scoring builds it.
+    def test_scoring_tapes_two_nodes_a_subject_four_a_chunk_and_one_a_head_block(
+        self, monkeypatch, cached
+    ):
+        # Each subject's forward tapes the scorer's matmul and pair_logits;
+        # the chunk's two graph_convs per branch run once, and the head once
+        # per block of 16 rows (here one, padded). The parameters require
+        # grad, so each op records a node. The stacked hardened graphs and
+        # their adjacency_norm are constants, and so is the thresholded
+        # graph, whether validation takes it from _setup or scoring builds it.
         ds = generate_synthetic(8, 8, 32, seed=6)
         state, inputs, _, _ = train_module._setup(ds, _small_config())
         nodes = []
@@ -520,7 +522,7 @@ class TestTrainingLoop:
             train_module._predict_logits(state, ds, [0, 1, 2], inputs[:3])
         else:
             train_module.predict_probabilities(state, ds, [0, 1, 2])
-        assert sum(nodes) == 3 * 3 + 4
+        assert sum(nodes) == 3 * 2 + 4 + 1
 
     def test_one_update_reaches_every_sampled_branch_weight(self):
         # At _small_config's GCN output width the sampled branch is alive at
@@ -727,6 +729,21 @@ class TestThresholdedGraphCache:
         ds = generate_synthetic(cohort, n, t, seed=4)
         state = init_model(train_module._model_config(ds, _small_config(mode=mode, **widths)))
         order = np.random.default_rng(5).permutation(cohort)[:scored].tolist()
+        probs = train_module.predict_probabilities(state, ds, order)
+        for k, idx in enumerate(order):
+            alone = train_module.predict_probabilities(state, ds, [idx])
+            last = train_module.predict_probabilities(state, ds, order[k + 1 :] + order[: k + 1])
+            assert probs[k].tobytes() == alone[0].tobytes() == last[-1].tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_subjects_score_does_not_depend_on_a_head_block_that_spans_chunks(self, mode):
+        # 96 x 150 takes 3 subjects a chunk: 20 make six chunks of 3 and one
+        # of 2. Their rows fill a 16-row head block that spans six chunks,
+        # then a zero-padded one of 4 rows that spans two. A subject scored
+        # alone sits first in a padded block; rotated to the end, fourth.
+        ds = generate_synthetic(20, 96, 150, seed=4)
+        state = init_model(train_module._model_config(ds, _small_config(mode=mode)))
+        order = np.random.default_rng(6).permutation(20).tolist()
         probs = train_module.predict_probabilities(state, ds, order)
         for k, idx in enumerate(order):
             alone = train_module.predict_probabilities(state, ds, [idx])
