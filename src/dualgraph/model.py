@@ -301,8 +301,10 @@ def batch_logits(inputs: list, state: ModelState, noise: np.ndarray | None = Non
     each logit has the same bits whatever subjects share its call: a
     scored subject's (``noise=None``) equal those ``train._predict_logits``
     gives it, and a full training mini-batch of 16 runs one unpadded block.
+    Without noise the logits are a constant, as scoring has no gradient.
     """
-    return ad.classifier_head(batch_branches(inputs, state, noise), *state.classifier.parameters())
+    out = ad.classifier_head(batch_branches(inputs, state, noise), *state.classifier.parameters())
+    return out if noise is not None else Tensor(out.data)
 
 
 def subject_graphs(series: np.ndarray, corr: np.ndarray, state: ModelState) -> tuple:

@@ -311,9 +311,9 @@ def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) 
     ``batch_branches`` call runs the chunk's graph layers on stacks. The
     chunks' joined branch rows fill one reused block of ``ad.HEAD_ROWS``
     rows, and ``classifier_head`` runs each time it fills, and once more
-    on the zero-padded rest. A padded block gives a row the same bits at
-    every position, so a subject's logit depends neither on its chunk
-    nor on its block.
+    on the rest, which it zero-pads to a block. A padded block gives a
+    row the same bits at every position, so a subject's logit depends
+    neither on its chunk nor on its block.
     """
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty index list")
@@ -337,8 +337,7 @@ def _predict_logits(state: ModelState, dataset: Dataset, indices: list, inputs) 
                 logits.append(ad.classifier_head([Tensor(block)], *head).data)
                 filled = 0
     if filled:
-        block[filled:] = 0.0
-        logits.append(ad.classifier_head([Tensor(block)], *head).data[:filled])
+        logits.append(ad.classifier_head([Tensor(block[:filled])], *head).data)
     return np.concatenate(logits)
 
 

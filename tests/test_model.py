@@ -361,7 +361,7 @@ class TestForward:
         branches = {"full": 2, "no_corr": 1, "no_optim": 1, "no_gconv": 0}[mode]
         assert calls.count("graph_conv") == 2 * branches and calls.count("classifier_head") == 1
         assert "gumbel_relax" not in calls
-        assert out.shape == (3,)
+        assert out.shape == (3,) and not out.requires_grad
         oracle = _forward_oracle(series, corr, state, None)
         assert all(abs(value - oracle) < 1e-10 for value in out.data)
 

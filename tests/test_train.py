@@ -3,6 +3,9 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -14,8 +17,10 @@ from dualgraph import model as model_module
 from dualgraph import train as train_module
 from dualgraph.autodiff import Tensor
 from dualgraph.graphgen import build_filtered
-from dualgraph.model import MODES, init_model, normalize_adjacency
-from dualgraph.preprocess import BoldMatrix, Dataset, generate_synthetic, pearson_correlation
+from dualgraph.model import MODES, init_model, load_checkpoint, normalize_adjacency, save_checkpoint
+from dualgraph.preprocess import (
+    BoldMatrix, Dataset, generate_synthetic, load_dataset, pearson_correlation, save_dataset,
+)
 from dualgraph.train import (
     Adam,
     Metrics,
@@ -749,6 +754,35 @@ class TestThresholdedGraphCache:
             alone = train_module.predict_probabilities(state, ds, [idx])
             last = train_module.predict_probabilities(state, ds, order[k + 1 :] + order[: k + 1])
             assert probs[k].tobytes() == alone[0].tobytes() == last[-1].tobytes()
+
+    def test_a_subjects_score_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 20 subjects at 96 x 150 and widths 64: head blocks of 16 and 4 rows
+        # on a 12,288-wide input, a product that OpenBLAS splits over its
+        # threads (two threads run it in two thirds of one's time on a
+        # 2-core Haswell). Processes that score with one and with two BLAS
+        # threads give the same bytes as this one.
+        widths = dict(gcn_hidden_dim=64, gcn_out_dim=64, classifier_hidden_dim=64)
+        generated = generate_synthetic(20, 96, 150, seed=4)
+        state = init_model(train_module._model_config(generated, _small_config(**widths)))
+        data, checkpoint = str(tmp_path / "data"), str(tmp_path / "model.ckpt")
+        save_dataset(generated, data)
+        save_checkpoint(state, checkpoint)
+        order = np.random.default_rng(6).permutation(20).tolist()
+        probs = train_module.predict_probabilities(load_checkpoint(checkpoint), load_dataset(data), order)
+        script = (
+            "import json, sys\n"
+            "from dualgraph import model, preprocess, train\n"
+            "state, ds = model.load_checkpoint(sys.argv[1]), preprocess.load_dataset(sys.argv[2])\n"
+            "probs = train.predict_probabilities(state, ds, json.loads(sys.argv[3]))\n"
+            "sys.stdout.write(probs.tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(train_module.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            command = [sys.executable, "-c", script, checkpoint, data, json.dumps(order)]
+            out = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+            assert out.stdout == probs.tobytes().hex()
 
     @pytest.mark.parametrize("mode,stacks", [("full", 1), ("no_optim", 0)])
     def test_a_batch_update_normalizes_only_the_sampled_graphs(self, monkeypatch, mode, stacks):
